@@ -326,7 +326,7 @@ BENCHMARK(BM_ThroughputSessionsDegraded)
 // question/answer loop, close); per-session wall latency is recorded into
 // an obs::Histogram and reported as latency_p50_ms / latency_p99_ms next
 // to items_per_second — the same log₂ buckets and interpolated quantile
-// definition the server's own StatsOk summaries use (DESIGN.md §13), so
+// definition the server's kMetrics exposition uses (DESIGN.md §13), so
 // the bench number and the production dashboard number agree by
 // construction. Record is wait-free, so the tenant threads share one
 // histogram with no bench-side mutex.

@@ -8,16 +8,20 @@ This script fails CI when that contract rots:
      lowercase [a-z0-9_], at least three underscore-separated words, and
      the jinfer_ prefix.
   2. No two constants carry the same name string.
-  3. The kind-suffix convention holds at every use site: a constant passed
-     to Registry::counter() ends in _total, one passed to histogram()
-     ends in _nanos, and one passed to gauge() ends in neither (gauges
-     name the level they report). Kinds are inferred from usage under
-     src/, so a constant registered as two different kinds is also caught
-     (the registry aborts on that at runtime; this catches it in review).
+  3. The kind-suffix convention holds at every registration site: a
+     constant passed to Registry::counter() or attached to an instance-
+     owned obs::OwnedCounter ends in _total, one passed to histogram()
+     ends in _nanos, and one passed to gauge() or attached to an
+     obs::OwnedGauge ends in neither (gauges name the level they report).
+     Kinds are inferred from usage under src/, so a constant registered as
+     two different kinds is also caught (the registry aborts on that at
+     runtime; this catches it in review).
   4. No '"jinfer_' string literal appears under src/ outside
      metric_names.h — a metric that is not registered there does not
      exist. bench/ and tests/ are exempt: scratch metrics in benchmarks
      and goldens in tests are not production names.
+  5. Every constant in metric_names.h has a registration site under src/
+     — a name whose last user was deleted is an orphan, not a metric.
 
 Run from anywhere: paths resolve against the repo root. Exit code 1 lists
 every violation with file:line.
@@ -36,7 +40,15 @@ NAME_RE = re.compile(r"^jinfer_[a-z0-9]+(_[a-z0-9]+)+$")
 CONST_RE = re.compile(
     r"inline\s+constexpr\s+char\s+(k\w+)\[\]\s*=\s*\n?\s*\"([^\"]*)\"",
     re.MULTILINE)
-USE_RE = re.compile(r"\b(counter|gauge|histogram)\(\s*obs::(k\w+)\s*\)")
+# Registry lookups: `Registry::Global().counter(obs::kFoo)` (the obs::
+# qualifier is dropped inside namespace obs).
+USE_RE = re.compile(
+    r"\b(counter|gauge|histogram)\(\s*(?:obs::)?(k[A-Z]\w*)\s*\)")
+# Instance-owned cells: `obs::OwnedCounter lookups{obs::kFoo};`, the
+# initializer possibly on the next line.
+OWNED_RE = re.compile(
+    r"\b(OwnedCounter|OwnedGauge)\s+\w+\s*[{(]\s*(?:obs::)?(k[A-Z]\w*)")
+OWNED_KIND = {"OwnedCounter": "counter", "OwnedGauge": "gauge"}
 LITERAL_RE = re.compile(r"\"jinfer_[^\"]*\"")
 
 KIND_SUFFIX = {
@@ -87,21 +99,30 @@ def main():
             continue
         text = path.read_text()
         rel = path.relative_to(ROOT)
-        for m in USE_RE.finditer(text):
-            kind, ident = m.group(1), m.group(2)
+        sites = [(m.group(1), m.group(2), m.start())
+                 for m in USE_RE.finditer(text)]
+        sites += [(OWNED_KIND[m.group(1)], m.group(2), m.start())
+                  for m in OWNED_RE.finditer(text)]
+        for kind, ident, pos in sites:
             if ident not in constants:
                 errors.append(
-                    f"{rel}:{line_of(text, m.start())}: obs::{ident} is "
+                    f"{rel}:{line_of(text, pos)}: obs::{ident} is "
                     f"registered as a {kind} but is not defined in "
                     f"{rel_header}")
                 continue
             kinds.setdefault(ident, {}).setdefault(
-                kind, f"{rel}:{line_of(text, m.start())}")
+                kind, f"{rel}:{line_of(text, pos)}")
         for m in LITERAL_RE.finditer(text):
             errors.append(
                 f"{rel}:{line_of(text, m.start())}: metric name literal "
                 f"{m.group(0)} outside {rel_header} — register it there "
                 "and reference the constant")
+
+    for ident, name in sorted(constants.items()):
+        if ident not in kinds:
+            errors.append(
+                f"{rel_header}: {ident} = \"{name}\" has no registration "
+                "site under src/ — delete it or register it")
 
     for ident, by_kind in sorted(kinds.items()):
         name = constants[ident]

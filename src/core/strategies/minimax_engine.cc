@@ -43,8 +43,6 @@ struct MinimaxMetrics {
 /// histogram sample and a flight-recorder span (detail = nodes visited).
 void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
                   const util::Stopwatch& watch) {
-#ifndef JINFER_NO_METRICS
-  if (!obs::MetricsEnabled()) return;
   MinimaxMetrics& m = MinimaxMetrics::Get();
   const uint64_t nodes = after.nodes - before.nodes;
   m.searches.Inc();
@@ -52,6 +50,9 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   m.tt_probes.Inc(after.tt_probes - before.tt_probes);
   m.tt_hits.Inc(after.tt_hits - before.tt_hits);
   m.tt_stores.Inc(after.tt_stores - before.tt_stores);
+  // Counters always record; the sample and the span obey the switches.
+#ifndef JINFER_NO_METRICS
+  if (!obs::MetricsEnabled()) return;
   const uint64_t duration_nanos = watch.ElapsedNanos();
   m.search_nanos.Record(duration_nanos);
   obs::SpanRecord record;
@@ -62,8 +63,6 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   record.kind = obs::SpanKind::kMinimaxSearch;
   obs::FlightRecorder::Global().Record(record);
 #else
-  (void)before;
-  (void)after;
   (void)watch;
 #endif
 }

@@ -71,20 +71,5 @@ std::string RenderPrometheusText() {
   return RenderPrometheusText(Registry::Global().Snapshot());
 }
 
-std::vector<HistogramSummary> SummarizeHistograms() {
-  std::vector<HistogramSummary> out;
-  for (const MetricSnapshot& m : Registry::Global().Snapshot()) {
-    if (m.kind != MetricKind::kHistogram) continue;
-    HistogramSummary s;
-    s.name = m.name;
-    s.count = m.histogram.count;
-    s.sum = m.histogram.sum;
-    s.p50 = m.histogram.Quantile(0.5);
-    s.p99 = m.histogram.Quantile(0.99);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 }  // namespace obs
 }  // namespace jinfer

@@ -1,7 +1,7 @@
-// Exposition (DESIGN.md §13.3): turns registry snapshots into the two
-// formats the outside world reads — Prometheus-style text (the kMetrics
-// frame payload, interactive_cli --metrics-dump) and compact histogram
-// summaries (count/sum/p50/p99) for the versioned StatsOk body.
+// Exposition (DESIGN.md §13.3): turns registry snapshots into the one
+// format the outside world reads — Prometheus-style text, the kMetrics
+// frame payload and interactive_cli --metrics-dump. It is the only surface
+// that carries histograms.
 
 #ifndef JINFER_OBS_EXPOSITION_H_
 #define JINFER_OBS_EXPOSITION_H_
@@ -14,16 +14,6 @@
 namespace jinfer {
 namespace obs {
 
-/// One histogram, reduced to the numbers a dashboard plots. Quantiles use
-/// HistogramSnapshot::Quantile — the same definition everywhere.
-struct HistogramSummary {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-};
-
 /// Prometheus text exposition of a snapshot: counters and gauges as single
 /// samples with a # TYPE header, histograms as cumulative _bucket{le=...}
 /// series (only up to the highest populated bucket, then le="+Inf") plus
@@ -32,10 +22,6 @@ std::string RenderPrometheusText(const std::vector<MetricSnapshot>& metrics);
 
 /// RenderPrometheusText over the global registry.
 std::string RenderPrometheusText();
-
-/// Every histogram in the global registry, summarized. The StatsOk body
-/// carries exactly this vector.
-std::vector<HistogramSummary> SummarizeHistograms();
 
 }  // namespace obs
 }  // namespace jinfer

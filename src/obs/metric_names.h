@@ -3,9 +3,10 @@
 // Convention: jinfer_<subsystem>_<metric>, lowercase with underscores;
 // counters end in _total, latency histograms in _nanos, gauges name the
 // level they report. scripts/check_metric_names.py lints this file for
-// duplicates and non-conforming names, and fails CI when a "jinfer_"
-// string literal appears anywhere else under src/ — a metric that is not
-// registered here does not exist.
+// duplicates, non-conforming names and constants with no registration
+// site under src/, and fails CI when a "jinfer_" string literal appears
+// anywhere else under src/ — a metric that is not registered here does
+// not exist.
 
 #ifndef JINFER_OBS_METRIC_NAMES_H_
 #define JINFER_OBS_METRIC_NAMES_H_
@@ -67,8 +68,6 @@ inline constexpr char kManagerHostedClosedTotal[] =
     "jinfer_manager_hosted_closed_total";
 inline constexpr char kManagerHostedAbortedTotal[] =
     "jinfer_manager_hosted_aborted_total";
-inline constexpr char kManagerHostedReapedTotal[] =
-    "jinfer_manager_hosted_reaped_total";
 inline constexpr char kManagerHostedShedTotal[] =
     "jinfer_manager_hosted_shed_total";
 

@@ -59,9 +59,22 @@ struct Registry::Slot {
   MetricKind kind;
   // Exactly one engaged, per kind. Separate members keep the metric types
   // copy-free and the slot trivially destroyable in registration order.
+  // The counter cell also holds the totals of destroyed owners.
   std::unique_ptr<Counter> counter;
   std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
+  // Live instance-owned cells attached to this name (Owned<Cell>).
+  std::vector<const Counter*> counter_owners;
+  std::vector<const Gauge*> gauge_owners;
+
+  template <typename Cell>
+  std::vector<const Cell*>& owners() {
+    if constexpr (std::is_same_v<Cell, Counter>) {
+      return counter_owners;
+    } else {
+      return gauge_owners;
+    }
+  }
 };
 
 Registry::Registry() = default;
@@ -72,8 +85,8 @@ Registry& Registry::Global() {
   return *registry;
 }
 
-Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
+Registry::Slot& Registry::ResolveLocked(std::string_view name,
+                                        MetricKind kind) {
   for (auto& slot : slots_) {
     if (slot->name == name) {
       JINFER_CHECK(slot->kind == kind,
@@ -101,16 +114,46 @@ Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind) {
 }
 
 Counter& Registry::counter(std::string_view name) {
-  return *Resolve(name, MetricKind::kCounter).counter;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *ResolveLocked(name, MetricKind::kCounter).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  return *Resolve(name, MetricKind::kGauge).gauge;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *ResolveLocked(name, MetricKind::kGauge).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  return *Resolve(name, MetricKind::kHistogram).histogram;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *ResolveLocked(name, MetricKind::kHistogram).histogram;
 }
+
+template <typename Cell>
+Registry::Slot& Registry::Attach(std::string_view name, const Cell* owner) {
+  constexpr MetricKind kind = std::is_same_v<Cell, Counter>
+                                  ? MetricKind::kCounter
+                                  : MetricKind::kGauge;
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& slot = ResolveLocked(name, kind);
+  slot.owners<Cell>().push_back(owner);
+  return slot;
+}
+
+template <typename Cell>
+void Registry::Detach(Slot& slot, const Cell* owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase(slot.owners<Cell>(), owner);
+  if constexpr (std::is_same_v<Cell, Counter>) {
+    slot.counter->Inc(owner->Value());  // Retire: the series never drops.
+  }
+}
+
+template Registry::Slot& Registry::Attach<Counter>(std::string_view,
+                                                   const Counter*);
+template Registry::Slot& Registry::Attach<Gauge>(std::string_view,
+                                                 const Gauge*);
+template void Registry::Detach<Counter>(Slot&, const Counter*);
+template void Registry::Detach<Gauge>(Slot&, const Gauge*);
 
 std::vector<MetricSnapshot> Registry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -123,9 +166,15 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
     switch (slot->kind) {
       case MetricKind::kCounter:
         m.counter = slot->counter->Value();
+        for (const Counter* owner : slot->counter_owners) {
+          m.counter += owner->Value();
+        }
         break;
       case MetricKind::kGauge:
         m.gauge = slot->gauge->Value();
+        for (const Gauge* owner : slot->gauge_owners) {
+          m.gauge += owner->Value();
+        }
         break;
       case MetricKind::kHistogram:
         m.histogram = slot->histogram->Snapshot();

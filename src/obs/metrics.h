@@ -2,26 +2,33 @@
 // and log₂-bucketed latency histograms, built for instrumentation inside
 // hot paths.
 //
-// Cost discipline — the same one util/failpoint.h proved out for the
-// disarmed fast path:
-//   - Every increment starts with one relaxed atomic load of the global
-//     enable flag; with metrics disabled that load IS the whole cost
-//     (BM_MetricsDisarmed, sub-nanosecond).
-//   - Enabled increments are wait-free: one relaxed fetch_add on a
+// Ownership: a subsystem instance (an IndexCache, a Server) owns its
+// counters as OwnedCounter/OwnedGauge cells attached to a registry name.
+// Those cells are the only store of what they count — the owner's stats()
+// reads them, and Registry::Snapshot() reports each name as one series:
+// the sum over live owners plus everything destroyed owners counted.
+// Process-wide metrics with no owning instance (histograms, the minimax
+// and trace counters) live in the registry itself.
+//
+// Cost discipline:
+//   - Increments are wait-free: one relaxed fetch_add on a
 //     cache-line-padded per-thread shard. Threads hash onto kMetricShards
 //     cells, so concurrent writers on different cores never contend on a
 //     line (BM_MetricsCounterInc, single-digit nanoseconds).
-//   - Reads (Value / Snapshot) sum the shards — O(shards), paid only by
-//     the exposition path, never by the instrumented code.
-//   - Compiling with JINFER_NO_METRICS empties every recording method so
-//     the layer costs literally nothing; call sites need no #ifdefs.
+//   - Reads (Value / Snapshot) sum the shards — O(shards), paid by stats()
+//     and the exposition path, never by the instrumented code.
+//   - Counters and gauges always record: they back stats(), which must
+//     read the same in every build. Histograms and spans sit behind the
+//     runtime kill switch (one relaxed load, BM_MetricsDisarmed) and
+//     compile to nothing under JINFER_NO_METRICS; call sites need no
+//     #ifdefs.
 //
 // Histograms bucket by position of the highest set bit: bucket 0 holds
 // exactly the value 0, bucket b >= 1 holds [2^(b-1), 2^b - 1], 65 buckets
 // total so uint64_t nanosecond latencies always fit. Quantiles interpolate
 // linearly inside the selected bucket (HistogramSnapshot::Quantile) — the
-// one shared definition the server's StatsOk summaries, the Prometheus
-// text and bench/throughput_sessions.cc all report through.
+// one shared definition the Prometheus text and
+// bench/throughput_sessions.cc both report through.
 //
 // Naming convention: jinfer_<subsystem>_<metric> (counters end in _total,
 // histograms in _nanos). Every production metric name is a constant in
@@ -39,14 +46,16 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace jinfer {
 namespace obs {
 
-/// Runtime kill switch, default on. One relaxed load on every record path
-/// — flipping it off reduces the whole obs layer to that load (the
-/// "disarmed" state the bench suite prices).
+/// Runtime kill switch for histograms and spans, default on. One relaxed
+/// load on every sample path — flipping it off reduces a histogram record
+/// or span to that load (the "disarmed" state the bench suite prices).
+/// Counters and gauges ignore it.
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
@@ -87,33 +96,22 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Inc(uint64_t n = 1) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
     cells_[ThisThreadShard()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t Value() const {
-#ifndef JINFER_NO_METRICS
     uint64_t total = 0;
     for (const Cell& c : cells_) {
       total += c.v.load(std::memory_order_relaxed);
     }
     return total;
-#else
-    return 0;
-#endif
   }
 
  private:
-#ifndef JINFER_NO_METRICS
   struct alignas(64) Cell {
     std::atomic<uint64_t> v{0};
   };
   Cell cells_[kMetricShards];
-#endif
 };
 
 /// Point-in-time level (open connections, queue depth). Set-dominated, so
@@ -124,36 +122,14 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Set(int64_t v) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t delta) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
-
-  int64_t Value() const {
-#ifndef JINFER_NO_METRICS
-    return value_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
-  }
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-#ifndef JINFER_NO_METRICS
   std::atomic<int64_t> value_{0};
-#endif
 };
 
 /// Bucket count: bucket 0 (the value 0) plus one per possible bit width.
@@ -349,7 +325,8 @@ struct MetricSnapshot {
 /// sites cache a `static Counter&` and the steady state never locks.
 /// Returned references live as long as the registry (stable addresses).
 /// Registering one name as two different kinds is a programming error and
-/// aborts.
+/// aborts. A counter or gauge name may also have instance-owned cells
+/// attached (Owned below); Snapshot() folds them into the name's series.
 class Registry {
  public:
   /// The process-wide instance every production metric registers in.
@@ -360,22 +337,68 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
+  /// The registry's own cell for `name`, created on first call. For a
+  /// counter or gauge name with instance owners this cell is only part of
+  /// the series: Snapshot() adds the live owners to it.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Every registered metric, in registration order (deterministic
-  /// exposition). Values are relaxed reads — a point-in-time view, exact
-  /// once writers quiesce.
+  /// exposition): one series per name, a counter or gauge reading as the
+  /// registry's own cell plus every live owner's. Values are relaxed
+  /// reads — a point-in-time view, exact once writers quiesce.
   std::vector<MetricSnapshot> Snapshot() const;
 
  private:
+  template <typename Cell>
+  friend class Owned;
   struct Slot;
-  Slot& Resolve(std::string_view name, MetricKind kind);
+
+  /// Finds or creates `name`'s slot. Caller holds mu_.
+  Slot& ResolveLocked(std::string_view name, MetricKind kind);
+
+  /// Owned<Cell> lifetime hooks (Cell is Counter or Gauge). Detach runs
+  /// under the same mutex as Snapshot, so a snapshot sees a dying owner's
+  /// total either in the owner or retired into the slot — never both,
+  /// never neither.
+  template <typename Cell>
+  Slot& Attach(std::string_view name, const Cell* owner);
+  template <typename Cell>
+  void Detach(Slot& slot, const Cell* owner);
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Slot>> slots_;
 };
+
+/// A Counter or Gauge owned by one subsystem instance and attached to a
+/// registry name for the owner's lifetime — the only store of what it
+/// counts (DESIGN.md §13.1). The owner reads its own Value() for stats();
+/// Registry::Snapshot() reports the name as the sum over live owners plus
+/// the registry's own cell. When an owner dies, a counter's total retires
+/// into that cell, so the series never drops and carries no labels; a
+/// gauge's level leaves with its owner (a destroyed server has no open
+/// connections).
+template <typename Cell>
+class Owned : public Cell {
+  static_assert(std::is_same_v<Cell, Counter> || std::is_same_v<Cell, Gauge>,
+                "only counters and gauges have instance owners");
+
+ public:
+  explicit Owned(std::string_view name,
+                 Registry& registry = Registry::Global())
+      : registry_(registry), slot_(registry.Attach<Cell>(name, this)) {}
+  ~Owned() { registry_.Detach<Cell>(slot_, this); }
+  Owned(const Owned&) = delete;  // The registry holds this address.
+  Owned& operator=(const Owned&) = delete;
+
+ private:
+  Registry& registry_;
+  Registry::Slot& slot_;
+};
+
+using OwnedCounter = Owned<Counter>;
+using OwnedGauge = Owned<Gauge>;
 
 }  // namespace obs
 }  // namespace jinfer

@@ -70,8 +70,8 @@ class FlightRecorder {
   /// The process-wide recorder all production spans land in.
   static FlightRecorder& Global();
 
-  /// Wait-free append. A no-op when metrics are disabled (same kill
-  /// switch as the registry) or under JINFER_NO_METRICS.
+  /// Wait-free append. A no-op when metrics are disabled (the kill switch
+  /// histograms obey) or under JINFER_NO_METRICS.
   void Record(const SpanRecord& record);
 
   /// The retained records in ticket (= chronological claim) order, oldest

@@ -16,39 +16,13 @@ namespace runtime {
 
 namespace {
 
-/// Registry handles for the cache's counters. Dual-write discipline
-/// (DESIGN.md §13.1): the per-instance IndexCacheStats under mu_ stays
-/// the source of truth for stats() — every site that bumps a struct field
-/// also bumps the matching global counter, so registry deltas track
-/// struct deltas exactly (asserted in tests/chaos/).
+/// The cache's latency histograms, process-wide (DESIGN.md §13.1).
 struct CacheMetrics {
-  obs::Counter& lookups;
-  obs::Counter& hits;
-  obs::Counter& builds;
-  obs::Counter& failures;
-  obs::Counter& mapped_loads;
-  obs::Counter& store_writes;
-  obs::Counter& evictions;
-  obs::Counter& rejected_admissions;
-  obs::Counter& degraded_builds;
-  obs::Counter& fail_fast;
-  obs::Counter& backoff_arms;
   obs::Histogram& probe_nanos;
   obs::Histogram& build_nanos;
 
   static CacheMetrics& Get() {
     static CacheMetrics* m = new CacheMetrics{
-        obs::Registry::Global().counter(obs::kCacheLookupsTotal),
-        obs::Registry::Global().counter(obs::kCacheHitsTotal),
-        obs::Registry::Global().counter(obs::kCacheBuildsTotal),
-        obs::Registry::Global().counter(obs::kCacheFailuresTotal),
-        obs::Registry::Global().counter(obs::kCacheMappedLoadsTotal),
-        obs::Registry::Global().counter(obs::kCacheStoreWritesTotal),
-        obs::Registry::Global().counter(obs::kCacheEvictionsTotal),
-        obs::Registry::Global().counter(obs::kCacheRejectedAdmissionsTotal),
-        obs::Registry::Global().counter(obs::kCacheDegradedBuildsTotal),
-        obs::Registry::Global().counter(obs::kCacheFailFastTotal),
-        obs::Registry::Global().counter(obs::kCacheBackoffArmsTotal),
         obs::Registry::Global().histogram(obs::kCacheProbeNanos),
         obs::Registry::Global().histogram(obs::kCacheBuildNanos),
     };
@@ -87,15 +61,13 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   uint64_t my_id;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    ++stats_.lookups;
-    metrics.lookups.Inc();
+    counters_.lookups.Inc();
     // Every lookup feeds the admission sketch, hits included: residency
     // decisions compare true access frequencies, not miss frequencies.
     sketch_.Increment(SketchKey(key));
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++stats_.hits;
-      metrics.hits.Inc();
+      counters_.hits.Inc();
       std::shared_future<BuildOutcome> future = it->second.future;
       lock.unlock();
       // Blocks iff the resolution is still in flight.
@@ -108,8 +80,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     auto failed = failures_.find(key);
     if (failed != failures_.end() &&
         clock().NowNanos() < failed->second.retry_after_nanos) {
-      ++stats_.fail_fast;
-      metrics.fail_fast.Inc();
+      counters_.fail_fast.Inc();
       return util::Status::Unavailable(util::StrFormat(
           "index resolution for fingerprint %s backing off after %u "
           "transient failure(s)",
@@ -169,10 +140,8 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
       std::lock_guard<std::mutex> lock(mu_);
       // A failed outcome is always a failed build: a store-load failure
       // falls through to the build path above rather than surfacing.
-      ++stats_.builds;
-      ++stats_.failures;
-      metrics.builds.Inc();
-      metrics.failures.Inc();
+      counters_.builds.Inc();
+      counters_.failures.Inc();
       if (options_.failure_backoff_base.count() > 0 &&
           util::IsTransient(outcome.status())) {
         FailureState& state = failures_[key];
@@ -188,8 +157,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
             static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(window)
                     .count());
-        ++stats_.backoff_arms;
-        metrics.backoff_arms.Inc();
+        counters_.backoff_arms.Inc();
       }
       auto it = entries_.find(key);
       if (it != entries_.end() && it->second.id == my_id) entries_.erase(it);
@@ -207,19 +175,11 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     std::lock_guard<std::mutex> lock(mu_);
     failures_.erase(key);  // Success closes any backoff window.
     if (store_hit) {
-      ++stats_.mapped_loads;
-      metrics.mapped_loads.Inc();
+      counters_.mapped_loads.Inc();
     } else {
-      ++stats_.builds;
-      metrics.builds.Inc();
-      if (degraded) {
-        ++stats_.degraded_builds;
-        metrics.degraded_builds.Inc();
-      }
-      if (persisted) {
-        ++stats_.store_writes;
-        metrics.store_writes.Inc();
-      }
+      counters_.builds.Inc();
+      if (degraded) counters_.degraded_builds.Inc();
+      if (persisted) counters_.store_writes.Inc();
     }
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.id == my_id) {
@@ -258,14 +218,12 @@ void IndexCache::EnforceCapacityLocked(const InstanceFingerprint& key,
   }
   if (victim != entries_.end() && newcomer_freq > victim_freq) {
     entries_.erase(victim);
-    ++stats_.evictions;
-    CacheMetrics::Get().evictions.Inc();
+    counters_.evictions.Inc();
   } else {
     auto self = entries_.find(key);
     if (self != entries_.end() && self->second.id == id) {
       entries_.erase(self);
-      ++stats_.rejected_admissions;
-      CacheMetrics::Get().rejected_admissions.Inc();
+      counters_.rejected_admissions.Inc();
     }
   }
 }
@@ -276,8 +234,19 @@ size_t IndexCache::size() const {
 }
 
 IndexCacheStats IndexCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  IndexCacheStats s;
+  s.lookups = counters_.lookups.Value();
+  s.hits = counters_.hits.Value();
+  s.builds = counters_.builds.Value();
+  s.failures = counters_.failures.Value();
+  s.mapped_loads = counters_.mapped_loads.Value();
+  s.store_writes = counters_.store_writes.Value();
+  s.evictions = counters_.evictions.Value();
+  s.rejected_admissions = counters_.rejected_admissions.Value();
+  s.degraded_builds = counters_.degraded_builds.Value();
+  s.fail_fast = counters_.fail_fast.Value();
+  s.backoff_arms = counters_.backoff_arms.Value();
+  return s;
 }
 
 void IndexCache::Clear() {

@@ -51,6 +51,8 @@
 #include <unordered_map>
 
 #include "core/signature_index.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "relational/relation.h"
 #include "store/fingerprint.h"
 #include "store/index_store.h"
@@ -178,6 +180,7 @@ class IndexCache {
   /// Number of resident entries (completed or in-flight resolutions).
   size_t size() const;
 
+  /// A read of the cache's own counter cells: exact once lookups quiesce.
   IndexCacheStats stats() const;
 
   const IndexCacheOptions& options() const { return options_; }
@@ -235,7 +238,23 @@ class IndexCache {
       failures_;
   util::FrequencySketch sketch_;
   uint64_t next_id_ = 0;
-  IndexCacheStats stats_;
+
+  /// One cell per IndexCacheStats field — its only store, attached to the
+  /// process-wide series of the same name (DESIGN.md §13.1).
+  struct Counters {
+    obs::OwnedCounter lookups{obs::kCacheLookupsTotal};
+    obs::OwnedCounter hits{obs::kCacheHitsTotal};
+    obs::OwnedCounter builds{obs::kCacheBuildsTotal};
+    obs::OwnedCounter failures{obs::kCacheFailuresTotal};
+    obs::OwnedCounter mapped_loads{obs::kCacheMappedLoadsTotal};
+    obs::OwnedCounter store_writes{obs::kCacheStoreWritesTotal};
+    obs::OwnedCounter evictions{obs::kCacheEvictionsTotal};
+    obs::OwnedCounter rejected_admissions{obs::kCacheRejectedAdmissionsTotal};
+    obs::OwnedCounter degraded_builds{obs::kCacheDegradedBuildsTotal};
+    obs::OwnedCounter fail_fast{obs::kCacheFailFastTotal};
+    obs::OwnedCounter backoff_arms{obs::kCacheBackoffArmsTotal};
+  };
+  Counters counters_;
 };
 
 }  // namespace runtime

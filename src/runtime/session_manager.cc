@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/deadline.h"
@@ -21,41 +19,6 @@ namespace jinfer {
 namespace runtime {
 
 namespace {
-
-/// Registry handles for the manager's counters, dual-written beside the
-/// per-instance Stats struct (DESIGN.md §13.1). The struct under stats_mu_
-/// stays the source of truth for stats(); the registry mirrors its deltas
-/// exactly (asserted in tests/chaos/metrics_chaos_test.cc).
-struct ManagerMetrics {
-  obs::Counter& completed;
-  obs::Counter& failed;
-  obs::Counter& shed;
-  obs::Counter& deadline_exceeded;
-  obs::Counter& factory_retries;
-  obs::Counter& slice_faults;
-  obs::Counter& hosted_opened;
-  obs::Counter& hosted_closed;
-  obs::Counter& hosted_aborted;
-  obs::Counter& hosted_reaped;
-  obs::Counter& hosted_shed;
-
-  static ManagerMetrics& Get() {
-    static ManagerMetrics* m = new ManagerMetrics{
-        obs::Registry::Global().counter(obs::kManagerCompletedTotal),
-        obs::Registry::Global().counter(obs::kManagerFailedTotal),
-        obs::Registry::Global().counter(obs::kManagerShedTotal),
-        obs::Registry::Global().counter(obs::kManagerDeadlineExceededTotal),
-        obs::Registry::Global().counter(obs::kManagerFactoryRetriesTotal),
-        obs::Registry::Global().counter(obs::kManagerSliceFaultsTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedOpenedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedClosedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedAbortedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedReapedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedShedTotal),
-    };
-    return *m;
-  }
-};
 
 /// Shared scheduler state: a ready queue of job indices plus the count of
 /// jobs not yet finished. A job index is in exactly one place at a time —
@@ -136,11 +99,8 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
               "job %zu shed: ready queue bounded at %zu, %zu submitted",
               i, options_.max_queue, n)));
     }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.shed += n - admitted;
-    stats_.failed += n - admitted;
-    ManagerMetrics::Get().shed.Inc(n - admitted);
-    ManagerMetrics::Get().failed.Inc(n - admitted);
+    counters_.shed.Inc(n - admitted);
+    counters_.failed.Inc(n - admitted);
   }
 
   Scheduler scheduler;
@@ -169,13 +129,8 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
                 "job %zu cancelled at slice boundary: %s deadline expired",
                 i, run_deadline.expired() ? "run" : "job")));
         sessions[i].reset();
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.deadline_exceeded;
-          ++stats_.failed;
-          ManagerMetrics::Get().deadline_exceeded.Inc();
-          ManagerMetrics::Get().failed.Inc();
-        }
+        counters_.deadline_exceeded.Inc();
+        counters_.failed.Inc();
         // The dump names the span that ate the budget — the diagnosis a
         // deadline page needs first (DESIGN.md §13.2).
         obs::EmitFlightDump(util::StrFormat(
@@ -190,11 +145,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
       // perturb only the interleaving — exactly what the determinism
       // contract says cannot change transcripts.
       if (!util::FailpointHit("manager.step").ok()) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.slice_faults;
-          ManagerMetrics::Get().slice_faults.Inc();
-        }
+        counters_.slice_faults.Inc();
         scheduler.Requeue(i);
         continue;
       }
@@ -218,20 +169,12 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
             // requeue: the job deadline, checked above, bounds unlimited
             // policies.
             std::this_thread::sleep_for(factory_backoff[i]->Next());
-            {
-              std::lock_guard<std::mutex> lock(stats_mu_);
-              ++stats_.factory_retries;
-              ManagerMetrics::Get().factory_retries.Inc();
-            }
+            counters_.factory_retries.Inc();
             scheduler.Requeue(i);
             continue;
           }
           slots[i] = made.status();
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.failed;
-            ManagerMetrics::Get().failed.Inc();
-          }
+          counters_.failed.Inc();
           scheduler.Retire();
           continue;
         }
@@ -261,16 +204,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
                        ? util::Result<core::InferenceResult>(session.Result())
                        : util::Result<core::InferenceResult>(error);
         sessions[i].reset();
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          if (error.ok()) {
-            ++stats_.completed;
-            ManagerMetrics::Get().completed.Inc();
-          } else {
-            ++stats_.failed;
-            ManagerMetrics::Get().failed.Inc();
-          }
-        }
+        (error.ok() ? counters_.completed : counters_.failed).Inc();
         scheduler.Retire();
       } else {
         scheduler.Requeue(i);
@@ -303,9 +237,7 @@ util::Result<uint64_t> SessionManager::OpenHosted(
     std::lock_guard<std::mutex> lock(hosted_mu_);
     if (options_.max_sessions > 0 &&
         hosted_.size() + hosted_opening_ >= options_.max_sessions) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hosted_shed;
-      ManagerMetrics::Get().hosted_shed.Inc();
+      counters_.hosted_shed.Inc();
       return util::Status::ResourceExhausted(util::StrFormat(
           "session shed: %zu hosted sessions open, bounded at %zu",
           hosted_.size() + hosted_opening_, options_.max_sessions));
@@ -319,16 +251,11 @@ util::Result<uint64_t> SessionManager::OpenHosted(
   --hosted_opening_;
   if (!made.ok()) return made.status();
   const uint64_t id = next_hosted_id_++;
-  auto [it, inserted] =
-      hosted_.try_emplace(id, std::move(made).ValueOrDie());
+  const bool inserted =
+      hosted_.try_emplace(id, std::move(made).ValueOrDie()).second;
   JINFER_CHECK(inserted, "hosted id %llu reused",
                static_cast<unsigned long long>(id));
-  it->second.last_touch_nanos = clock().NowNanos();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_opened;
-    ManagerMetrics::Get().hosted_opened.Inc();
-  }
+  counters_.hosted_opened.Inc();
   return id;
 }
 
@@ -354,12 +281,9 @@ void SessionManager::ReleaseHosted(uint64_t id) {
   if (it == hosted_.end()) return;
   JINFER_CHECK(it->second.busy, "release of an unleased hosted session");
   it->second.busy = false;
-  it->second.last_touch_nanos = clock().NowNanos();
   if (it->second.aborted) {
     hosted_.erase(it);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_aborted;
-    ManagerMetrics::Get().hosted_aborted.Inc();
+    counters_.hosted_aborted.Inc();
   }
 }
 
@@ -376,11 +300,7 @@ util::Result<core::InferenceResult> SessionManager::CloseHosted(uint64_t id) {
   }
   core::InferenceResult result = it->second.session.Result();
   hosted_.erase(it);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_closed;
-    ManagerMetrics::Get().hosted_closed.Inc();
-  }
+  counters_.hosted_closed.Inc();
   return result;
 }
 
@@ -397,35 +317,8 @@ util::Status SessionManager::AbortHosted(uint64_t id) {
     return util::Status::OK();
   }
   hosted_.erase(it);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_aborted;
-    ManagerMetrics::Get().hosted_aborted.Inc();
-  }
+  counters_.hosted_aborted.Inc();
   return util::Status::OK();
-}
-
-size_t SessionManager::ReapIdleHosted(std::chrono::nanoseconds max_idle) {
-  const uint64_t now = clock().NowNanos();
-  const uint64_t idle_nanos =
-      max_idle.count() < 0 ? 0 : static_cast<uint64_t>(max_idle.count());
-  size_t reaped = 0;
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  for (auto it = hosted_.begin(); it != hosted_.end();) {
-    if (!it->second.busy &&
-        now - it->second.last_touch_nanos > idle_nanos) {
-      it = hosted_.erase(it);
-      ++reaped;
-    } else {
-      ++it;
-    }
-  }
-  if (reaped > 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.hosted_reaped += reaped;
-    ManagerMetrics::Get().hosted_reaped.Inc(reaped);
-  }
-  return reaped;
 }
 
 size_t SessionManager::hosted_open() const {
@@ -435,11 +328,17 @@ size_t SessionManager::hosted_open() const {
 
 SessionManager::Stats SessionManager::stats() const {
   Stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.completed = counters_.completed.Value();
+  out.failed = counters_.failed.Value();
+  out.shed = counters_.shed.Value();
+  out.deadline_exceeded = counters_.deadline_exceeded.Value();
+  out.factory_retries = counters_.factory_retries.Value();
+  out.slice_faults = counters_.slice_faults.Value();
   out.degraded_serves = cache_.stats().degraded_builds;
+  out.hosted_opened = counters_.hosted_opened.Value();
+  out.hosted_closed = counters_.hosted_closed.Value();
+  out.hosted_aborted = counters_.hosted_aborted.Value();
+  out.hosted_shed = counters_.hosted_shed.Value();
   return out;
 }
 

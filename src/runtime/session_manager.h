@@ -48,11 +48,12 @@
 
 #include "core/inference.h"
 #include "core/oracle.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "runtime/index_cache.h"
 #include "runtime/session.h"
 #include "util/result.h"
 #include "util/retry.h"
-#include "util/stopwatch.h"
 
 namespace jinfer {
 namespace runtime {
@@ -115,12 +116,6 @@ class SessionManager {
     /// the serving front end maps this to a RETRY_LATER frame, so overload
     /// refuses new tenants instead of queueing them.
     size_t max_sessions = 0;
-
-    /// Clock the hosted-session idle timestamps are measured on; nullptr =
-    /// the process steady clock. Tests inject a util::FakeClock so
-    /// ReapIdleHosted is an exact assertion instead of a sleep. (The
-    /// manager-owned cache has its own clock knob in cache_options.)
-    const util::MonotonicClock* clock = nullptr;
   };
 
   /// Counters accumulated across RunAll calls; see stats().
@@ -138,7 +133,6 @@ class SessionManager {
     uint64_t hosted_closed = 0;   ///< Hosted sessions closed normally.
     uint64_t hosted_aborted = 0;  ///< Hosted sessions dropped via the
                                   ///< detach/abort path (client vanished).
-    uint64_t hosted_reaped = 0;   ///< Hosted sessions evicted by ReapIdle.
     uint64_t hosted_shed = 0;     ///< Hosted opens refused by max_sessions.
   };
 
@@ -157,8 +151,8 @@ class SessionManager {
   /// the intended wiring for a server bundling worker pool and cache.
   IndexCache& cache() { return cache_; }
 
-  /// Snapshot of the failure/degradation counters (thread-safe; callable
-  /// while RunAll is in flight from another thread).
+  /// A read of the manager's own counter cells (thread-safe; callable while
+  /// RunAll is in flight from another thread, exact once it returns).
   Stats stats() const;
 
   // -------------------------------------------------------------------------
@@ -176,14 +170,15 @@ class SessionManager {
   //                         of a busy id is FailedPrecondition — the serving
   //                         layer serializes frames per session, so overlap
   //                         is a protocol violation, not a wait
-  //   ReleaseHosted(id)     ends the lease, refreshes the idle clock
+  //   ReleaseHosted(id)     ends the lease
   //   CloseHosted(id)       final result + erase (normal end of life)
   //   AbortHosted(id)       detach/abort: drop the session and release its
   //                         IndexCache pin — the path a vanished client
   //                         takes. Safe against a concurrent lease: a busy
   //                         session is erased when its lease releases.
-  //   ReapIdleHosted(idle)  evicts every non-busy session idle longer than
-  //                         `idle` — the abandoned-session leak fix.
+  //
+  // Idle sessions are ended by their connection's idle deadline: the server
+  // closes the connection and aborts the session it holds (DESIGN.md §11.2).
   // -------------------------------------------------------------------------
 
   /// Opens a hosted session; `make` runs on this thread. Fails with
@@ -207,10 +202,6 @@ class SessionManager {
   /// for unknown ids.
   util::Status AbortHosted(uint64_t id);
 
-  /// Evicts non-busy hosted sessions idle for longer than `max_idle`;
-  /// returns how many were reaped.
-  size_t ReapIdleHosted(std::chrono::nanoseconds max_idle);
-
   /// Open hosted sessions (busy ones included).
   size_t hosted_open() const;
 
@@ -221,21 +212,28 @@ class SessionManager {
     Session session;
     bool busy = false;
     bool aborted = false;
-    uint64_t last_touch_nanos = 0;  ///< On Options::clock's epoch.
 
     explicit Hosted(Session s) : session(std::move(s)) {}
   };
 
-  /// The injected clock, or the process steady clock.
-  const util::MonotonicClock& clock() const {
-    return options_.clock != nullptr ? *options_.clock
-                                     : *util::SystemClock();
-  }
+  /// One cell per Stats counter — its only store, attached to the
+  /// process-wide series of the same name (DESIGN.md §13.1).
+  struct Counters {
+    obs::OwnedCounter completed{obs::kManagerCompletedTotal};
+    obs::OwnedCounter failed{obs::kManagerFailedTotal};
+    obs::OwnedCounter shed{obs::kManagerShedTotal};
+    obs::OwnedCounter deadline_exceeded{obs::kManagerDeadlineExceededTotal};
+    obs::OwnedCounter factory_retries{obs::kManagerFactoryRetriesTotal};
+    obs::OwnedCounter slice_faults{obs::kManagerSliceFaultsTotal};
+    obs::OwnedCounter hosted_opened{obs::kManagerHostedOpenedTotal};
+    obs::OwnedCounter hosted_closed{obs::kManagerHostedClosedTotal};
+    obs::OwnedCounter hosted_aborted{obs::kManagerHostedAbortedTotal};
+    obs::OwnedCounter hosted_shed{obs::kManagerHostedShedTotal};
+  };
 
   Options options_;
   IndexCache cache_;
-  mutable std::mutex stats_mu_;
-  Stats stats_;
+  Counters counters_;
   mutable std::mutex hosted_mu_;
   std::unordered_map<uint64_t, Hosted> hosted_;
   uint64_t next_hosted_id_ = 1;

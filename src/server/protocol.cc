@@ -219,7 +219,6 @@ std::vector<uint8_t> Encode(const StatsOkBody& body) {
   w.U64(body.sessions_open);
   w.U64(body.sessions_completed);
   w.U64(body.sessions_aborted);
-  w.U64(body.sessions_reaped);
   w.U64(body.sessions_shed);
   w.U64(body.frames_read);
   w.U64(body.frames_written);
@@ -227,14 +226,6 @@ std::vector<uint8_t> Encode(const StatsOkBody& body) {
   w.U64(body.deadline_closes);
   w.U64(body.cache_hits);
   w.U64(body.cache_builds);
-  w.U32(static_cast<uint32_t>(body.histograms.size()));
-  for (const StatsHistogramSummary& h : body.histograms) {
-    w.Str(h.name);
-    w.U64(h.count);
-    w.U64(h.sum);
-    w.U64(std::bit_cast<uint64_t>(h.p50));
-    w.U64(std::bit_cast<uint64_t>(h.p99));
-  }
   return std::move(w).Take();
 }
 
@@ -253,7 +244,6 @@ util::Result<StatsOkBody> DecodeStatsOk(std::span<const uint8_t> payload) {
   JINFER_ASSIGN_OR_RETURN(body.sessions_open, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.sessions_completed, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.sessions_aborted, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_reaped, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.sessions_shed, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.frames_read, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.frames_written, r.U64());
@@ -261,26 +251,6 @@ util::Result<StatsOkBody> DecodeStatsOk(std::span<const uint8_t> payload) {
   JINFER_ASSIGN_OR_RETURN(body.deadline_closes, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.cache_hits, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.cache_builds, r.U64());
-  JINFER_ASSIGN_OR_RETURN(const uint32_t num_histograms, r.U32());
-  // Each entry is at least 4 (name length) + 32 bytes; the remainder bound
-  // rejects a hostile count before any reserve.
-  if (num_histograms > r.remaining() / 36) {
-    return util::Status::ParseError(util::StrFormat(
-        "StatsOk histogram count %u exceeds the %zu-byte remainder",
-        num_histograms, r.remaining()));
-  }
-  body.histograms.reserve(num_histograms);
-  for (uint32_t i = 0; i < num_histograms; ++i) {
-    StatsHistogramSummary h;
-    JINFER_ASSIGN_OR_RETURN(h.name, r.Str());
-    JINFER_ASSIGN_OR_RETURN(h.count, r.U64());
-    JINFER_ASSIGN_OR_RETURN(h.sum, r.U64());
-    JINFER_ASSIGN_OR_RETURN(const uint64_t p50_bits, r.U64());
-    JINFER_ASSIGN_OR_RETURN(const uint64_t p99_bits, r.U64());
-    h.p50 = std::bit_cast<double>(p50_bits);
-    h.p99 = std::bit_cast<double>(p99_bits);
-    body.histograms.push_back(std::move(h));
-  }
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
 }

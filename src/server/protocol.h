@@ -92,22 +92,13 @@ struct CloseOkBody {
 
 struct StatsBody {};  ///< Stats request carries no fields.
 
-/// StatsOk payload version. v1 carried the bare counters; v2 prefixes the
-/// version word and appends latency-histogram summaries. Decoders reject
-/// any other version with ParseError — an operator tool reading a newer
-/// server fails loudly instead of misparsing.
-inline constexpr uint32_t kStatsOkVersion = 2;
-
-/// One latency histogram, reduced to count/sum/p50/p99 (the obs layer's
-/// HistogramSummary, on the wire). Quantiles travel as IEEE doubles in
-/// bit_cast'd u64 words.
-struct StatsHistogramSummary {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-};
+/// StatsOk payload version. v1 carried the bare counters; v2 prefixed the
+/// version word and appended latency-histogram summaries; v3 carries
+/// counters only — histograms travel in full on the kMetrics frame, the
+/// one surface that has them. Decoders reject any other version with
+/// ParseError — an operator tool reading a newer server fails loudly
+/// instead of misparsing.
+inline constexpr uint32_t kStatsOkVersion = 3;
 
 /// Server-wide observability snapshot, the operator's curl-able counters.
 struct StatsOkBody {
@@ -118,7 +109,6 @@ struct StatsOkBody {
   uint64_t sessions_open = 0;
   uint64_t sessions_completed = 0;
   uint64_t sessions_aborted = 0;   ///< Dropped with their connection.
-  uint64_t sessions_reaped = 0;    ///< Idle-timeout evictions.
   uint64_t sessions_shed = 0;      ///< Refused by admission control.
   uint64_t frames_read = 0;
   uint64_t frames_written = 0;
@@ -126,9 +116,6 @@ struct StatsOkBody {
   uint64_t deadline_closes = 0;    ///< Connections closed by a deadline.
   uint64_t cache_hits = 0;         ///< IndexCache memory-tier hits.
   uint64_t cache_builds = 0;       ///< Full index builds run.
-  /// v2: every histogram in the global registry, summarized (obs
-  /// exposition's SummarizeHistograms).
-  std::vector<StatsHistogramSummary> histograms;
 };
 
 struct MetricsBody {};  ///< Metrics request carries no fields.

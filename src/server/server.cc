@@ -22,35 +22,14 @@ namespace server {
 
 namespace {
 
-/// Registry handles for the server's counters and gauges, dual-written
-/// beside the StatsOkBody counter struct under stats_mu_ (DESIGN.md §13.1).
-/// Gauges are refreshed by the event loop, which owns the figures.
+/// The server's frame-phase latency histograms, process-wide (DESIGN.md
+/// §13.1). The decode leg is recorded in connection.cc.
 struct ServerMetrics {
-  obs::Counter& connections_accepted;
-  obs::Counter& frames_read;
-  obs::Counter& frames_written;
-  obs::Counter& protocol_errors;
-  obs::Counter& deadline_closes;
-  obs::Counter& work_shed;
-  obs::Gauge& connections_open;
-  obs::Gauge& sessions_open;
-  obs::Gauge& pending_work;
-  obs::Histogram& frame_decode_nanos;
   obs::Histogram& frame_queue_nanos;
   obs::Histogram& frame_execute_nanos;
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = new ServerMetrics{
-        obs::Registry::Global().counter(obs::kServerConnectionsAcceptedTotal),
-        obs::Registry::Global().counter(obs::kServerFramesReadTotal),
-        obs::Registry::Global().counter(obs::kServerFramesWrittenTotal),
-        obs::Registry::Global().counter(obs::kServerProtocolErrorsTotal),
-        obs::Registry::Global().counter(obs::kServerDeadlineClosesTotal),
-        obs::Registry::Global().counter(obs::kServerWorkShedTotal),
-        obs::Registry::Global().gauge(obs::kServerConnectionsOpen),
-        obs::Registry::Global().gauge(obs::kServerSessionsOpen),
-        obs::Registry::Global().gauge(obs::kServerPendingWork),
-        obs::Registry::Global().histogram(obs::kServerFrameDecodeNanos),
         obs::Registry::Global().histogram(obs::kServerFrameQueueNanos),
         obs::Registry::Global().histogram(obs::kServerFrameExecuteNanos),
     };
@@ -141,30 +120,22 @@ util::Status Server::Wait() {
 
 StatsOkBody Server::Stats() {
   StatsOkBody out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.connections_accepted = counters_.connections_accepted.Value();
+  out.connections_open =
+      static_cast<uint64_t>(counters_.connections_open.Value());
   const runtime::SessionManager::Stats m = manager_.stats();
   out.sessions_opened = m.hosted_opened;
   out.sessions_open = manager_.hosted_open();
   out.sessions_completed = m.hosted_closed;
   out.sessions_aborted = m.hosted_aborted;
-  out.sessions_reaped = m.hosted_reaped;
   out.sessions_shed = m.hosted_shed;
+  out.frames_read = counters_.frames_read.Value();
+  out.frames_written = counters_.frames_written.Value();
+  out.protocol_errors = counters_.protocol_errors.Value();
+  out.deadline_closes = counters_.deadline_closes.Value();
   const runtime::IndexCacheStats c = manager_.cache().stats();
   out.cache_hits = c.hits;
   out.cache_builds = c.builds;
-  // v2: latency histograms from the process-wide registry, summarized.
-  for (const obs::HistogramSummary& h : obs::SummarizeHistograms()) {
-    StatsHistogramSummary s;
-    s.name = h.name;
-    s.count = h.count;
-    s.sum = h.sum;
-    s.p50 = h.p50;
-    s.p99 = h.p99;
-    out.histograms.push_back(std::move(s));
-  }
   return out;
 }
 
@@ -175,6 +146,14 @@ std::vector<uint8_t> Server::ErrorFrame(const util::Status& status,
   body.flags = flags;
   body.message = status.message();
   return EncodeFrame(FrameType::kError, Encode(body));
+}
+
+Server::Completion Server::RejectFrame(Completion c,
+                                       const util::Status& status) {
+  counters_.protocol_errors.Inc();
+  c.bytes = ErrorFrame(status, kErrorFlagWillClose);
+  c.close_after = true;
+  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -274,15 +253,14 @@ void Server::EventLoop() {
     // staleness at ~500 ms): the event thread owns these figures, so the
     // scrape path never has to take its locks.
     {
-      ServerMetrics& metrics = ServerMetrics::Get();
-      metrics.sessions_open.Set(
+      counters_.sessions_open.Set(
           static_cast<int64_t>(manager_.hosted_open()));
       size_t pending;
       {
         std::lock_guard<std::mutex> lock(work_mu_);
         pending = work_.size();
       }
-      metrics.pending_work.Set(static_cast<int64_t>(pending));
+      counters_.pending_work.Set(static_cast<int64_t>(pending));
     }
     ApplyCompletions();
     if (accepting && pfds[listener_slot].revents != 0) AcceptPending();
@@ -321,12 +299,8 @@ void Server::AcceptPending() {
     conns_.emplace(fd, std::make_unique<Connection>(
                            std::move(*sock), next_generation_++,
                            options_.limits));
-    ServerMetrics::Get().connections_accepted.Inc();
-    ServerMetrics::Get().connections_open.Set(
-        static_cast<int64_t>(conns_.size()));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.connections_accepted;
-    stats_.connections_open = conns_.size();
+    counters_.connections_accepted.Inc();
+    counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
   }
 }
 
@@ -337,9 +311,7 @@ bool Server::EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes) {
     CloseConn(fd, /*abort_session=*/true);
     return false;
   }
-  ServerMetrics::Get().frames_written.Inc();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.frames_written;
+  counters_.frames_written.Inc();
   return true;
 }
 
@@ -361,11 +333,7 @@ void Server::HandleReadable(Connection& conn) {
   if (!ev.ok()) {
     if (ev.status().code() == util::StatusCode::kParseError) {
       // Malformed framing: say why (typed error frame), then close.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.protocol_errors;
-        ServerMetrics::Get().protocol_errors.Inc();
-      }
+      counters_.protocol_errors.Inc();
       SendErrorAndClose(conn, ev.status(), 0);
     } else {
       // Broken socket, or an injected read/decode fault: this connection
@@ -384,17 +352,9 @@ void Server::HandleReadable(Connection& conn) {
       break;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_read;
-    ServerMetrics::Get().frames_read.Inc();
-  }
+  counters_.frames_read.Inc();
   if (!IsRequestType(static_cast<uint8_t>(ev->frame.type))) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.protocol_errors;
-      ServerMetrics::Get().protocol_errors.Inc();
-    }
+    counters_.protocol_errors.Inc();
     SendErrorAndClose(
         conn, util::Status::ParseError("response-type frame from client"), 0);
     return;
@@ -418,7 +378,7 @@ void Server::HandleReadable(Connection& conn) {
     }
   }
   if (shed) {
-    ServerMetrics::Get().work_shed.Inc();
+    counters_.work_shed.Inc();
     EnqueueOrClose(conn,
                    ErrorFrame(util::Status::ResourceExhausted(
                                   "server overloaded; retry later"),
@@ -488,11 +448,7 @@ void Server::SweepDeadlines() {
     Connection& conn = *it->second;
     const char* reason = conn.ExpiredReason();
     if (reason == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.deadline_closes;
-      ServerMetrics::Get().deadline_closes.Inc();
-    }
+    counters_.deadline_closes.Inc();
     // Name the span that ate the budget, filtered to this tenant's trace
     // when the connection has a bound session (DESIGN.md §13.2).
     obs::EmitFlightDump(
@@ -516,10 +472,7 @@ void Server::CloseConn(int fd, bool abort_session) {
     std::lock_guard<std::mutex> lock(render_mu_);
     render_.erase(session);
   }
-  ServerMetrics::Get().connections_open.Set(
-      static_cast<int64_t>(conns_.size()));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.connections_open = conns_.size();
+  counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -540,11 +493,10 @@ void Server::WorkerLoop() {
     // from the timestamps already taken, not a ScopedSpan, because the
     // waiting happened on no one's stack.
     {
-      ServerMetrics& metrics = ServerMetrics::Get();
       const uint64_t now = util::SystemClock()->NowNanos();
       const uint64_t waited =
           now > work.enqueue_nanos ? now - work.enqueue_nanos : 0;
-      metrics.frame_queue_nanos.Record(waited);
+      ServerMetrics::Get().frame_queue_nanos.Record(waited);
       obs::SpanRecord queued;
       queued.trace_id = work.conn_session;
       queued.start_nanos = work.enqueue_nanos;
@@ -604,14 +556,7 @@ Server::Completion Server::HandleFrame(Work work) {
 Server::Completion Server::HandleOpenSession(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeOpenSession(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   if (work.conn_session != 0) {
     c.bytes = ErrorFrame(util::Status::FailedPrecondition(
                              "a session is already open on this connection"),
@@ -698,36 +643,22 @@ Server::Completion Server::HandleOpenSession(const Work& work) {
 #define JINFER_SERVER_CHECK_OWNERSHIP(c, work, session_id)                 \
   do {                                                                     \
     if ((session_id) == 0 || (session_id) != (work).conn_session) {        \
-      {                                                                    \
-        std::lock_guard<std::mutex> lock(stats_mu_);                       \
-        ++stats_.protocol_errors;                                          \
-        ServerMetrics::Get().protocol_errors.Inc();                        \
-      }                                                                    \
-      (c).bytes = ErrorFrame(                                              \
+      return RejectFrame(                                                  \
+          std::move(c),                                                    \
           util::Status::FailedPrecondition(                                \
-              "frame names a session this connection does not own"),       \
-          kErrorFlagWillClose);                                            \
-      (c).close_after = true;                                              \
-      return (c);                                                          \
+              "frame names a session this connection does not own"));      \
     }                                                                      \
   } while (0)
 
 Server::Completion Server::HandleNextQuestion(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeNextQuestion(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
   auto session = manager_.AcquireHosted(body->session_id);
   if (!session.ok()) {
     if (session.status().code() == util::StatusCode::kNotFound) {
-      // Reaped or aborted underneath the client: unbind so it may reopen.
+      // Aborted underneath the client: unbind so it may reopen.
       c.bind = Completion::kUnbind;
       std::lock_guard<std::mutex> lock(render_mu_);
       render_.erase(body->session_id);
@@ -762,14 +693,7 @@ Server::Completion Server::HandleNextQuestion(const Work& work) {
 Server::Completion Server::HandleAnswer(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeAnswer(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
   auto session = manager_.AcquireHosted(body->session_id);
   if (!session.ok()) {
@@ -805,14 +729,7 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
   Completion c = Base(work);
   auto body =
       DecodeCloseSession(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
   // Snapshot the result under a lease (the index, and with it the Ω
   // formatter, dies with the session), then close for real.
@@ -851,14 +768,7 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
 Server::Completion Server::HandleStats(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeStats(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   c.bytes = EncodeFrame(FrameType::kStatsOk, Encode(Stats()));
   return c;
 }
@@ -866,14 +776,7 @@ Server::Completion Server::HandleStats(const Work& work) {
 Server::Completion Server::HandleMetrics(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeMetrics(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
-    c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
-    c.close_after = true;
-    return c;
-  }
+  if (!body.ok()) return RejectFrame(std::move(c), body.status());
   MetricsOkBody ok;
   ok.text = obs::RenderPrometheusText();
   c.bytes = EncodeFrame(FrameType::kMetricsOk, Encode(ok));

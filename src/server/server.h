@@ -44,6 +44,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "relational/relation.h"
 #include "runtime/session_manager.h"
 #include "server/connection.h"
@@ -112,7 +114,8 @@ class Server {
   /// a drain or stop, an error if the event loop died on its own).
   util::Status Wait();
 
-  /// Point-in-time counters — the same snapshot a kStats frame returns.
+  /// Point-in-time counters — the same snapshot a kStats frame returns,
+  /// read from the server's and its manager's own counter cells.
   StatsOkBody Stats();
 
   /// The hosted runtime (tests reach in for leak/pin assertions).
@@ -174,6 +177,10 @@ class Server {
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
                                          uint8_t flags);
 
+  /// Answers a malformed or cross-tenant request: counts a protocol error,
+  /// replies with a typed error frame and closes the connection.
+  Completion RejectFrame(Completion c, const util::Status& status);
+
   ServerOptions options_;
   runtime::SessionManager manager_;
   util::WakePipe wake_;
@@ -207,9 +214,23 @@ class Server {
   std::mutex render_mu_;
   std::unordered_map<uint64_t, RenderData> render_;
 
-  // Server-level counters (event thread + workers).
-  mutable std::mutex stats_mu_;
-  StatsOkBody stats_;
+  /// Server-level counters (event thread + workers) and the gauges the
+  /// event thread refreshes — each cell the only store of its figure,
+  /// attached to the process-wide series of the same name (DESIGN.md
+  /// §13.1).
+  struct Counters {
+    obs::OwnedCounter connections_accepted{
+        obs::kServerConnectionsAcceptedTotal};
+    obs::OwnedCounter frames_read{obs::kServerFramesReadTotal};
+    obs::OwnedCounter frames_written{obs::kServerFramesWrittenTotal};
+    obs::OwnedCounter protocol_errors{obs::kServerProtocolErrorsTotal};
+    obs::OwnedCounter deadline_closes{obs::kServerDeadlineClosesTotal};
+    obs::OwnedCounter work_shed{obs::kServerWorkShedTotal};
+    obs::OwnedGauge connections_open{obs::kServerConnectionsOpen};
+    obs::OwnedGauge sessions_open{obs::kServerSessionsOpen};
+    obs::OwnedGauge pending_work{obs::kServerPendingWork};
+  };
+  Counters counters_;
 };
 
 }  // namespace server

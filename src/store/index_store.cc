@@ -25,30 +25,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Registry handles for the store's counters, dual-written beside the
-/// per-instance IndexStoreStats (DESIGN.md §13.1).
+/// The store's latency histograms, process-wide (DESIGN.md §13.1).
 struct StoreMetrics {
-  obs::Counter& loads;
-  obs::Counter& load_hits;
-  obs::Counter& load_misses;
-  obs::Counter& writes;
-  obs::Counter& skipped_writes;
-  obs::Counter& quarantined;
-  obs::Counter& put_retries;
-  obs::Counter& load_retries;
   obs::Histogram& load_nanos;
   obs::Histogram& put_nanos;
 
   static StoreMetrics& Get() {
     static StoreMetrics* m = new StoreMetrics{
-        obs::Registry::Global().counter(obs::kStoreLoadsTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadHitsTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadMissesTotal),
-        obs::Registry::Global().counter(obs::kStoreWritesTotal),
-        obs::Registry::Global().counter(obs::kStoreSkippedWritesTotal),
-        obs::Registry::Global().counter(obs::kStoreQuarantinedTotal),
-        obs::Registry::Global().counter(obs::kStorePutRetriesTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadRetriesTotal),
         obs::Registry::Global().histogram(obs::kStoreLoadNanos),
         obs::Registry::Global().histogram(obs::kStorePutNanos),
     };
@@ -136,20 +119,13 @@ bool IndexStore::Contains(const InstanceFingerprint& fingerprint) const {
 
 util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
     const InstanceFingerprint& fingerprint) const {
-  StoreMetrics& metrics = StoreMetrics::Get();
   obs::ScopedSpan span(obs::SpanKind::kStoreLoad, /*trace_id=*/0,
-                       &metrics.load_nanos);
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->loads;
-    metrics.loads.Inc();
-  }
+                       &StoreMetrics::Get().load_nanos);
+  counters_->loads.Inc();
   const std::string path = PathFor(fingerprint);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->load_misses;
-    metrics.load_misses.Inc();
+    counters_->load_misses.Inc();
     return util::Status::NotFound(util::StrFormat(
         "no stored index for fingerprint %s", fingerprint.ToHex().c_str()));
   }
@@ -168,11 +144,7 @@ util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
         return LoadMappedIndex(path);
       },
       &retries);
-  if (retries > 0) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    stats_->load_retries += retries;
-    metrics.load_retries.Inc(retries);
-  }
+  counters_->load_retries.Inc(retries);
   if (!mapped.ok() && util::IsTransient(mapped.status())) {
     return mapped.status();
   }
@@ -183,25 +155,20 @@ util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
   }
   if (!mapped.ok()) {
     Quarantine(path);
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->quarantined;
-    metrics.quarantined.Inc();
+    counters_->quarantined.Inc();
     return util::Status::ParseError(util::StrFormat(
         "stored index %s rejected and quarantined: %s", path.c_str(),
         mapped.status().message().c_str()));
   }
 
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++stats_->load_hits;
-  metrics.load_hits.Inc();
+  counters_->load_hits.Inc();
   return std::move(mapped)->index;
 }
 
 util::Status IndexStore::Put(const core::SignatureIndex& index,
                              const InstanceFingerprint& fingerprint) const {
-  StoreMetrics& metrics = StoreMetrics::Get();
   obs::ScopedSpan span(obs::SpanKind::kStorePut, /*trace_id=*/0,
-                       &metrics.put_nanos);
+                       &StoreMetrics::Get().put_nanos);
   const std::string path = PathFor(fingerprint);
   std::error_code ec;
   if (fs::exists(path, ec) && !ec) {
@@ -211,15 +178,11 @@ util::Status IndexStore::Put(const core::SignatureIndex& index,
     // leftover (e.g. a failed quarantine) would wedge the slot forever.
     auto existing = LoadMappedIndex(path);
     if (existing.ok() && existing->fingerprint == fingerprint) {
-      std::lock_guard<std::mutex> lock(*mu_);
-      ++stats_->skipped_writes;
-      metrics.skipped_writes.Inc();
+      counters_->skipped_writes.Inc();
       return util::Status::OK();
     }
     Quarantine(path);
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->quarantined;
-    metrics.quarantined.Inc();
+    counters_->quarantined.Inc();
   }
 
   const std::vector<uint8_t> bytes = SerializeIndexFile(index, fingerprint);
@@ -232,12 +195,9 @@ util::Status IndexStore::Put(const core::SignatureIndex& index,
   util::Status published =
       util::RetryCall(options_.retry, [&] { return PublishOnce(bytes, path); },
                       &retries);
-  std::lock_guard<std::mutex> lock(*mu_);
-  stats_->put_retries += retries;
-  if (retries > 0) metrics.put_retries.Inc(retries);
+  counters_->put_retries.Inc(retries);
   if (!published.ok()) return published;
-  ++stats_->writes;
-  metrics.writes.Inc();
+  counters_->writes.Inc();
   return util::Status::OK();
 }
 
@@ -309,8 +269,16 @@ void IndexStore::Quarantine(const std::string& path) const {
 }
 
 IndexStoreStats IndexStore::stats() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return *stats_;
+  IndexStoreStats s;
+  s.loads = counters_->loads.Value();
+  s.load_hits = counters_->load_hits.Value();
+  s.load_misses = counters_->load_misses.Value();
+  s.writes = counters_->writes.Value();
+  s.skipped_writes = counters_->skipped_writes.Value();
+  s.quarantined = counters_->quarantined.Value();
+  s.put_retries = counters_->put_retries.Value();
+  s.load_retries = counters_->load_retries.Value();
+  return s;
 }
 
 }  // namespace store

@@ -23,7 +23,7 @@
 // runtime and never wedges a fingerprint permanently.
 //
 // Thread/process safety: Load and Put are safe from concurrent threads and
-// processes (atomic rename, unique temp names, stats under a mutex).
+// processes (atomic rename, unique temp names, wait-free counter cells).
 //
 // Failure domains (DESIGN.md §10): every fallible syscall boundary is
 // classified transient-vs-permanent (util::IoStatusFromErrno) and carries a
@@ -39,11 +39,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/signature_index.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/mapped_index.h"
 #include "util/result.h"
@@ -105,6 +106,7 @@ class IndexStore {
   util::Status Put(const core::SignatureIndex& index,
                    const InstanceFingerprint& fingerprint) const;
 
+  /// A read of the store's own counter cells: exact once calls quiesce.
   IndexStoreStats stats() const;
 
  private:
@@ -121,12 +123,24 @@ class IndexStore {
   /// reported either way).
   void Quarantine(const std::string& path) const;
 
+  /// One cell per IndexStoreStats field — its only store, attached to the
+  /// process-wide series of the same name (DESIGN.md §13.1).
+  struct Counters {
+    obs::OwnedCounter loads{obs::kStoreLoadsTotal};
+    obs::OwnedCounter load_hits{obs::kStoreLoadHitsTotal};
+    obs::OwnedCounter load_misses{obs::kStoreLoadMissesTotal};
+    obs::OwnedCounter writes{obs::kStoreWritesTotal};
+    obs::OwnedCounter skipped_writes{obs::kStoreSkippedWritesTotal};
+    obs::OwnedCounter quarantined{obs::kStoreQuarantinedTotal};
+    obs::OwnedCounter put_retries{obs::kStorePutRetriesTotal};
+    obs::OwnedCounter load_retries{obs::kStoreLoadRetriesTotal};
+  };
+
   std::string dir_;
   IndexStoreOptions options_;
-  // shared_ptr so IndexStore stays movable while stats live behind a
-  // stable address for const methods on concurrent threads.
-  std::shared_ptr<std::mutex> mu_ = std::make_shared<std::mutex>();
-  std::shared_ptr<IndexStoreStats> stats_ = std::make_shared<IndexStoreStats>();
+  // Behind a pointer so IndexStore stays movable: cells are attached to
+  // the registry by address.
+  std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();
 };
 
 }  // namespace store

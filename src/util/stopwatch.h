@@ -1,8 +1,7 @@
 // Stopwatch: monotonic wall-clock timer used by the experiment harness —
 // plus the MonotonicClock seam the observability layer (src/obs/) times
 // through, so tests can substitute a FakeClock for the steady clock
-// anywhere a duration decision matters (idle reaping, failure backoff,
-// span timing).
+// anywhere a duration decision matters (failure backoff, span timing).
 
 #ifndef JINFER_UTIL_STOPWATCH_H_
 #define JINFER_UTIL_STOPWATCH_H_
@@ -30,8 +29,8 @@ class MonotonicClock {
 const MonotonicClock* SystemClock();
 
 /// A hand-cranked clock for tests: time advances only when told to, so
-/// idle-reap windows, backoff expiries and span durations become exact
-/// assertions instead of sleeps.
+/// backoff expiries and span durations become exact assertions instead of
+/// sleeps.
 class FakeClock final : public MonotonicClock {
  public:
   explicit FakeClock(uint64_t start_nanos = 0) : nanos_(start_nanos) {}

@@ -1,7 +1,7 @@
 // The clock seam (util/stopwatch.h): FakeClock makes every duration
 // decision in the runtime an exact assertion instead of a sleep — span
-// timing through Stopwatch, the cache's failure-backoff window, and the
-// hosted-session idle reaper all crank the same injected clock here.
+// timing through Stopwatch and the cache's failure-backoff window both
+// crank the same injected clock here.
 
 #include "util/stopwatch.h"
 
@@ -9,10 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/strategy.h"
 #include "runtime/index_cache.h"
-#include "runtime/session.h"
-#include "runtime/session_manager.h"
 #include "util/failpoint.h"
 #include "workload/synthetic.h"
 
@@ -96,45 +93,6 @@ TEST_F(ClockTest, CacheBackoffWindowExpiresOnTheInjectedClock) {
   clock.Advance(milliseconds(2));
   EXPECT_TRUE(cache.GetOrBuild(inst->r, inst->p).ok());
   EXPECT_EQ(cache.stats().fail_fast, 2u);
-}
-
-TEST_F(ClockTest, ReapIdleHostedIsDeterministicOnTheInjectedClock) {
-  auto inst = workload::GenerateSynthetic({2, 2, 15, 4}, 5);
-  ASSERT_TRUE(inst.ok());
-  auto index = core::SignatureIndex::Build(inst->r, inst->p);
-  ASSERT_TRUE(index.ok());
-
-  util::FakeClock clock;
-  runtime::SessionManager::Options options;
-  options.clock = &clock;
-  runtime::SessionManager manager(options);
-
-  auto make = [&index]() -> util::Result<runtime::Session> {
-    return runtime::Session(
-        *index, core::MakeStrategy(core::StrategyKind::kTopDown));
-  };
-  auto first = manager.OpenHosted(make);
-  ASSERT_TRUE(first.ok());
-  clock.Advance(milliseconds(500));
-  auto second = manager.OpenHosted(make);
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(manager.hosted_open(), 2u);
-
-  // At t=1500ms the first session is 1500ms idle, the second 1000ms: a
-  // 1200ms window reaps exactly the first — no sleeps, no slack.
-  clock.Advance(milliseconds(1000));
-  EXPECT_EQ(manager.ReapIdleHosted(milliseconds(1200)), 1u);
-  EXPECT_EQ(manager.hosted_open(), 1u);
-  EXPECT_FALSE(manager.AcquireHosted(*first).ok());
-  ASSERT_TRUE(manager.AcquireHosted(*second).ok());
-  manager.ReleaseHosted(*second);
-
-  // Touching a session (the release above) restarts its idle clock.
-  clock.Advance(milliseconds(1100));
-  EXPECT_EQ(manager.ReapIdleHosted(milliseconds(1200)), 0u);
-  clock.Advance(milliseconds(200));
-  EXPECT_EQ(manager.ReapIdleHosted(milliseconds(1200)), 1u);
-  EXPECT_EQ(manager.hosted_open(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Exposition goldens (DESIGN.md §13.3): the Prometheus text format is a
-// wire format operators' scrapers parse, so it is pinned byte-for-byte
-// here, and SummarizeHistograms must agree with HistogramSnapshot's own
-// quantile arithmetic — one definition of p50/p99 everywhere.
+// wire format operators' scrapers parse — and the only surface that
+// carries histograms — so it is pinned byte-for-byte here.
 
 #include "obs/exposition.h"
 
@@ -79,34 +78,6 @@ TEST(ExpositionTest, GlobalRenderIncludesRegisteredMetrics) {
             std::string::npos);
   EXPECT_NE(text.find("test_exposition_global_nanos_count"),
             std::string::npos);
-}
-
-TEST(ExpositionTest, SummarizeHistogramsMatchesSnapshotQuantiles) {
-  Histogram& histogram =
-      Registry::Global().histogram("test_exposition_summary_nanos");
-  histogram.Record(1);
-  histogram.Record(2);
-  histogram.Record(4);
-  const HistogramSnapshot snap = histogram.Snapshot();
-  bool found = false;
-  for (const HistogramSummary& s : SummarizeHistograms()) {
-    if (s.name != "test_exposition_summary_nanos") continue;
-    found = true;
-    EXPECT_EQ(s.count, snap.count);
-    EXPECT_EQ(s.sum, snap.sum);
-    EXPECT_DOUBLE_EQ(s.p50, snap.Quantile(0.5));
-    EXPECT_DOUBLE_EQ(s.p99, snap.Quantile(0.99));
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(ExpositionTest, SummarizeHistogramsSkipsCountersAndGauges) {
-  Registry::Global().counter("test_exposition_skip_total").Inc();
-  Registry::Global().gauge("test_exposition_skip_level").Set(1);
-  for (const HistogramSummary& s : SummarizeHistograms()) {
-    EXPECT_NE(s.name, "test_exposition_skip_total");
-    EXPECT_NE(s.name, "test_exposition_skip_level");
-  }
 }
 
 }  // namespace

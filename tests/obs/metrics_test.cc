@@ -1,12 +1,16 @@
-// Registry, counter/gauge/histogram semantics, and the quantile arithmetic
-// the exposition layer and the server's StatsOk summaries both rely on
-// (DESIGN.md §13.1). The concurrency tests pin the wait-free contract:
-// sharded increments lose nothing under 8 writers, and readers only ever
-// see sums of completed relaxed adds.
+// Registry, counter/gauge/histogram semantics, the quantile arithmetic the
+// exposition layer relies on, and the ownership contract behind every
+// subsystem's stats() (DESIGN.md §13.1). The concurrency tests pin the
+// wait-free contract: sharded increments lose nothing under 8 writers,
+// readers only ever see sums of completed relaxed adds, and a snapshot
+// racing an owner's destruction never sees its series drop.
 
 #include "obs/metrics.h"
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +27,20 @@ class MetricsTest : public ::testing::Test {
  protected:
   void TearDown() override { SetMetricsEnabled(true); }
 };
+
+/// `name`'s series in a snapshot of `registry`, checking that it is the
+/// only one: owners never split a name into labelled series.
+MetricSnapshot Series(const Registry& registry, std::string_view name) {
+  MetricSnapshot found;
+  int matches = 0;
+  for (const MetricSnapshot& m : registry.Snapshot()) {
+    if (m.name != name) continue;
+    found = m;
+    ++matches;
+  }
+  EXPECT_EQ(matches, 1) << name;
+  return found;
+}
 
 TEST_F(MetricsTest, CounterSumsConcurrentIncrementsExactly) {
   Counter counter;
@@ -141,19 +159,116 @@ TEST_F(MetricsTest, HistogramSumsConcurrentRecordsExactly) {
   EXPECT_EQ(snap.sum, kPerThread * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8));
 }
 
-TEST_F(MetricsTest, DisabledRecordingIsANoOp) {
+TEST_F(MetricsTest, KillSwitchDropsHistogramSamplesButNotCountsOrLevels) {
+  // Counters and gauges back every subsystem's stats(), which must read
+  // the same whether or not anyone is scraping; only the histogram
+  // samples (and spans) are optional.
+  Registry registry;
   Counter counter;
   Gauge gauge;
+  OwnedCounter owned_counter("test_switch_total", registry);
+  OwnedGauge owned_gauge("test_switch_level", registry);
   Histogram histogram;
   SetMetricsEnabled(false);
   EXPECT_FALSE(MetricsEnabled());
   counter.Inc();
   gauge.Set(5);
+  owned_counter.Inc(2);
+  owned_gauge.Add(3);
   histogram.Record(123);
   SetMetricsEnabled(true);
-  EXPECT_EQ(counter.Value(), 0u);
-  EXPECT_EQ(gauge.Value(), 0);
+  EXPECT_EQ(counter.Value(), 1u);
+  EXPECT_EQ(gauge.Value(), 5);
+  EXPECT_EQ(owned_counter.Value(), 2u);
+  EXPECT_EQ(owned_gauge.Value(), 3);
+  EXPECT_EQ(Series(registry, "test_switch_total").counter, 2u);
+  EXPECT_EQ(Series(registry, "test_switch_level").gauge, 3);
   EXPECT_EQ(histogram.Snapshot().count, 0u);
+}
+
+TEST_F(MetricsTest, OwnersKeepTheirOwnValuesAndSnapshotSumsThem) {
+  // Two live owners and one destroyed owner of one name, plus a direct
+  // registration: each owner reads only what it counted (per-instance
+  // stats() stay isolated), and the series is the sum of all of it.
+  Registry registry;
+  OwnedCounter first("test_owned_total", registry);
+  {
+    OwnedCounter destroyed("test_owned_total", registry);
+    destroyed.Inc(5);
+  }
+  OwnedCounter second("test_owned_total", registry);
+  first.Inc(3);
+  second.Inc(7);
+  registry.counter("test_owned_total").Inc(11);
+  EXPECT_EQ(first.Value(), 3u);
+  EXPECT_EQ(second.Value(), 7u);
+  const MetricSnapshot series = Series(registry, "test_owned_total");
+  EXPECT_EQ(series.kind, MetricKind::kCounter);
+  EXPECT_EQ(series.counter, 3u + 5u + 7u + 11u);
+}
+
+TEST_F(MetricsTest, CounterSeriesDoesNotDropWhenAnOwnerIsDestroyed) {
+  Registry registry;
+  auto owner = std::make_unique<OwnedCounter>("test_retire_total", registry);
+  owner->Inc(4);
+  EXPECT_EQ(Series(registry, "test_retire_total").counter, 4u);
+  owner.reset();
+  EXPECT_EQ(Series(registry, "test_retire_total").counter, 4u);
+  // A successor starts from zero; the series keeps counting from 4.
+  OwnedCounter successor("test_retire_total", registry);
+  successor.Inc();
+  EXPECT_EQ(successor.Value(), 1u);
+  EXPECT_EQ(Series(registry, "test_retire_total").counter, 5u);
+}
+
+TEST_F(MetricsTest, GaugeLevelLeavesWithItsOwner) {
+  Registry registry;
+  OwnedGauge survivor("test_owned_level", registry);
+  survivor.Set(2);
+  {
+    OwnedGauge transient("test_owned_level", registry);
+    transient.Set(3);
+    EXPECT_EQ(Series(registry, "test_owned_level").gauge, 5);
+  }
+  EXPECT_EQ(Series(registry, "test_owned_level").gauge, 2);
+}
+
+TEST_F(MetricsTest, SnapshotRacingOwnerDestructionIsMonotoneAndExact) {
+  // Owners are born, count and die on two threads while the main thread
+  // snapshots: the series must never run backwards (a dying owner's total
+  // is either still in the owner or already retired, never neither) and
+  // must end exact. Part of the TSan job's obs suite.
+  Registry registry;
+  constexpr int kChurners = 2;
+  constexpr int kOwnersPerThread = 2000;
+  constexpr uint64_t kIncsPerOwner = 50;
+  std::atomic<bool> go{false};
+  std::atomic<int> running{kChurners};
+  std::vector<std::thread> churners;
+  for (int t = 0; t < kChurners; ++t) {
+    churners.emplace_back([&registry, &go, &running] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kOwnersPerThread; ++i) {
+        OwnedCounter owner("test_owned_race_total", registry);
+        for (uint64_t n = 0; n < kIncsPerOwner; ++n) owner.Inc();
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last = 0;
+  bool monotone = true;
+  go.store(true);
+  while (running.load() > 0) {
+    for (const MetricSnapshot& m : registry.Snapshot()) {
+      if (m.name != "test_owned_race_total") continue;
+      if (m.counter < last) monotone = false;
+      last = m.counter;
+    }
+  }
+  for (std::thread& t : churners) t.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(Series(registry, "test_owned_race_total").counter,
+            kChurners * kOwnersPerThread * kIncsPerOwner);
 }
 
 TEST_F(MetricsTest, LocalHistogramMergeMatchesDirectRecording) {

@@ -1,13 +1,11 @@
 // Hosted-session lifecycle (DESIGN.md §11.2): the handle model the serving
 // front end drives — open / acquire / release / close, the detach/abort
-// path for vanished clients, idle reaping, and the max_sessions admission
-// bound. The load-bearing regression here is the leak test: an aborted or
-// reaped session must release its index pin (the shared_ptr handed out by
-// the cache), observed directly via weak_ptr expiry.
+// path for vanished clients, and the max_sessions admission bound. The
+// load-bearing regression here is the leak test: an aborted session must
+// release its index pin (the shared_ptr handed out by the cache), observed
+// directly via weak_ptr expiry.
 
-#include <chrono>
 #include <memory>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -138,35 +136,6 @@ TEST(HostedSessionTest, AbortReleasesIndexPin) {
       << "aborted hosted session leaked its index pin";
 }
 
-TEST(HostedSessionTest, ReapIdleEvictsAndReleasesPin) {
-  SessionManager manager;
-  std::weak_ptr<const core::SignatureIndex> watch;
-  {
-    auto index = SharedExample21Index();
-    watch = index;
-    auto id = manager.OpenHosted(
-        [index = std::move(index)]() mutable {
-          return MakeHosted(std::move(index));
-        });
-    ASSERT_TRUE(id.ok());
-
-    // A busy (leased) session is never reaped, no matter how idle.
-    ASSERT_TRUE(manager.AcquireHosted(*id).ok());
-    EXPECT_EQ(manager.ReapIdleHosted(std::chrono::nanoseconds(0)), 0u);
-    manager.ReleaseHosted(*id);
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_EQ(manager.ReapIdleHosted(std::chrono::milliseconds(1)), 1u);
-    auto gone = manager.AcquireHosted(*id);
-    ASSERT_FALSE(gone.ok());
-    EXPECT_EQ(gone.status().code(), util::StatusCode::kNotFound);
-  }
-  EXPECT_TRUE(watch.expired())
-      << "reaped hosted session leaked its index pin";
-  EXPECT_EQ(manager.stats().hosted_reaped, 1u);
-  EXPECT_EQ(manager.hosted_open(), 0u);
-}
-
 TEST(HostedSessionTest, MaxSessionsShedsWithResourceExhausted) {
   auto index = SharedExample21Index();
   SessionManager::Options options;
@@ -185,6 +154,32 @@ TEST(HostedSessionTest, MaxSessionsShedsWithResourceExhausted) {
   auto third = manager.OpenHosted([&] { return MakeHosted(index); });
   EXPECT_TRUE(third.ok());
   ASSERT_TRUE(manager.AbortHosted(*third).ok());
+}
+
+TEST(HostedSessionTest, StatsCountEveryLifecycleEdge) {
+  // Open to the bound, shed one, close one, abort one, reopen: each edge
+  // lands in exactly one counter.
+  auto index = SharedExample21Index();
+  SessionManager::Options options;
+  options.max_sessions = 2;
+  SessionManager manager(options);
+  auto make = [&] { return MakeHosted(index); };
+
+  auto a = manager.OpenHosted(make);
+  auto b = manager.OpenHosted(make);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(manager.OpenHosted(make).status().IsResourceExhausted());
+  ASSERT_TRUE(manager.CloseHosted(*a).ok());
+  ASSERT_TRUE(manager.AbortHosted(*b).ok());
+  auto c = manager.OpenHosted(make);
+  ASSERT_TRUE(c.ok());
+
+  const SessionManager::Stats stats = manager.stats();
+  EXPECT_EQ(stats.hosted_opened, 3u);
+  EXPECT_EQ(stats.hosted_shed, 1u);
+  EXPECT_EQ(stats.hosted_closed, 1u);
+  EXPECT_EQ(stats.hosted_aborted, 1u);
+  EXPECT_EQ(manager.hosted_open(), 1u);
 }
 
 TEST(HostedSessionTest, FactoryFailureDoesNotHoldASlot) {

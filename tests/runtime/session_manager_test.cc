@@ -4,14 +4,18 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/oracle.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "runtime/index_cache.h"
 #include "testing/paper_fixtures.h"
+#include "util/failpoint.h"
 #include "util/status.h"
 #include "workload/experiment.h"
 #include "workload/synthetic.h"
@@ -285,6 +289,75 @@ TEST(SessionManagerTest, AdmissionControlShedsTheExcessAndRunsTheRest) {
   SessionManager::Stats stats = manager.stats();
   EXPECT_EQ(stats.shed, 12u);
   EXPECT_EQ(stats.completed, 4u);
+}
+
+/// The process-wide series `name`: every live manager's cell plus what
+/// destroyed managers counted.
+uint64_t GlobalSeries(std::string_view name) {
+  for (const obs::MetricSnapshot& m : obs::Registry::Global().Snapshot()) {
+    if (m.name == name) return m.counter;
+  }
+  return 0;
+}
+
+class SessionManagerFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override { util::Failpoints::Reset(); }
+  void TearDown() override { util::Failpoints::Reset(); }
+};
+
+TEST_F(SessionManagerFaultTest, StatsCountEveryJobOnceUnderAFaultSchedule) {
+  // Transient build and slice faults perturb scheduling only: every job
+  // still completes, each counted exactly once. The process-wide series
+  // moves with stats() because they read the same cell — and keeps the
+  // count after the manager is gone.
+  auto inst = workload::GenerateSynthetic({3, 3, 25, 5}, 404);
+  ASSERT_TRUE(inst.ok());
+  ASSERT_TRUE(util::Failpoints::ArmFromSpec("cache.build=prob:0.3:41;"
+                                            "manager.step=prob:0.2:43")
+                  .ok());
+  const uint64_t series_before = GlobalSeries(obs::kManagerCompletedTotal);
+
+  constexpr size_t kJobs = 24;
+  {
+    SessionManager::Options options;
+    options.threads = 4;
+    options.steps_per_slice = 1;
+    options.cache_options.failure_backoff_base = std::chrono::milliseconds(1);
+    options.cache_options.failure_backoff_max = std::chrono::milliseconds(10);
+    options.factory_retry.max_attempts = 0;  // Transient by contract.
+    options.factory_retry.base_backoff = std::chrono::microseconds(200);
+    options.factory_retry.max_backoff = std::chrono::microseconds(2000);
+    SessionManager manager(options);
+
+    std::vector<SessionJob> jobs;
+    for (size_t j = 0; j < kJobs; ++j) {
+      SessionJob job;
+      job.make = [&manager, &inst]() -> util::Result<Session> {
+        JINFER_ASSIGN_OR_RETURN(auto shared,
+                                manager.cache().GetOrBuild(inst->r, inst->p));
+        return Session(std::move(shared),
+                       core::MakeStrategy(core::StrategyKind::kTopDown));
+      };
+      job.oracle = std::make_unique<core::GoalOracle>(
+          core::JoinPredicate::Singleton(j % 3));
+      jobs.push_back(std::move(job));
+    }
+    auto results = manager.RunAll(std::move(jobs));
+    ASSERT_EQ(results.size(), kJobs);
+    for (const auto& result : results) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    }
+
+    const SessionManager::Stats stats = manager.stats();
+    EXPECT_EQ(stats.completed, kJobs);
+    EXPECT_EQ(stats.failed, 0u);
+    // The schedule actually bit (otherwise this is the fault-free case).
+    EXPECT_GT(stats.factory_retries + stats.slice_faults, 0u);
+    EXPECT_EQ(GlobalSeries(obs::kManagerCompletedTotal) - series_before,
+              kJobs);
+  }
+  EXPECT_EQ(GlobalSeries(obs::kManagerCompletedTotal) - series_before, kJobs);
 }
 
 TEST(SessionManagerTest, JobDeadlineCancelsOnlyTheSlowJob) {

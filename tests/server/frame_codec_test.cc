@@ -300,54 +300,34 @@ TEST(ProtocolTest, RoundTripsStatsAndError) {
   EXPECT_EQ(e->message, err.message);
 }
 
-TEST(ProtocolTest, RoundTripsStatsOkV2HistogramSummaries) {
+TEST(ProtocolTest, StatsOkV3CarriesCountersOnly) {
+  // The version word plus 13 u64 counters — histograms ride the kMetrics
+  // frame, and anything after the counters is a framing error.
   StatsOkBody stats;
-  stats.frames_read = 7;
-  StatsHistogramSummary h;
-  h.name = "jinfer_server_frame_execute_nanos";
-  h.count = 12;
-  h.sum = 34567;
-  h.p50 = 1536.5;
-  h.p99 = 4096.25;
-  stats.histograms.push_back(h);
-  h.name = "jinfer_session_question_nanos";
-  h.count = 0;
-  h.p50 = 0.0;
-  h.p99 = 0.0;
-  stats.histograms.push_back(h);
-  auto decoded = DecodeStatsOk(Encode(stats));
+  stats.cache_builds = 5;
+  auto wire = Encode(stats);
+  EXPECT_EQ(kStatsOkVersion, 3u);
+  EXPECT_EQ(wire.size(), 4u + 13u * 8u);
+  auto decoded = DecodeStatsOk(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->version, kStatsOkVersion);
-  ASSERT_EQ(decoded->histograms.size(), 2u);
-  EXPECT_EQ(decoded->histograms[0].name,
-            "jinfer_server_frame_execute_nanos");
-  EXPECT_EQ(decoded->histograms[0].count, 12u);
-  EXPECT_EQ(decoded->histograms[0].sum, 34567u);
-  // Doubles travel bit_cast'd, so equality is exact, not approximate.
-  EXPECT_EQ(decoded->histograms[0].p50, 1536.5);
-  EXPECT_EQ(decoded->histograms[0].p99, 4096.25);
-  EXPECT_EQ(decoded->histograms[1].name, "jinfer_session_question_nanos");
-  EXPECT_EQ(decoded->histograms[1].count, 0u);
-}
-
-TEST(ProtocolTest, StatsOkDecoderRejectsUnknownVersion) {
-  auto wire = Encode(StatsOkBody{});
-  // The version word leads the payload, little-endian. A v3 server's reply
-  // must fail loudly, not misparse as shifted counters.
-  wire[0] = 3;
-  auto decoded = DecodeStatsOk(wire);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
-  EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
-}
-
-TEST(ProtocolTest, StatsOkDecoderRejectsHostileHistogramCount) {
-  // A count claiming more histograms than the remaining bytes could hold
-  // must be rejected before any allocation sized from it.
-  auto wire = Encode(StatsOkBody{});
-  ASSERT_GE(wire.size(), 4u);
-  for (int i = 0; i < 4; ++i) wire[wire.size() - 4 + i] = 0xff;
+  EXPECT_EQ(decoded->cache_builds, 5u);
+  wire.push_back(0);
   EXPECT_FALSE(DecodeStatsOk(wire).ok());
+}
+
+TEST(ProtocolTest, StatsOkDecoderRejectsOtherVersions) {
+  // The version word leads the payload, little-endian. A v2 reply (with its
+  // histogram summaries) or a future v4 must fail loudly, not misparse as
+  // shifted counters.
+  for (uint8_t version : {uint8_t{2}, uint8_t{4}}) {
+    auto wire = Encode(StatsOkBody{});
+    wire[0] = version;
+    auto decoded = DecodeStatsOk(wire);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
+    EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
+  }
 }
 
 TEST(ProtocolTest, RoundTripsMetricsOkText) {
