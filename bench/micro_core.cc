@@ -25,7 +25,6 @@
 #include "sat/random_cnf.h"
 #include "semijoin/consistency.h"
 #include "semijoin/reduction_3sat.h"
-#include "util/bit_vector.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/simd/sweep.h"
@@ -280,60 +279,6 @@ void BM_EntropyK1k(benchmark::State& state) {
 }
 BENCHMARK(BM_EntropyK1k)->Arg(1)->Arg(2);
 
-// --- BitVector word kernels ---------------------------------------------------
-//
-// Raw throughput of the util::kernels word loops the packed sweeps are
-// built on; Arg = word count (1 = single-word fast path, 4 = SmallBitset
-// width, 16 = a 1024-bit universe only BitVector can hold). Items = words.
-
-void BM_BitVectorAnd(benchmark::State& state) {
-  const size_t words = static_cast<size_t>(state.range(0));
-  util::Rng rng(99);
-  std::vector<uint64_t> dst(words), a(words), b(words);
-  for (size_t w = 0; w < words; ++w) {
-    a[w] = rng.Next();
-    b[w] = rng.Next();
-  }
-  for (auto _ : state) {
-    util::kernels::And2Words(dst.data(), a.data(), b.data(), words);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(words));
-}
-BENCHMARK(BM_BitVectorAnd)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_BitVectorSubset(benchmark::State& state) {
-  const size_t words = static_cast<size_t>(state.range(0));
-  util::Rng rng(99);
-  std::vector<uint64_t> big(words), small(words);
-  for (size_t w = 0; w < words; ++w) {
-    big[w] = rng.Next();
-    small[w] = big[w] & rng.Next();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        util::kernels::IsSubsetWords(small.data(), big.data(), words));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(words));
-}
-BENCHMARK(BM_BitVectorSubset)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_BitVectorPopcount(benchmark::State& state) {
-  const size_t words = static_cast<size_t>(state.range(0));
-  util::Rng rng(99);
-  std::vector<uint64_t> a(words);
-  for (size_t w = 0; w < words; ++w) a[w] = rng.Next();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::kernels::PopcountWords(a.data(), words));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(words));
-}
-BENCHMARK(BM_BitVectorPopcount)->Arg(1)->Arg(4)->Arg(16);
-
 // --- Batched entropy sweep, multi-word regime ---------------------------------
 //
 // One-step entropies for ALL informative classes of a 900-class,
@@ -547,8 +492,8 @@ void BM_MinimaxValueEngineLarge(benchmark::State& state) {
 BENCHMARK(BM_MinimaxValueEngineLarge)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Exact minimax over a multi-word universe: 9 classes but |Omega| = 72,
-// so every apply/undo and u-count in the search runs the two-word generic
-// kernels instead of the single-word fast path — the large-|Omega| OPT
+// so every apply/undo and u-count in the search runs the two-word loops
+// instead of the single-word fast path — the large-|Omega| OPT
 // configuration the packed delta-frame path is accountable for. (The
 // synthetic two-word signatures barely overlap, so OPT = n and the tree
 // is near 3^n; 9 classes is the largest such instance that stays exact.)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/bit_vector.h"
 #include "util/simd/sweep.h"
 
 namespace jinfer {
@@ -10,19 +9,39 @@ namespace core {
 
 namespace {
 
-using util::kernels::And2Words;
-using util::kernels::AnyWitnessContains;
-using util::kernels::EqualWords;
-using util::kernels::IsSubsetWords;
+// Word loops over the packed arrays, for the multi-word (2..4) paths. The
+// predicates use branch-free accumulators so the loop body carries no
+// early-out dependence; at these word counts the saved mispredicts
+// outweigh the skipped words.
 
-/// The active-word prefix is 1..JoinPredicate::kWords by construction
-/// (set once from |Ω| ≤ 256). Stating the range lets value-range
-/// propagation delete the kernels' `words >= kSimdMinWords` dispatch
-/// branch from every inlined per-candidate loop in this file, keeping
-/// those loops as tight as before runtime dispatch existed.
-inline size_t ActiveW(size_t w) {
-  if (w == 0 || w > JoinPredicate::kWords) __builtin_unreachable();
-  return w;
+/// dst[w] = a[w] & b[w].
+inline void And2Words(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                      size_t words) {
+  for (size_t w = 0; w < words; ++w) dst[w] = a[w] & b[w];
+}
+
+/// True iff a ⊆ b.
+inline bool IsSubsetWords(const uint64_t* a, const uint64_t* b, size_t words) {
+  uint64_t stray = 0;
+  for (size_t w = 0; w < words; ++w) stray |= a[w] & ~b[w];
+  return stray == 0;
+}
+
+/// True iff a == b.
+inline bool EqualWords(const uint64_t* a, const uint64_t* b, size_t words) {
+  uint64_t diff = 0;
+  for (size_t w = 0; w < words; ++w) diff |= a[w] ^ b[w];
+  return diff == 0;
+}
+
+/// Lemma 3.4 against every witness: true iff key ⊆ witnesses[k] for some
+/// k, where `witnesses` is a flat array of `num` stride-`words` rows.
+inline bool AnyWitnessContains(const uint64_t* key, const uint64_t* witnesses,
+                               size_t num, size_t words) {
+  for (size_t k = 0; k < num; ++k) {
+    if (IsSubsetWords(key, witnesses + k * words, words)) return true;
+  }
+  return false;
 }
 
 /// Lemma 3.4 against every witness, single-word path: true iff key ⊆ some
@@ -104,7 +123,7 @@ void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
   // only shrink), so the sweeps below visit informative classes only and
   // compact the survivors in place, preserving the sorted order. Forward
   // copies are safe: the write cursor never passes the read cursor.
-  const size_t W = ActiveW(active_words_);
+  const size_t W = active_words_;
   const size_t n = informative_.size();
   size_t write = 0;
   if (W == 1) {
@@ -229,7 +248,7 @@ void InferenceState::UndoLabel() {
                "delta stack out of sync with the sample");
   sample_.pop_back();
   labeled_[frame.cls] = false;
-  const size_t W = ActiveW(active_words_);
+  const size_t W = active_words_;
   const bool undo_positive = frame.label == Label::kPositive;
   if (undo_positive) {
     pos_predicate_ = frame.old_pos;
@@ -304,7 +323,7 @@ void InferenceState::UndoLabel() {
 }
 
 void InferenceState::RebuildPackedInformative() {
-  const size_t W = ActiveW(active_words_);
+  const size_t W = active_words_;
   const size_t n = informative_.size();
   inf_keys_.resize(n * W);
   inf_sigs_.resize(n * W);
@@ -353,7 +372,7 @@ uint64_t InferenceState::CountNewlyUninformative(ClassId cls,
   // The remaining members of the labeled tuple's own class always become
   // uninformative; the labeled tuple itself is excluded (Figure 5).
   uint64_t newly = labeled_class.count - 1;
-  const size_t W = ActiveW(active_words_);
+  const size_t W = active_words_;
   const size_t n = informative_.size();
 
   if (W == 1) {
@@ -415,7 +434,7 @@ std::pair<uint64_t, uint64_t> InferenceState::CountNewlyUninformativeBoth(
   const SignatureClass& labeled_class = index_->cls(cls);
   uint64_t newly_pos = labeled_class.count - 1;
   uint64_t newly_neg = labeled_class.count - 1;
-  const size_t W = ActiveW(active_words_);
+  const size_t W = active_words_;
   const size_t n = informative_.size();
 
   if (W == 1) {
@@ -471,7 +490,7 @@ void InferenceState::CountNewlyUninformativeAll(
   // key, so the Cert+ test needs no per-candidate scratch, and the
   // i == j self term is folded out by the driver's flat −1 correction.
   // Above the cache budget the driver tiles the i×j plane; the columns
-  // are bit-identical for every backend, tiling, and thread count.
+  // are bit-identical for every backend and tiling.
   util::simd::SweepArgs args;
   args.keys = inf_keys_.data();
   args.sigs = inf_sigs_.data();

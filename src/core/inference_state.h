@@ -183,9 +183,9 @@ class InferenceState {
   /// Currently-informative classes, sorted by ClassId. The per-label sweeps
   /// only walk this list.
   std::vector<ClassId> informative_;
-  /// ceil(|Ω| / 64), min 1: every predicate lives inside Ω, so the hot
-  /// sweeps run word kernels (util/bit_vector.h) over this many words
-  /// instead of JoinPredicate::kWords — the active-word prefix.
+  /// ceil(|Ω| / 64), min 1 and at most JoinPredicate::kWords: every
+  /// predicate lives inside Ω, so the hot sweeps run their word loops over
+  /// this many words instead of all four — the active-word prefix.
   size_t active_words_ = JoinPredicate::kWords;
 
   // Packed columnar sweep arrays (DESIGN.md §12), class-major with stride
@@ -194,9 +194,9 @@ class InferenceState {
   // holds its signature T(c), and inf_counts_[i] its tuple count, all in
   // informative_ order. neg_words_ packs the W-word signature of every
   // negative witness the same way. The per-label sweeps, the u± counts and
-  // the batch candidate sweep stream these flat uint64_t arrays with the
-  // util::kernels word loops instead of chasing 32-byte bitsets and
-  // 64-byte SignatureClass records — the sweeps are memory-bound, and at
+  // the batch candidate sweep stream these flat uint64_t arrays with plain
+  // word loops instead of chasing 32-byte bitsets and 64-byte
+  // SignatureClass records — the sweeps are memory-bound, and at
   // W == 1 this cuts the touched bytes per class from ~96 to 24. The
   // Cert+ test is key == T(S+) (Lemma 3.3 via keys); Cert− is
   // key ⊆ some witness (Lemma 3.4). Signatures ride along so a positive

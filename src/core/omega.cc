@@ -15,9 +15,10 @@ util::Result<Omega> Omega::Make(const rel::Schema& r, const rel::Schema& p) {
   }
   if (n * m > util::SmallBitset::kMaxBits) {
     // The cap comes from the persistent class-table format, which embeds
-    // each signature as a fixed four-word SmallBitset; the in-memory kernel
-    // layer itself is width-generic (util::BitVector covers any |Omega|),
-    // so lifting this limit is a store-format change, not an engine one.
+    // each signature as a fixed four-word SmallBitset. The in-memory
+    // kernels rely on it too: the sweeps are instantiated at 1..4 words
+    // only, so lifting this limit takes a store-format rev *and* wider
+    // kernels.
     return util::Status::CapacityExceeded(util::StrFormat(
         "|Omega| = %zu * %zu = %zu exceeds the %zu-atom capacity pinned by "
         "the store format (signatures are fixed four-word bitsets on disk); "

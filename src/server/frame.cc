@@ -65,7 +65,11 @@ std::vector<uint8_t> EncodeFrame(FrameType type,
   header.checksum = util::Checksum64Of(payload.data(), payload.size());
   std::vector<uint8_t> out(kFrameHeaderBytes + payload.size());
   std::memcpy(out.data(), &header, kFrameHeaderBytes);
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  // An empty span's data() may be null, which memcpy must not be handed.
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
+  }
   return out;
 }
 

@@ -4,8 +4,9 @@
 //
 // 256 bits covers Omega = attrs(R) x attrs(P) for tables of up to 16x16
 // attributes (e.g. TPC-H Lineitem(16) x Part(9)). The capacity is pinned by
-// the store format (SignatureClass embeds the four words directly), so it
-// cannot grow; larger universes use util::BitVector (bit_vector.h) instead.
+// the store format (SignatureClass embeds the four words directly), and
+// Omega::Make refuses larger universes, so this is the library's only
+// bitset type.
 // Per-bit capacity violations abort via JINFER_DCHECK — always-on in the
 // Debug builds the sanitizer/chaos/TSan CI jobs run, compiled out of the
 // Release hot loops. Bulk entry points (AllSet, word) keep full-time checks.

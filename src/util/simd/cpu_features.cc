@@ -42,7 +42,6 @@ CpuFeatures Probe() {
   const bool avx512bw = (ebx & (1u << 30)) != 0;
   const bool avx512vl = (ebx & (1u << 31)) != 0;
   f.avx512 = zmm_state && avx512f && avx512dq && avx512bw && avx512vl;
-  f.avx512_vpopcntdq = f.avx512 && (ecx & (1u << 14)) != 0;
   return f;
 }
 

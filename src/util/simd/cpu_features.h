@@ -29,9 +29,6 @@ struct CpuFeatures {
   /// The AVX-512 subset the kernels use — F+BW+DQ+VL — with OS support
   /// for ZMM and opmask state.
   bool avx512 = false;
-  /// VPOPCNTDQ on top of the core AVX-512 set (absent on Skylake-SP; the
-  /// AVX-512 backend substitutes the AVX2 popcount kernel without it).
-  bool avx512_vpopcntdq = false;
 };
 
 /// The process-wide probe result, computed on first call.

@@ -19,20 +19,6 @@ std::atomic<const KernelOps*> g_active_ops{nullptr};
 
 namespace {
 
-#if JINFER_SIMD_X86
-/// kAvx512Ops with the AVX2 popcount spliced in, for CPUs with the core
-/// AVX-512 set but no VPOPCNTDQ (Skylake-SP). Built on demand, immutable
-/// after.
-const KernelOps& Avx512OpsNoVpopcnt() {
-  static const KernelOps ops = [] {
-    KernelOps patched = kAvx512Ops;
-    patched.popcount_words = kAvx2Ops.popcount_words;
-    return patched;
-  }();
-  return ops;
-}
-#endif
-
 const KernelOps& OpsForSupported(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kScalar:
@@ -41,8 +27,7 @@ const KernelOps& OpsForSupported(KernelBackend backend) {
     case KernelBackend::kAvx2:
       return kAvx2Ops;
     case KernelBackend::kAvx512:
-      return DetectCpuFeatures().avx512_vpopcntdq ? kAvx512Ops
-                                                  : Avx512OpsNoVpopcnt();
+      return kAvx512Ops;
 #endif
     default:
       JINFER_CHECK(false, "kernel backend %d not compiled into this binary",

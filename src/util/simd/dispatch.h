@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD kernel backends (DESIGN.md §12.4).
 //
-// The word kernels behind the bitset types and the fused u± candidate
-// sweep exist in up to three variants — scalar, AVX2 and AVX-512 — each
-// compiled into its own TU with function-level target attributes, so the
-// binary stays portable: no global -mavx flags, and nothing past SSE2
-// executes until the CPUID probe has approved it. A per-process table of
-// function pointers (KernelOps) selects the widest supported backend at
-// first use; `JINFER_KERNEL_BACKEND` forces one instead:
+// The fused u± candidate sweep exists in up to three variants — scalar,
+// AVX2 and AVX-512 — each compiled into its own TU with function-level
+// target attributes, so the binary stays portable: no global -mavx flags,
+// and nothing past SSE2 executes until the CPUID probe has approved it. A
+// per-process table of function pointers (KernelOps) selects the widest
+// supported backend at first use; `JINFER_KERNEL_BACKEND` forces one
+// instead:
 //
 //   scalar | avx2 | avx512   — that backend, aborting when the CPU (or the
 //                              build) does not support it
@@ -15,11 +15,11 @@
 //                              green on any hardware)
 //
 // Every backend is bit-identical by construction: the u± accumulators are
-// uint64 sums (associative and commutative mod 2^64), and the predicate
-// kernels reduce the same AND/ANDNOT/XOR word terms — so lane-blocking
-// reorders arithmetic without changing any observable column, entropy,
-// or argmin pick. tests/kernels/backend_parity_test.cc replays identical
-// seeds against every compiled backend to hold the line.
+// uint64 sums (associative and commutative mod 2^64) over the same
+// AND/ANDNOT/XOR word terms — so lane-blocking reorders arithmetic without
+// changing any observable column, entropy, or argmin pick.
+// tests/kernels/backend_parity_test.cc replays identical seeds against
+// every compiled backend to hold the line.
 
 #ifndef JINFER_UTIL_SIMD_DISPATCH_H_
 #define JINFER_UTIL_SIMD_DISPATCH_H_
@@ -64,16 +64,12 @@ struct SweepBlockArgs {
   uint64_t* u_neg = nullptr;
 };
 
-/// One backend's kernel implementations. Instances are immutable process
+/// One backend's kernel implementation. Instances are immutable process
 /// globals; call sites indirect through ActiveKernelOps() once per kernel
-/// invocation.
+/// invocation. `sweep_block` takes words = 1..4 and aborts on any other
+/// width.
 struct KernelOps {
   KernelBackend backend;
-  bool (*is_subset_words)(const uint64_t* a, const uint64_t* b, size_t words);
-  bool (*equal_words)(const uint64_t* a, const uint64_t* b, size_t words);
-  bool (*intersects_words)(const uint64_t* a, const uint64_t* b,
-                           size_t words);
-  size_t (*popcount_words)(const uint64_t* a, size_t words);
   void (*sweep_block)(const SweepBlockArgs& args);
 };
 

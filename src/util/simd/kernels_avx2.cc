@@ -3,15 +3,14 @@
 // runnable on pre-AVX2 hardware (nothing here executes unless the CPUID
 // probe approved it — see dispatch.cc).
 //
-// The span predicates widen the word loop to 4-word strides with the same
-// branch-free OR-accumulator reduction as the scalar forms. The fused u±
-// sweep vectorizes across *candidates*: four candidates' signature and
-// key words are held in lane vectors (built once per 4-candidate group),
-// the inner loop broadcasts each streamed class's key words and count,
-// and the Lemma 3.3/3.4 predicates become lane masks feeding masked
-// 64-bit adds — so all four accumulator lanes run the identical exact
-// mod-2^64 sums as four scalar passes, in lockstep. Candidate tails
-// (< 4 lanes) fall through to the scalar block, which is bit-identical.
+// The fused u± sweep vectorizes across *candidates*: four candidates'
+// signature and key words are held in lane vectors (built once per
+// 4-candidate group), the inner loop broadcasts each streamed class's key
+// words and count, and the Lemma 3.3/3.4 predicates become lane masks
+// feeding masked 64-bit adds — so all four accumulator lanes run the
+// identical exact mod-2^64 sums as four scalar passes, in lockstep.
+// Candidate tails (< 4 lanes) fall through to the scalar block, which is
+// bit-identical.
 
 #include "util/simd/backends.h"
 
@@ -19,9 +18,10 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/check.h"
 
 namespace jinfer {
 namespace util {
@@ -34,71 +34,6 @@ namespace {
 
 JINFER_TARGET_AVX2 inline __m256i Load4(const uint64_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-JINFER_TARGET_AVX2 bool IsSubsetAvx2(const uint64_t* a, const uint64_t* b,
-                                     size_t words) {
-  __m256i stray = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    stray = _mm256_or_si256(stray,
-                            _mm256_andnot_si256(Load4(b + w), Load4(a + w)));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] & ~b[w];
-  return _mm256_testz_si256(stray, stray) != 0 && tail == 0;
-}
-
-JINFER_TARGET_AVX2 bool EqualAvx2(const uint64_t* a, const uint64_t* b,
-                                  size_t words) {
-  __m256i diff = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    diff = _mm256_or_si256(diff, _mm256_xor_si256(Load4(a + w), Load4(b + w)));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] ^ b[w];
-  return _mm256_testz_si256(diff, diff) != 0 && tail == 0;
-}
-
-JINFER_TARGET_AVX2 bool IntersectsAvx2(const uint64_t* a, const uint64_t* b,
-                                       size_t words) {
-  __m256i common = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    common =
-        _mm256_or_si256(common, _mm256_and_si256(Load4(a + w), Load4(b + w)));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] & b[w];
-  return _mm256_testz_si256(common, common) == 0 || tail != 0;
-}
-
-/// Nibble-LUT popcount (pshufb + psadbw): 32 bytes per step, the classic
-/// AVX2 form. Exact, so bit-identical to std::popcount sums.
-JINFER_TARGET_AVX2 size_t PopcountAvx2(const uint64_t* a, size_t words) {
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v = Load4(a + w);
-    const __m256i lo = _mm256_and_si256(v, low);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low);
-    const __m256i bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                          _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
-  }
-  size_t total = static_cast<size_t>(_mm256_extract_epi64(acc, 0)) +
-                 static_cast<size_t>(_mm256_extract_epi64(acc, 1)) +
-                 static_cast<size_t>(_mm256_extract_epi64(acc, 2)) +
-                 static_cast<size_t>(_mm256_extract_epi64(acc, 3));
-  for (; w < words; ++w) {
-    total += static_cast<size_t>(std::popcount(a[w]));
-  }
-  return total;
 }
 
 /// Four candidates per pass. W is compile-time so the per-word vector
@@ -185,8 +120,7 @@ void SweepBlockAvx2(const SweepBlockArgs& a) {
       SweepBlockAvx2Fixed<4>(a);
       break;
     default:
-      SweepBlockScalar(a);  // Variable-width formats; bit-identical anyway.
-      break;
+      JINFER_CHECK(false, kSweepWidthMessage, a.words);
   }
 }
 
@@ -194,10 +128,7 @@ void SweepBlockAvx2(const SweepBlockArgs& a) {
 
 }  // namespace
 
-const KernelOps kAvx2Ops = {
-    KernelBackend::kAvx2, &IsSubsetAvx2,  &EqualAvx2,
-    &IntersectsAvx2,      &PopcountAvx2,  &SweepBlockAvx2,
-};
+const KernelOps kAvx2Ops = {KernelBackend::kAvx2, &SweepBlockAvx2};
 
 }  // namespace internal
 }  // namespace simd

@@ -1,9 +1,9 @@
-// AVX-512 kernel backend (F+BW+DQ+VL, VPOPCNTDQ where present): the
-// 512-bit analogue of the AVX2 TU — eight candidate lanes per sweep pass,
-// with the Lemma 3.3/3.4 predicates landing directly in opmask registers
-// feeding masked 64-bit adds. Same function-level target attributes, same
-// scalar tail for sub-lane candidate remainders, same exact mod-2^64
-// arithmetic, so the columns stay bit-identical to every other backend.
+// AVX-512 kernel backend (F+BW+DQ+VL): the 512-bit analogue of the AVX2
+// TU — eight candidate lanes per sweep pass, with the Lemma 3.3/3.4
+// predicates landing directly in opmask registers feeding masked 64-bit
+// adds. Same function-level target attributes, same scalar tail for
+// sub-lane candidate remainders, same exact mod-2^64 arithmetic, so the
+// columns stay bit-identical to every other backend.
 
 #include "util/simd/backends.h"
 
@@ -11,9 +11,10 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "util/check.h"
 
 namespace jinfer {
 namespace util {
@@ -24,64 +25,9 @@ namespace {
 
 #define JINFER_TARGET_AVX512 \
   __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
-#define JINFER_TARGET_AVX512_POPCNT \
-  __attribute__((target("avx512f,avx512vpopcntdq")))
 
 JINFER_TARGET_AVX512 inline __m512i Load8(const uint64_t* p) {
   return _mm512_loadu_si512(p);
-}
-
-JINFER_TARGET_AVX512 bool IsSubsetAvx512(const uint64_t* a, const uint64_t* b,
-                                         size_t words) {
-  __m512i stray = _mm512_setzero_si512();
-  size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    stray = _mm512_or_si512(stray,
-                            _mm512_andnot_si512(Load8(b + w), Load8(a + w)));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] & ~b[w];
-  return _mm512_test_epi64_mask(stray, stray) == 0 && tail == 0;
-}
-
-JINFER_TARGET_AVX512 bool EqualAvx512(const uint64_t* a, const uint64_t* b,
-                                      size_t words) {
-  __mmask8 diff = 0;
-  size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    diff |= _mm512_cmpneq_epi64_mask(Load8(a + w), Load8(b + w));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] ^ b[w];
-  return diff == 0 && tail == 0;
-}
-
-JINFER_TARGET_AVX512 bool IntersectsAvx512(const uint64_t* a,
-                                           const uint64_t* b, size_t words) {
-  __mmask8 common = 0;
-  size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    common |= _mm512_test_epi64_mask(Load8(a + w), Load8(b + w));
-  }
-  uint64_t tail = 0;
-  for (; w < words; ++w) tail |= a[w] & b[w];
-  return common != 0 || tail != 0;
-}
-
-/// VPOPCNTQ path; dispatch.cc only installs this on CPUs advertising
-/// AVX512VPOPCNTDQ (Skylake-SP gets the AVX2 kernel instead).
-JINFER_TARGET_AVX512_POPCNT size_t PopcountAvx512(const uint64_t* a,
-                                                  size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_loadu_si512(a + w)));
-  }
-  size_t total = static_cast<size_t>(_mm512_reduce_add_epi64(acc));
-  for (; w < words; ++w) {
-    total += static_cast<size_t>(std::popcount(a[w]));
-  }
-  return total;
 }
 
 /// Eight candidates per pass; structure mirrors SweepBlockAvx2Fixed with
@@ -176,20 +122,15 @@ void SweepBlockAvx512(const SweepBlockArgs& a) {
       SweepBlockAvx512Fixed<4>(a);
       break;
     default:
-      SweepBlockScalar(a);  // Variable-width formats; bit-identical anyway.
-      break;
+      JINFER_CHECK(false, kSweepWidthMessage, a.words);
   }
 }
 
 #undef JINFER_TARGET_AVX512
-#undef JINFER_TARGET_AVX512_POPCNT
 
 }  // namespace
 
-const KernelOps kAvx512Ops = {
-    KernelBackend::kAvx512, &IsSubsetAvx512,  &EqualAvx512,
-    &IntersectsAvx512,      &PopcountAvx512,  &SweepBlockAvx512,
-};
+const KernelOps kAvx512Ops = {KernelBackend::kAvx512, &SweepBlockAvx512};
 
 }  // namespace internal
 }  // namespace simd

@@ -1,10 +1,8 @@
 // Scalar kernel backend: the reference every other backend must match
-// bit for bit. The loops are the PR 8 shapes — branch-free accumulator
-// predicates, and the fused u± sweep with per-candidate register
+// bit for bit — the fused u± sweep with per-candidate register
 // accumulators (the former InferenceState W==1 hand loop and
 // SweepUCountsFixed<2..4>, generalized to composable i×j blocks).
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -17,32 +15,6 @@ namespace simd {
 namespace internal {
 
 namespace {
-
-bool IsSubsetScalar(const uint64_t* a, const uint64_t* b, size_t words) {
-  uint64_t stray = 0;
-  for (size_t w = 0; w < words; ++w) stray |= a[w] & ~b[w];
-  return stray == 0;
-}
-
-bool EqualScalar(const uint64_t* a, const uint64_t* b, size_t words) {
-  uint64_t diff = 0;
-  for (size_t w = 0; w < words; ++w) diff |= a[w] ^ b[w];
-  return diff == 0;
-}
-
-bool IntersectsScalar(const uint64_t* a, const uint64_t* b, size_t words) {
-  uint64_t common = 0;
-  for (size_t w = 0; w < words; ++w) common |= a[w] & b[w];
-  return common != 0;
-}
-
-size_t PopcountScalar(const uint64_t* a, size_t words) {
-  size_t c = 0;
-  for (size_t w = 0; w < words; ++w) {
-    c += static_cast<size_t>(std::popcount(a[w]));
-  }
-  return c;
-}
 
 /// Lemma 3.4 against every witness row; early-out on the first container.
 template <size_t W>
@@ -91,40 +63,6 @@ void SweepBlockFixed(const SweepBlockArgs& a) {
   }
 }
 
-/// Runtime-width fallback for word counts past the fixed instantiations
-/// (the future variable-width predicate formats). Bit-identical, just not
-/// unrolled. Capped at 8 words of per-pair scratch.
-constexpr size_t kMaxSweepWords = 8;
-
-void SweepBlockGeneric(const SweepBlockArgs& a) {
-  const size_t W = a.words;
-  for (size_t j = a.jb; j < a.je; ++j) {
-    const uint64_t* sigw = &a.sigs[j * W];
-    const uint64_t* keyj = &a.keys[j * W];
-    uint64_t upos = 0, uneg = 0;
-    for (size_t i = a.ib; i < a.ie; ++i) {
-      const uint64_t* k = &a.keys[i * W];
-      const uint64_t cnt = a.cnts[i];
-      uint64_t stray = 0;
-      uint64_t diff = 0;
-      uint64_t key2[kMaxSweepWords];
-      for (size_t w = 0; w < W; ++w) {
-        key2[w] = k[w] & sigw[w];
-        stray |= k[w] & ~sigw[w];
-        diff |= key2[w] ^ keyj[w];
-      }
-      if (stray == 0) uneg += cnt;
-      bool pos = diff == 0;
-      for (size_t g = 0; !pos && g < a.num_negs; ++g) {
-        pos = IsSubsetScalar(key2, &a.negs[g * W], W);
-      }
-      if (pos) upos += cnt;
-    }
-    a.u_pos[j] += upos;
-    a.u_neg[j] += uneg;
-  }
-}
-
 }  // namespace
 
 void SweepBlockScalar(const SweepBlockArgs& a) {
@@ -142,17 +80,11 @@ void SweepBlockScalar(const SweepBlockArgs& a) {
       SweepBlockFixed<4>(a);
       break;
     default:
-      JINFER_CHECK(a.words <= kMaxSweepWords,
-                   "sweep over %zu words exceeds the kernel cap", a.words);
-      SweepBlockGeneric(a);
-      break;
+      JINFER_CHECK(false, kSweepWidthMessage, a.words);
   }
 }
 
-const KernelOps kScalarOps = {
-    KernelBackend::kScalar, &IsSubsetScalar,  &EqualScalar,
-    &IntersectsScalar,      &PopcountScalar,  &SweepBlockScalar,
-};
+const KernelOps kScalarOps = {KernelBackend::kScalar, &SweepBlockScalar};
 
 }  // namespace internal
 }  // namespace simd

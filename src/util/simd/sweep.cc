@@ -1,9 +1,6 @@
 #include "util/simd/sweep.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "util/parallel.h"
 
 namespace jinfer {
 namespace util {
@@ -16,8 +13,6 @@ namespace {
 /// and the candidate-side loads.
 constexpr size_t kSweepStreamBudgetBytes = 256 * 1024;
 
-std::atomic<int> g_sweep_threads{1};
-
 }  // namespace
 
 SweepTiling DefaultSweepTiling(size_t words) {
@@ -25,12 +20,6 @@ SweepTiling DefaultSweepTiling(size_t words) {
   size_t i_tile = kSweepStreamBudgetBytes / bytes_per_class;
   return SweepTiling{std::max<size_t>(i_tile, 1024), 2048};
 }
-
-void SetSweepThreads(int threads) {
-  g_sweep_threads.store(threads, std::memory_order_relaxed);
-}
-
-int SweepThreads() { return g_sweep_threads.load(std::memory_order_relaxed); }
 
 namespace internal {
 
@@ -77,21 +66,8 @@ void SweepUCounts(const SweepArgs& args, uint64_t* u_pos, uint64_t* u_neg) {
   std::fill_n(u_pos, n, 0);
   std::fill_n(u_neg, n, 0);
   if (n == 0) return;
-  const KernelOps& ops = ActiveKernelOps();
-  const SweepTiling tiling = DefaultSweepTiling(args.words);
-  size_t threads = 1;
-  if (n >= kSweepParallelMinCandidates) {
-    threads = ResolveThreadCount(SweepThreads());
-  }
-  if (threads > 1) {
-    // Contiguous candidate stripes; each j is owned by exactly one worker,
-    // so the columns are thread-count invariant (and data-race free).
-    ParallelFor(n, threads, [&](size_t jb, size_t je, size_t /*worker*/) {
-      internal::SweepRangeTiled(ops, args, jb, je, tiling, u_pos, u_neg);
-    });
-  } else {
-    internal::SweepRangeTiled(ops, args, 0, n, tiling, u_pos, u_neg);
-  }
+  internal::SweepRangeTiled(ActiveKernelOps(), args, 0, n,
+                            DefaultSweepTiling(args.words), u_pos, u_neg);
   for (size_t j = 0; j < n; ++j) {
     // Self class: count(j) counted by both tests, count(j)−1 due.
     u_pos[j] -= 1;

@@ -1,14 +1,12 @@
-// Tiled, optionally striped driver for the fused u± candidate sweep
-// (DESIGN.md §12.4). The backends expose one composable i×j block kernel
-// (SweepBlockArgs in dispatch.h); this driver owns the full [0,n)×[0,n)
-// sweep: zero-fill, cache tiling, optional ParallelFor striping over
-// candidates, and the flat −1 self-class correction.
+// Tiled driver for the fused u± candidate sweep (DESIGN.md §12.4). The
+// backends expose one composable i×j block kernel (SweepBlockArgs in
+// dispatch.h); this driver owns the full [0,n)×[0,n) sweep: zero-fill,
+// cache tiling, and the flat −1 self-class correction.
 //
-// Bit-identity across tilings and thread counts: every candidate j's two
-// accumulators are uint64 sums over the streamed classes, associative and
-// commutative mod 2^64, and each j is owned by exactly one contiguous
-// stripe — so splitting [0,n)² into blocks in any order, on any number of
-// threads, lands the same columns as the monolithic pass.
+// Bit-identity across tilings: every candidate j's two accumulators are
+// uint64 sums over the streamed classes, associative and commutative mod
+// 2^64 — so splitting [0,n)² into blocks in any order lands the same
+// columns as the monolithic pass.
 
 #ifndef JINFER_UTIL_SIMD_SWEEP_H_
 #define JINFER_UTIL_SIMD_SWEEP_H_
@@ -23,8 +21,8 @@ namespace util {
 namespace simd {
 
 /// The full sweep instance: n candidates = n streamed classes over the
-/// class-major packed arrays (stride `words`). See SweepBlockArgs for the
-/// per-pair semantics.
+/// class-major packed arrays (stride `words`, 1..4). See SweepBlockArgs for
+/// the per-pair semantics.
 struct SweepArgs {
   const uint64_t* keys = nullptr;
   const uint64_t* sigs = nullptr;
@@ -53,30 +51,18 @@ struct SweepTiling {
 /// (i_tile arg 0 = untiled; the knee sits at the L2-sized block).
 SweepTiling DefaultSweepTiling(size_t words);
 
-/// Candidate count at or above which SweepUCounts stripes candidates over
-/// util::ParallelFor (when SetSweepThreads allows more than one). Below
-/// it, thread spawn overhead beats the win.
-inline constexpr size_t kSweepParallelMinCandidates = 4096;
-
-/// Process-global sweep thread budget: values >= 1 are taken as-is, 0
-/// means one per hardware thread. Defaults to 1 — sessions already run on
-/// per-connection workers, and nesting fork-join under them would
-/// oversubscribe; single-session tools (benches, batch replays) opt in.
-void SetSweepThreads(int threads);
-int SweepThreads();
-
 /// The full u± sweep: zero-fills u_pos/u_neg[0, n), runs the active
-/// backend's block kernel under DefaultSweepTiling (striped over
-/// ParallelFor when n ≥ kSweepParallelMinCandidates and SweepThreads()
-/// allows), then applies the −1 self-class correction per candidate.
-/// Results are identical for every backend, tiling, and thread count.
+/// backend's block kernel under DefaultSweepTiling on the calling thread,
+/// then applies the −1 self-class correction per candidate. Results are
+/// identical for every backend and tiling. Aborts when args.words is
+/// outside 1..4.
 void SweepUCounts(const SweepArgs& args, uint64_t* u_pos, uint64_t* u_neg);
 
 namespace internal {
 /// Accumulating tiled sweep over the candidate range [jb, je) with an
-/// explicit backend and tiling: the building block SweepUCounts stripes,
-/// exposed for the tile-size bench and the tiling parity tests. Does NOT
-/// zero-fill and does NOT apply the self-class correction.
+/// explicit backend and tiling: the body of SweepUCounts, exposed for the
+/// tile-size bench and the tiling parity tests. Does NOT zero-fill and
+/// does NOT apply the self-class correction.
 void SweepRangeTiled(const KernelOps& ops, const SweepArgs& args, size_t jb,
                      size_t je, const SweepTiling& tiling, uint64_t* u_pos,
                      uint64_t* u_neg);

@@ -73,7 +73,7 @@ TEST(LargeOmegaTranscriptTest, L2SOver260Classes) {
 }
 
 // |Omega| = 72 — a two-active-word universe — with 900 classes: the
-// generic multi-word kernels (And2Words/EqualWords/AnyWitnessContains)
+// multi-word paths (InferenceState's word loops and the W = 2 sweep)
 // carry the whole L1S session.
 TEST(LargeOmegaTranscriptTest, L1SMultiWord900Classes) {
   RunGoldenSession(workload::SyntheticConfig{9, 8, 30, 3}, 101,

@@ -1,10 +1,9 @@
 // Backend parity: every compiled-and-supported SIMD kernel backend must
-// be bit-identical to the scalar reference — primitive word kernels at
-// every interesting word count (vector-multiple, one-off-each-side, below
-// the dispatch threshold), the fused u± sweep across word widths, lane
-// tails and witness counts, the tiled sweep against the monolithic block
-// for assorted tilings, and the ParallelFor-striped driver at 1 vs 4
-// threads. The loops run over SupportedKernelBackends(), so the test
+// be bit-identical to the scalar reference — the fused u± sweep across
+// word widths 1..4, lane tails and witness counts, the tiled sweep against
+// the monolithic block for assorted tilings, and the entropy columns and
+// picks of a real session. Widths past 4 words must abort on every
+// backend. The loops run over SupportedKernelBackends(), so the test
 // passes (vacuously shrinking) on hardware without AVX while covering
 // everything the bench hardware can attest.
 
@@ -56,51 +55,6 @@ TEST(KernelBackendTest, SetKernelBackendRejectsUnsupported) {
     ASSERT_EQ(KernelOpsFor(b).backend, b);
   }
   ASSERT_TRUE(SetKernelBackend(ambient));
-}
-
-// Primitive word-kernel parity on random and adversarially biased inputs.
-// Word counts straddle the vector strides (4, 8) and the kSimdMinWords
-// dispatch threshold on both sides.
-TEST(KernelBackendTest, PrimitiveParity) {
-  const size_t kWordCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31,
-                                32, 33};
-  Rng rng(0x9a7e);
-  for (size_t words : kWordCounts) {
-    for (int round = 0; round < 50; ++round) {
-      std::vector<uint64_t> a = RandomWords(rng, words);
-      std::vector<uint64_t> b = RandomWords(rng, words);
-      switch (round % 4) {
-        case 0:
-          break;  // Independent random words: almost never subset/equal.
-        case 1:
-          b = a;  // Equal.
-          break;
-        case 2:
-          for (size_t w = 0; w < words; ++w) a[w] &= b[w];  // a ⊆ b.
-          break;
-        default:
-          b = a;
-          b[rng.NextBelow(words)] ^= uint64_t{1} << rng.NextBelow(64);
-          break;  // Hamming distance exactly 1.
-      }
-      const KernelOps& ref = KernelOpsFor(KernelBackend::kScalar);
-      const bool want_subset = ref.is_subset_words(a.data(), b.data(), words);
-      const bool want_equal = ref.equal_words(a.data(), b.data(), words);
-      const bool want_inter = ref.intersects_words(a.data(), b.data(), words);
-      const size_t want_pop = ref.popcount_words(a.data(), words);
-      for (KernelBackend backend : SupportedKernelBackends()) {
-        const KernelOps& ops = KernelOpsFor(backend);
-        ASSERT_EQ(ops.is_subset_words(a.data(), b.data(), words), want_subset)
-            << KernelBackendName(backend) << " words=" << words;
-        ASSERT_EQ(ops.equal_words(a.data(), b.data(), words), want_equal)
-            << KernelBackendName(backend) << " words=" << words;
-        ASSERT_EQ(ops.intersects_words(a.data(), b.data(), words), want_inter)
-            << KernelBackendName(backend) << " words=" << words;
-        ASSERT_EQ(ops.popcount_words(a.data(), words), want_pop)
-            << KernelBackendName(backend) << " words=" << words;
-      }
-    }
-  }
 }
 
 /// A synthetic packed sweep instance shaped like InferenceState's arrays:
@@ -186,23 +140,19 @@ TEST(KernelBackendTest, TiledSweepMatchesMonolithic) {
   }
 }
 
-// The striped driver is thread-count invariant: 1 and 4 sweep threads
-// must agree exactly, above the parallel threshold, on every backend.
-TEST(KernelBackendTest, SweepThreadCountInvariant) {
-  const size_t n = kSweepParallelMinCandidates + 137;  // Engage striping.
-  SweepFixture fx(0x5ca1ab1e, n, 2, 3);
-  const int ambient = SweepThreads();
+// The kernels cover W = 1..4 (a JoinPredicate is four words): a wider
+// sweep is a caller bug, and every backend's width switch aborts on it
+// rather than computing anything.
+TEST(KernelBackendDeathTest, SweepPastFourWordsAborts) {
+  const size_t n = 16;
+  SweepFixture fx(0x5ca1ab1e, n, 5, 1);
   for (KernelBackend backend : SupportedKernelBackends()) {
     testing::ScopedKernelBackend forced(backend);
-    std::vector<uint64_t> p1(n), n1(n), p4(n), n4(n);
-    SetSweepThreads(1);
-    SweepUCounts(fx.args, p1.data(), n1.data());
-    SetSweepThreads(4);
-    SweepUCounts(fx.args, p4.data(), n4.data());
-    ASSERT_EQ(p1, p4) << KernelBackendName(backend);
-    ASSERT_EQ(n1, n4) << KernelBackendName(backend);
+    std::vector<uint64_t> u_pos(n), u_neg(n);
+    EXPECT_DEATH(SweepUCounts(fx.args, u_pos.data(), u_neg.data()),
+                 "sweep over 5 words: the kernels cover 1..4")
+        << KernelBackendName(backend);
   }
-  SetSweepThreads(ambient);
 }
 
 // End-to-end: the entropy columns and the skyline argmin pick — the

@@ -1,10 +1,10 @@
-// Shared reference model for the bitset differential fuzzers: a
+// Reference model for the bitset differential fuzzer: a
 // std::vector<bool>-backed set with the same op vocabulary as
-// util::SmallBitset and util::BitVector, written in the most naive way
-// possible (per-bit loops, no words, no prefixes) so a disagreement always
-// indicts the production bitset. Both fuzzers (tests/util) and the kernel
-// harness (tests/kernels) drive production type and model through identical
-// op sequences and compare every observable after every op.
+// util::SmallBitset, written in the most naive way possible (per-bit
+// loops, no words, no prefixes) so a disagreement always indicts the
+// production bitset. tests/util/bitset_fuzz_test.cc drives SmallBitset and
+// the model through identical op sequences and compares every observable
+// after every op.
 
 #ifndef JINFER_TESTS_TESTING_BITSET_MODEL_H_
 #define JINFER_TESTS_TESTING_BITSET_MODEL_H_
@@ -17,8 +17,8 @@
 namespace jinfer {
 namespace testing {
 
-/// The reference set. Unbounded like BitVector: Set grows, Test beyond the
-/// current size reads 0; equality and subset ignore trailing zeros.
+/// The reference set. Unbounded: Set grows, Test beyond the current size
+/// reads 0; equality and subset ignore trailing zeros.
 class BoolVecModel {
  public:
   BoolVecModel() = default;
@@ -103,10 +103,10 @@ class BoolVecModel {
   std::vector<bool> bits_;
 };
 
-/// Asserts every observable of a production bitset (SmallBitset or
-/// BitVector) against the model over bit universe [0, universe): per-bit
-/// Test, Count, Empty, and both iteration orders. `npos` is the type's
-/// "no bit" sentinel (SmallBitset::kMaxBits / BitVector::kNpos).
+/// Asserts every observable of a production bitset against the model over
+/// bit universe [0, universe): per-bit Test, Count, Empty, and both
+/// iteration orders. `npos` is the type's "no bit" sentinel
+/// (SmallBitset::kMaxBits).
 template <typename B>
 void ExpectMatchesModel(const B& mine, const BoolVecModel& ref,
                         size_t universe, size_t npos) {

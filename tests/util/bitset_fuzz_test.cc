@@ -1,25 +1,22 @@
-// Randomized cross-validation of the predicate bitsets against reference
-// models — SmallBitset and BitVector underlie every lemma in the core, so
-// their set algebra gets differential fuzz suites on top of the unit tests.
+// Randomized cross-validation of the predicate bitset against reference
+// models — SmallBitset underlies every lemma in the core, so its set
+// algebra gets differential fuzz suites on top of the unit tests.
 //
 // Two layers:
 //   1. The original SmallBitset-vs-std::bitset<256> algebra fuzz.
-//   2. A shared op-sequence fuzzer driving either bitset type and the
-//      naive testing::BoolVecModel through identical random op sequences,
+//   2. An op-sequence fuzzer driving SmallBitset and the naive
+//      testing::BoolVecModel through identical random op sequences,
 //      comparing every observable after every op. Universes are chosen to
-//      straddle the word boundaries (63/64/65, 255/256/257) where prefix
-//      and growth bugs live, plus the degenerate empty/full sets.
+//      straddle the word boundaries (63/64/65, 255/256) where prefix bugs
+//      live, plus the degenerate empty/full sets.
 
 #include <bitset>
 
 #include <gtest/gtest.h>
 
 #include "testing/bitset_model.h"
-#include "testing/kernel_backends.h"
-#include "util/bit_vector.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/simd/dispatch.h"
 
 namespace jinfer {
 namespace util {
@@ -124,24 +121,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BitsetFuzzTest,
                          ::testing::Range(uint64_t{1000}, uint64_t{1010}));
 
 // ---------------------------------------------------------------------------
-// Shared op-sequence fuzzer: both bitset types vs BoolVecModel.
+// Op-sequence fuzzer: SmallBitset vs BoolVecModel.
 // ---------------------------------------------------------------------------
 
-/// The "no bit" sentinel of each type's search operations.
-template <typename B>
-size_t NposOf();
-template <>
-size_t NposOf<SmallBitset>() {
-  return SmallBitset::kMaxBits;
-}
-template <>
-size_t NposOf<BitVector>() {
-  return BitVector::kNpos;
-}
-
 /// Random set of the given universe, mirrored into the model.
-template <typename B>
-void FillRandom(Rng& rng, size_t universe, double density, B& mine,
+void FillRandom(Rng& rng, size_t universe, double density, SmallBitset& mine,
                 BoolVecModel& ref) {
   for (size_t b = 0; b < universe; ++b) {
     if (rng.NextBool(density)) {
@@ -151,21 +135,19 @@ void FillRandom(Rng& rng, size_t universe, double density, B& mine,
   }
 }
 
-/// Drives one production bitset and the model through `rounds` random
+/// Drives a SmallBitset and the model through `rounds` random
 /// mutating/combining ops over [0, universe), comparing every observable
 /// after each op. Also cross-checks the binary predicates and operators
 /// against model results each round.
-template <typename B>
 void RunOpSequence(uint64_t seed, size_t universe, int rounds) {
   SCOPED_TRACE(::testing::Message()
                << "universe=" << universe << " seed=" << seed);
   Rng rng(seed);
-  const size_t npos = NposOf<B>();
-  B x{};
+  SmallBitset x;
   BoolVecModel mx;
   FillRandom(rng, universe, rng.NextDouble(), x, mx);
   for (int round = 0; round < rounds; ++round) {
-    B y{};
+    SmallBitset y;
     BoolVecModel my;
     FillRandom(rng, universe, rng.NextDouble(), y, my);
     switch (rng.NextBelow(7)) {
@@ -199,15 +181,16 @@ void RunOpSequence(uint64_t seed, size_t universe, int rounds) {
         break;
       case 6:  // Degenerate endpoints: jump to empty or full.
         if (rng.NextBool(0.5)) {
-          x = B{};
+          x = SmallBitset{};
           mx = BoolVecModel{};
         } else {
-          x = B::AllSet(universe);
+          x = SmallBitset::AllSet(universe);
           mx = BoolVecModel::AllSet(universe);
         }
         break;
     }
-    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(x, mx, universe, npos));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectMatchesModel(x, mx, universe, SmallBitset::kMaxBits));
     // Binary observables against the model, including the self cases.
     ASSERT_EQ(x.IsSubsetOf(y), mx.IsSubsetOf(my));
     ASSERT_EQ(y.IsSubsetOf(x), my.IsSubsetOf(mx));
@@ -220,147 +203,20 @@ void RunOpSequence(uint64_t seed, size_t universe, int rounds) {
   }
 }
 
-/// Universes straddling every word boundary the kernels care about. The
-/// SmallBitset instantiation stops at its 256-bit capacity; BitVector
-/// continues past it — 511/512/513 straddle the kSimdMinWords dispatch
-/// threshold (8 words) where the predicates start routing through the
-/// runtime-selected SIMD backend, and 1024/1025 exercise the vector
-/// kernels' full-stride and tail paths.
+/// Universes straddling every word boundary up to SmallBitset's 256-bit
+/// capacity.
 constexpr size_t kSmallUniverses[] = {1, 7, 63, 64, 65, 255, 256};
-constexpr size_t kVectorUniverses[] = {1,   7,   63,  64,  65,  127,  128,
-                                       129, 255, 256, 257, 300,  511,  512,
-                                       513, 1024, 1025};
 
 class SharedBitsetFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SharedBitsetFuzzTest, SmallBitsetOpSequencesMatchModel) {
   for (size_t universe : kSmallUniverses) {
-    RunOpSequence<SmallBitset>(GetParam() ^ universe, universe, 40);
-  }
-}
-
-TEST_P(SharedBitsetFuzzTest, BitVectorOpSequencesMatchModel) {
-  for (size_t universe : kVectorUniverses) {
-    RunOpSequence<BitVector>(GetParam() ^ universe, universe, 40);
-  }
-}
-
-TEST_P(SharedBitsetFuzzTest, BitVectorOpSequencesMatchModelOnEveryBackend) {
-  // Identical seeds replayed under every supported kernel backend: the
-  // op-sequence outcomes must not depend on which backend the word
-  // predicates dispatch to. Universes at and past the dispatch threshold
-  // only — below it the backends are not involved.
-  for (simd::KernelBackend backend : simd::SupportedKernelBackends()) {
-    jinfer::testing::ScopedKernelBackend forced(backend);
-    for (size_t universe : {511, 512, 513, 1024, 1025}) {
-      SCOPED_TRACE(simd::KernelBackendName(backend));
-      RunOpSequence<BitVector>(GetParam() ^ universe, universe, 25);
-    }
-  }
-}
-
-TEST_P(SharedBitsetFuzzTest, BitVectorAgreesWithSmallBitsetInsideCapacity) {
-  // Inside 256 bits the two types must agree op for op; BitVector is the
-  // widening of SmallBitset the >256-bit route depends on.
-  Rng rng(GetParam() ^ 0xb1d);
-  for (size_t universe : {63, 64, 65, 255, 256}) {
-    SmallBitset s;
-    BitVector v;
-    for (int round = 0; round < 60; ++round) {
-      size_t bit = rng.NextBelow(universe);
-      if (rng.NextBool(0.7)) {
-        s.Set(bit);
-        v.Set(bit);
-      } else {
-        s.Reset(bit);
-        v.Reset(bit);
-      }
-    }
-    ASSERT_EQ(BitVector::FromSmall(s, universe), v);
-    ASSERT_EQ(v.ToSmall(), s);
-    ASSERT_EQ(v.Count(), s.Count());
-    for (size_t b = 0; b < universe; ++b) ASSERT_EQ(v.Test(b), s.Test(b));
+    RunOpSequence(GetParam() ^ universe, universe, 40);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedBitsetFuzzTest,
                          ::testing::Range(uint64_t{2000}, uint64_t{2010}));
-
-// ---------------------------------------------------------------------------
-// BitVector-specific contracts the model can't express.
-// ---------------------------------------------------------------------------
-
-TEST(BitVectorTest, SetAutoGrowsPastSmallBitsetCapacity) {
-  // The routing story for |Ω| > 256: where SmallBitset::Set(300) is a
-  // capacity violation, BitVector grows and carries on.
-  BitVector b;
-  b.Set(300);
-  EXPECT_TRUE(b.Test(300));
-  EXPECT_EQ(b.Count(), 1u);
-  EXPECT_FALSE(b.Test(299));
-  b.Set(1000);
-  b.Set(0);
-  EXPECT_EQ(b.Count(), 3u);
-  EXPECT_EQ(b.FirstSetBit(), 0u);
-  EXPECT_EQ(b.NextSetBit(1), 300u);
-  EXPECT_EQ(b.NextSetBit(301), 1000u);
-  EXPECT_EQ(b.NextSetBit(1001), BitVector::kNpos);
-}
-
-TEST(BitVectorTest, ComparisonsIgnoreCapacity) {
-  BitVector narrow;
-  narrow.Set(3);
-  BitVector wide(512);
-  wide.Set(3);
-  EXPECT_EQ(narrow, wide);
-  EXPECT_EQ(narrow.Hash(), wide.Hash());
-  EXPECT_FALSE(narrow < wide);
-  EXPECT_FALSE(wide < narrow);
-  EXPECT_TRUE(narrow.IsSubsetOf(wide));
-  EXPECT_TRUE(wide.IsSubsetOf(narrow));
-  wide.Set(400);
-  EXPECT_NE(narrow, wide);
-  EXPECT_TRUE(narrow < wide);
-  EXPECT_TRUE(narrow.IsSubsetOf(wide));
-  EXPECT_FALSE(wide.IsSubsetOf(narrow));
-}
-
-TEST(BitVectorTest, OutOfCapacityReadsAreZeroNotUB) {
-  BitVector b(64);
-  EXPECT_FALSE(b.Test(1 << 20));
-  b.Reset(1 << 20);  // No-op, not a growth.
-  EXPECT_LE(b.num_words(), 1u);
-  BitVector empty;
-  EXPECT_EQ(empty.FirstSetBit(), BitVector::kNpos);
-  EXPECT_TRUE(empty.Empty());
-  EXPECT_EQ(empty.Hash(), BitVector(640).Hash());
-}
-
-TEST(BitVectorTest, WordBoundaryAllSet) {
-  for (size_t n : {63u, 64u, 65u, 255u, 256u, 257u}) {
-    BitVector b = BitVector::AllSet(n);
-    EXPECT_EQ(b.Count(), n) << n;
-    EXPECT_TRUE(b.Test(n - 1));
-    EXPECT_FALSE(b.Test(n));
-    EXPECT_EQ(b, BitVector::AllSet(n));
-    EXPECT_TRUE(BitVector::AllSet(n - 1).IsStrictSubsetOf(b));
-  }
-}
-
-TEST(BitVectorTest, ToSmallRejectsWideValues) {
-  BitVector b;
-  b.Set(256);
-  EXPECT_DEATH(b.ToSmall(), "exceeds SmallBitset capacity");
-}
-
-TEST(BitVectorTest, ToStringMatchesSmallBitsetFormat) {
-  BitVector b;
-  EXPECT_EQ(b.ToString(), "{}");
-  b.Set(0);
-  b.Set(17);
-  b.Set(257);
-  EXPECT_EQ(b.ToString(), "{0,17,257}");
-}
 
 }  // namespace
 }  // namespace util
