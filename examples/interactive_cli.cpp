@@ -6,8 +6,8 @@
 //                                    [--metrics-dump] R.csv P.csv [strategy]
 //   ./build/examples/interactive_cli [--store-dir=DIR]   (built-in demo)
 //   ./build/examples/interactive_cli --serve=HOST:PORT [--store-dir=DIR]
-//   ./build/examples/interactive_cli --connect=HOST:PORT [--metrics-dump]
-//                                    [R.csv P.csv [strategy]]
+//   ./build/examples/interactive_cli --connect=HOST:PORT [--deadline-ms=N]
+//                                    [--metrics-dump] [R.csv P.csv [strategy]]
 //
 // --metrics-dump prints the Prometheus text exposition of the process's
 // metric registry after the session (DESIGN.md §13). In --connect mode the
@@ -18,8 +18,10 @@
 // fault-tolerant serving front end (SIGTERM or Ctrl-C drains gracefully —
 // in-flight sessions finish, then the process exits 0), --connect runs the
 // same question loop as local mode but over the binary session protocol,
-// uploading the instance as CSV text and answering over the socket. Port 0
-// binds an ephemeral port and prints it.
+// uploading the instance as CSV text and answering over the socket. The
+// server names each question's representative rows and the client renders
+// them from its own R and P, so both modes print the same transcript. Port
+// 0 binds an ephemeral port and prints it.
 //
 // strategy ∈ {BU, TD, L1S, L2S, RND, EG}; default TD. Answer each prompt
 // with y/n (or q to stop early and accept the current hypothesis).
@@ -57,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "core/omega.h"
 #include "obs/exposition.h"
 #include "relational/csv.h"
 #include "relational/relation.h"
@@ -94,28 +97,90 @@ rel::Relation DemoHotel() {
   return std::move(p).ValueOrDie();
 }
 
-void PrintTuple(const rel::Relation& r, const rel::Relation& p, size_t i,
-                size_t j) {
-  std::printf("  %s: ", r.schema().relation_name().c_str());
-  for (size_t c = 0; c < r.num_attributes(); ++c) {
-    std::printf("%s%s=%s", c ? ", " : "",
-                r.schema().attribute_names()[c].c_str(),
-                r.at(i, c).ToString().c_str());
-  }
-  std::printf("\n  %s: ", p.schema().relation_name().c_str());
-  for (size_t c = 0; c < p.num_attributes(); ++c) {
-    std::printf("%s%s=%s", c ? ", " : "",
-                p.schema().attribute_names()[c].c_str(),
-                p.at(j, c).ToString().c_str());
-  }
-  std::printf("\n");
-}
-
 /// Set by the SIGINT handler; checked at question boundaries. sig_atomic_t
 /// is the only type the standard guarantees a handler may write.
 volatile std::sig_atomic_t g_interrupted = 0;
 
 void HandleSigint(int) { g_interrupted = 1; }
+
+/// What the question loop needs of one step: the representative rows of
+/// the next question, or that no informative question is left.
+struct Question {
+  bool finished = false;
+  size_t rep_r = 0, rep_p = 0;
+};
+
+/// The question loop of both modes. `next()` yields the next Question;
+/// `answer(label)` applies one label and yields the new hypothesis. The
+/// loop stops at the next question boundary on Ctrl-C or once
+/// `deadline_ms` (0 = none) has passed. Returns false after reporting an
+/// error.
+template <typename Next, typename Answer>
+bool AskQuestions(const rel::Relation& r, const rel::Relation& p,
+                  const core::Omega& omega, long deadline_ms, Next next,
+                  Answer answer) {
+  std::printf("Label each proposed pairing: y = belongs to your join, "
+              "n = does not, q = stop.\n");
+  if (deadline_ms > 0) {
+    std::printf("Session deadline: %ld ms.\n", deadline_ms);
+  }
+  const util::Deadline deadline =
+      util::Deadline::After(std::chrono::milliseconds(deadline_ms));
+  size_t answered = 0;
+  bool cancelled = false;
+  while (true) {
+    util::Result<Question> q = next();
+    if (!q.ok()) {
+      std::fprintf(stderr, "question failed: %s\n",
+                   q.status().ToString().c_str());
+      return false;
+    }
+    if (q->finished) {
+      std::printf("\nNo informative tuples left — the query is determined "
+                  "on this data.\n");
+      return true;
+    }
+    if (g_interrupted || deadline.expired()) {
+      cancelled = true;
+      break;
+    }
+    std::printf("\nQuestion %zu:\n  %s\n  %s\nIn your join? [y/n/q] ",
+                answered + 1, r.FormatRow(q->rep_r).c_str(),
+                p.FormatRow(q->rep_p).c_str());
+    std::fflush(stdout);
+
+    std::string line;
+    if (!std::getline(std::cin, line)) {
+      // EOF, or EINTR from Ctrl-C (no SA_RESTART): stop cleanly either way
+      // and keep every answer already given.
+      cancelled = g_interrupted || errno == EINTR;
+      break;
+    }
+    if (g_interrupted || deadline.expired()) {
+      cancelled = true;
+      break;
+    }
+    if (line == "q" || line == "Q") break;
+    util::Result<core::JoinPredicate> hypothesis =
+        answer(line == "y" || line == "Y" || line == "yes"
+                   ? core::Label::kPositive
+                   : core::Label::kNegative);
+    if (!hypothesis.ok()) {
+      std::printf("That answer contradicts your earlier ones: %s\n",
+                  hypothesis.status().ToString().c_str());
+      return false;
+    }
+    ++answered;
+    std::printf("  current hypothesis: %s\n",
+                omega.Format(*hypothesis).c_str());
+  }
+  if (cancelled) {
+    std::printf("\n%s after %zu answered question(s); the hypothesis below "
+                "reflects every answer so far.\n",
+                g_interrupted ? "Interrupted" : "Deadline reached", answered);
+  }
+  return true;
+}
 
 /// --serve: the signal handler drains the server directly — RequestDrain
 /// is an atomic store plus one write() on the wake pipe, both
@@ -181,7 +246,14 @@ int RunServe(const std::string& spec, const std::string& store_dir) {
 
 int RunConnect(const std::string& spec, const rel::Relation& r,
                const rel::Relation& p, const std::string& strategy_name,
-               bool metrics_dump) {
+               long deadline_ms, bool metrics_dump) {
+  // The server sends predicates as raw words; Ω over the local schemas is
+  // the one the server's index formats them with.
+  auto omega = core::Omega::Make(r.schema(), p.schema());
+  if (!omega.ok()) {
+    std::fprintf(stderr, "%s\n", omega.status().ToString().c_str());
+    return 1;
+  }
   auto endpoint = util::ParseEndpoint(spec);
   if (!endpoint.ok()) {
     std::fprintf(stderr, "bad --connect endpoint: %s\n",
@@ -224,39 +296,26 @@ int RunConnect(const std::string& spec, const rel::Relation& r,
               runtime::IndexTierName(
                   static_cast<runtime::IndexTier>(opened->index_tier)),
               static_cast<unsigned long long>(opened->session_id));
-  std::printf("Label each proposed pairing: y = belongs to your join, "
-              "n = does not, q = stop.\n");
-
-  while (true) {
-    auto q = client->NextQuestion();
-    if (!q.ok()) {
-      std::fprintf(stderr, "question failed: %s\n",
-                   q.status().ToString().c_str());
-      return 1;
-    }
-    if (q->finished != 0) {
-      std::printf("\nNo informative tuples left — the query is determined "
-                  "on this data.\n");
-      break;
-    }
-    std::printf("\nQuestion %llu:\n  %s\n  %s\nIn your join? [y/n/q] ",
-                static_cast<unsigned long long>(q->question_index + 1),
-                q->r_text.c_str(), q->p_text.c_str());
-    std::fflush(stdout);
-    std::string answer;
-    if (!std::getline(std::cin, answer)) break;
-    if (answer == "q" || answer == "Q") break;
-    const bool positive =
-        answer == "y" || answer == "Y" || answer == "yes";
-    auto applied = client->Answer(positive);
-    if (!applied.ok()) {
-      std::printf("That answer contradicts your earlier ones: %s\n",
-                  applied.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("  current hypothesis: %s\n",
-                applied->predicate_text.c_str());
-  }
+  const bool asked = AskQuestions(
+      r, p, *omega, deadline_ms,
+      [&]() -> util::Result<Question> {
+        JINFER_ASSIGN_OR_RETURN(server::QuestionBody q,
+                                client->NextQuestion());
+        // The row numbers come off the wire: never index past our data.
+        if (q.finished == 0 &&
+            (q.rep_r >= r.num_rows() || q.rep_p >= p.num_rows())) {
+          return util::Status::ParseError(
+              "question names a row outside the uploaded relations");
+        }
+        return Question{q.finished != 0, q.rep_r, q.rep_p};
+      },
+      [&](core::Label label) -> util::Result<core::JoinPredicate> {
+        JINFER_ASSIGN_OR_RETURN(
+            server::AnswerOkBody ok,
+            client->Answer(label == core::Label::kPositive));
+        return server::PredicateFromWords(ok.predicate_words);
+      });
+  if (!asked) return 1;
 
   auto closed = client->CloseSession();
   if (!closed.ok()) {
@@ -265,7 +324,9 @@ int RunConnect(const std::string& spec, const rel::Relation& r,
     return 1;
   }
   std::printf("\nInferred join predicate: %s (%llu interaction(s))\n",
-              closed->predicate_text.c_str(),
+              omega->Format(server::PredicateFromWords(
+                                closed->predicate_words))
+                  .c_str(),
               static_cast<unsigned long long>(closed->num_interactions));
   if (metrics_dump) {
     auto metrics = client->ServerMetrics();
@@ -360,7 +421,8 @@ int main(int argc, char** argv) {
   }
 
   if (!connect_spec.empty()) {
-    return RunConnect(connect_spec, r, p, strategy_name, metrics_dump);
+    return RunConnect(connect_spec, r, p, strategy_name, deadline_ms,
+                      metrics_dump);
   }
 
   runtime::IndexCacheOptions cache_options;
@@ -393,60 +455,19 @@ int main(int argc, char** argv) {
               runtime::IndexTierName(tiered->tier),
               util::simd::KernelBackendName(
                   util::simd::ActiveKernelBackend()));
-  std::printf("Label each proposed pairing: y = belongs to your join, "
-              "n = does not, q = stop.\n");
-  if (deadline_ms > 0) {
-    std::printf("Session deadline: %ld ms.\n", deadline_ms);
-  }
-
-  const util::Deadline deadline =
-      util::Deadline::After(std::chrono::milliseconds(deadline_ms));
-  bool cancelled = false;
-  while (std::optional<core::ClassId> next = session.NextQuestion()) {
-    if (g_interrupted || deadline.expired()) {
-      cancelled = true;
-      break;
-    }
-    const core::SignatureClass& cls = session.index().cls(*next);
-    std::printf("\nQuestion %zu:\n", session.num_interactions() + 1);
-    PrintTuple(r, p, cls.rep_r, cls.rep_p);
-    std::printf("In your join? [y/n/q] ");
-    std::fflush(stdout);
-
-    std::string answer;
-    if (!std::getline(std::cin, answer)) {
-      // EOF, or EINTR from Ctrl-C (no SA_RESTART): stop cleanly either way
-      // and keep every answer already given.
-      if (g_interrupted || errno == EINTR) cancelled = true;
-      break;
-    }
-    if (g_interrupted || deadline.expired()) {
-      cancelled = true;
-      break;
-    }
-    if (answer == "q" || answer == "Q") break;
-    core::Label label = (answer == "y" || answer == "Y" || answer == "yes")
-                            ? core::Label::kPositive
-                            : core::Label::kNegative;
-    util::Status st = session.Answer(label);
-    if (!st.ok()) {
-      std::printf("That answer contradicts your earlier ones: %s\n",
-                  st.ToString().c_str());
-      return 1;
-    }
-    std::printf("  current hypothesis: %s\n",
-                session.index().omega().Format(
-                    session.CurrentPredicate()).c_str());
-  }
-  if (cancelled) {
-    std::printf("\n%s after %zu answered question(s); the hypothesis below "
-                "reflects every answer so far.\n",
-                g_interrupted ? "Interrupted" : "Deadline reached",
-                session.num_interactions());
-  } else if (session.Finished()) {
-    std::printf("\nNo informative tuples left — the query is determined "
-                "on this data.\n");
-  }
+  const bool asked = AskQuestions(
+      r, p, session.index().omega(), deadline_ms,
+      [&]() -> util::Result<Question> {
+        const std::optional<core::ClassId> next = session.NextQuestion();
+        if (!next.has_value()) return Question{.finished = true};
+        const core::SignatureClass& cls = session.index().cls(*next);
+        return Question{false, cls.rep_r, cls.rep_p};
+      },
+      [&](core::Label label) -> util::Result<core::JoinPredicate> {
+        JINFER_RETURN_NOT_OK(session.Answer(label));
+        return session.CurrentPredicate();
+      });
+  if (!asked) return 1;
 
   std::printf("\nInferred join predicate: %s\n",
               session.index().omega().Format(

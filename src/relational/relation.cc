@@ -83,5 +83,16 @@ std::string Relation::ToString(size_t max_rows) const {
   return os.str();
 }
 
+std::string Relation::FormatRow(size_t i) const {
+  std::string out = schema_.relation_name() + ": ";
+  for (size_t c = 0; c < num_attributes(); ++c) {
+    if (c) out += ", ";
+    out += schema_.attribute_names()[c];
+    out += '=';
+    out += table_.ValueAt(i, c).ToString();
+  }
+  return out;
+}
+
 }  // namespace rel
 }  // namespace jinfer

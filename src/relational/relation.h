@@ -74,6 +74,10 @@ class Relation {
   /// rows; 0 means all).
   std::string ToString(size_t max_rows = 0) const;
 
+  /// Formats row `i` on one line as "Name: attr=value, attr=value" — how
+  /// a question presents a tuple to its user (NULL prints as nothing).
+  std::string FormatRow(size_t i) const;
+
  private:
   util::Status AppendRowSpan(std::span<const Value> row);
 

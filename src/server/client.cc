@@ -154,15 +154,6 @@ util::Result<CloseOkBody> Client::CloseSession() {
   return ok;
 }
 
-util::Result<StatsOkBody> Client::ServerStats() {
-  JINFER_ASSIGN_OR_RETURN(
-      Frame response, RoundTrip(FrameType::kStats, Encode(StatsBody{})));
-  if (response.type != FrameType::kStatsOk) {
-    return WrongResponse(response.type, FrameType::kStatsOk);
-  }
-  return DecodeStatsOk(response.payload);
-}
-
 util::Result<MetricsOkBody> Client::ServerMetrics() {
   JINFER_ASSIGN_OR_RETURN(
       Frame response, RoundTrip(FrameType::kMetrics, Encode(MetricsBody{})));

@@ -66,9 +66,6 @@ class Client {
   /// count. Clears the remembered session id.
   util::Result<CloseOkBody> CloseSession();
 
-  /// The server's counters (no session required).
-  util::Result<StatsOkBody> ServerStats();
-
   /// The server's full Prometheus text exposition (no session required).
   util::Result<MetricsOkBody> ServerMetrics();
 

@@ -14,7 +14,6 @@ bool IsRequestType(uint8_t type) {
     case FrameType::kNextQuestion:
     case FrameType::kAnswer:
     case FrameType::kCloseSession:
-    case FrameType::kStats:
     case FrameType::kMetrics:
       return true;
     default:
@@ -29,7 +28,6 @@ bool IsKnownFrameType(uint8_t type) {
     case FrameType::kQuestion:
     case FrameType::kAnswerOk:
     case FrameType::kCloseOk:
-    case FrameType::kStatsOk:
     case FrameType::kError:
     case FrameType::kMetricsOk:
       return true;
@@ -44,13 +42,11 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kNextQuestion: return "NextQuestion";
     case FrameType::kAnswer: return "Answer";
     case FrameType::kCloseSession: return "CloseSession";
-    case FrameType::kStats: return "Stats";
     case FrameType::kMetrics: return "Metrics";
     case FrameType::kOpenOk: return "OpenOk";
     case FrameType::kQuestion: return "Question";
     case FrameType::kAnswerOk: return "AnswerOk";
     case FrameType::kCloseOk: return "CloseOk";
-    case FrameType::kStatsOk: return "StatsOk";
     case FrameType::kError: return "Error";
     case FrameType::kMetricsOk: return "MetricsOk";
   }

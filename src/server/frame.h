@@ -41,7 +41,9 @@ namespace jinfer {
 namespace server {
 
 inline constexpr uint32_t kFrameMagic = 0x4d52464a;  // "JFRM" on LE.
-inline constexpr uint8_t kProtocolVersion = 1;
+/// A peer on any other version gets a typed ParseError; there is no
+/// fallback path.
+inline constexpr uint8_t kProtocolVersion = 2;
 
 /// Hard ceiling on a frame payload. OpenSession carries CSV text, so the
 /// bound is generous; anything larger is a protocol error by definition
@@ -57,14 +59,12 @@ enum class FrameType : uint8_t {
   kNextQuestion = 0x02,
   kAnswer = 0x03,
   kCloseSession = 0x04,
-  kStats = 0x05,
   kMetrics = 0x06,
   // Server → client.
   kOpenOk = 0x41,
   kQuestion = 0x42,
   kAnswerOk = 0x43,
   kCloseOk = 0x44,
-  kStatsOk = 0x45,
   kError = 0x46,
   kMetricsOk = 0x47,
 };
@@ -134,8 +134,9 @@ class WireWriter {
   void AppendLe(const void* p, size_t n) {
     // The library already commits to little-endian hosts (store layer
     // refuses foreign byte order), so a memcpy IS the LE encoding.
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    bytes_.insert(bytes_.end(), b, b + n);
+    const size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, p, n);
   }
 
   std::vector<uint8_t> bytes_;

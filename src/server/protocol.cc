@@ -3,8 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "util/string_util.h"
-
 namespace jinfer {
 namespace server {
 
@@ -111,9 +109,8 @@ std::vector<uint8_t> Encode(const QuestionBody& body) {
   w.U8(body.finished);
   w.U64(body.question_index);
   w.U32(body.class_id);
-  w.Str(body.r_text);
-  w.Str(body.p_text);
-  w.Str(body.predicate_text);
+  w.U32(body.rep_r);
+  w.U32(body.rep_p);
   PutWords(w, body.predicate_words);
   return std::move(w).Take();
 }
@@ -125,9 +122,8 @@ util::Result<QuestionBody> DecodeQuestion(std::span<const uint8_t> payload) {
   JINFER_ASSIGN_OR_RETURN(body.finished, r.U8());
   JINFER_ASSIGN_OR_RETURN(body.question_index, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.class_id, r.U32());
-  JINFER_ASSIGN_OR_RETURN(body.r_text, r.Str());
-  JINFER_ASSIGN_OR_RETURN(body.p_text, r.Str());
-  JINFER_ASSIGN_OR_RETURN(body.predicate_text, r.Str());
+  JINFER_ASSIGN_OR_RETURN(body.rep_r, r.U32());
+  JINFER_ASSIGN_OR_RETURN(body.rep_p, r.U32());
   JINFER_RETURN_NOT_OK(GetWords(r, body.predicate_words));
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
@@ -152,7 +148,6 @@ util::Result<AnswerBody> DecodeAnswer(std::span<const uint8_t> payload) {
 std::vector<uint8_t> Encode(const AnswerOkBody& body) {
   WireWriter w;
   w.U64(body.session_id);
-  w.Str(body.predicate_text);
   PutWords(w, body.predicate_words);
   return std::move(w).Take();
 }
@@ -161,7 +156,6 @@ util::Result<AnswerOkBody> DecodeAnswerOk(std::span<const uint8_t> payload) {
   WireReader r(payload);
   AnswerOkBody body;
   JINFER_ASSIGN_OR_RETURN(body.session_id, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.predicate_text, r.Str());
   JINFER_RETURN_NOT_OK(GetWords(r, body.predicate_words));
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
@@ -186,7 +180,6 @@ std::vector<uint8_t> Encode(const CloseOkBody& body) {
   WireWriter w;
   w.U64(body.session_id);
   w.U64(body.num_interactions);
-  w.Str(body.predicate_text);
   PutWords(w, body.predicate_words);
   return std::move(w).Take();
 }
@@ -196,61 +189,7 @@ util::Result<CloseOkBody> DecodeCloseOk(std::span<const uint8_t> payload) {
   CloseOkBody body;
   JINFER_ASSIGN_OR_RETURN(body.session_id, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.num_interactions, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.predicate_text, r.Str());
   JINFER_RETURN_NOT_OK(GetWords(r, body.predicate_words));
-  JINFER_RETURN_NOT_OK(r.Finish());
-  return body;
-}
-
-std::vector<uint8_t> Encode(const StatsBody&) { return {}; }
-
-util::Result<StatsBody> DecodeStats(std::span<const uint8_t> payload) {
-  WireReader r(payload);
-  JINFER_RETURN_NOT_OK(r.Finish());
-  return StatsBody{};
-}
-
-std::vector<uint8_t> Encode(const StatsOkBody& body) {
-  WireWriter w;
-  w.U32(body.version);
-  w.U64(body.connections_accepted);
-  w.U64(body.connections_open);
-  w.U64(body.sessions_opened);
-  w.U64(body.sessions_open);
-  w.U64(body.sessions_completed);
-  w.U64(body.sessions_aborted);
-  w.U64(body.sessions_shed);
-  w.U64(body.frames_read);
-  w.U64(body.frames_written);
-  w.U64(body.protocol_errors);
-  w.U64(body.deadline_closes);
-  w.U64(body.cache_hits);
-  w.U64(body.cache_builds);
-  return std::move(w).Take();
-}
-
-util::Result<StatsOkBody> DecodeStatsOk(std::span<const uint8_t> payload) {
-  WireReader r(payload);
-  StatsOkBody body;
-  JINFER_ASSIGN_OR_RETURN(body.version, r.U32());
-  if (body.version != kStatsOkVersion) {
-    return util::Status::ParseError(util::StrFormat(
-        "unsupported StatsOk payload version %u (this build speaks %u)",
-        body.version, kStatsOkVersion));
-  }
-  JINFER_ASSIGN_OR_RETURN(body.connections_accepted, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.connections_open, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_opened, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_open, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_completed, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_aborted, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.sessions_shed, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.frames_read, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.frames_written, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.protocol_errors, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.deadline_closes, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.cache_hits, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.cache_builds, r.U64());
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
 }

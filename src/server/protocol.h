@@ -6,8 +6,10 @@
 // instance (the client uploads both relations as CSV text — the server
 // fingerprints them, so repeated opens of the same data share one index
 // through the tiered IndexCache), NextQuestion returns the strategy's pick
-// as a class id plus the representative tuple pair rendered server-side,
-// Answer applies one label, CloseSession returns the final predicate.
+// as a class id plus its representative row numbers in R and P, Answer
+// applies one label, CloseSession returns the final predicate. Hypotheses
+// travel as raw predicate words. The client holds R and P, so it renders
+// the tuples and formats the predicate over Ω itself.
 // Session ids are opaque u64 handles drawn from the hosting runtime and
 // validated per connection: a frame naming a session the connection does
 // not own is a protocol error, so one tenant can never touch another's
@@ -41,7 +43,7 @@ struct OpenSessionBody {
   std::string strategy;  ///< Paper abbreviation: BU, TD, L1S, L2S, RND, EG.
   uint64_t seed = 0;     ///< RNG seed (only the RND strategy consumes it).
   uint8_t compress = 1;  ///< Build the index with signature compression.
-  std::string r_name, p_name;  ///< Relation names for rendering.
+  std::string r_name, p_name;  ///< Relation names (fingerprinted).
   std::string r_csv, p_csv;    ///< The instance, as CSV text.
 };
 
@@ -61,10 +63,8 @@ struct QuestionBody {
   uint8_t finished = 0;  ///< 1: no question follows, the session is done.
   uint64_t question_index = 0;  ///< 0-based interaction number.
   uint32_t class_id = 0;
-  std::string r_text, p_text;  ///< Representative tuple pair, rendered.
-  /// Current hypothesis T(S+): the Ω-formatted string plus the raw
-  /// predicate words (for bit-exact transcript comparison client-side).
-  std::string predicate_text;
+  uint32_t rep_r = 0, rep_p = 0;  ///< The class's representative rows.
+  /// Current hypothesis T(S+) (PredicateFromWords).
   uint64_t predicate_words[4] = {0, 0, 0, 0};
 };
 
@@ -75,7 +75,6 @@ struct AnswerBody {
 
 struct AnswerOkBody {
   uint64_t session_id = 0;
-  std::string predicate_text;
   uint64_t predicate_words[4] = {0, 0, 0, 0};
 };
 
@@ -86,36 +85,7 @@ struct CloseSessionBody {
 struct CloseOkBody {
   uint64_t session_id = 0;
   uint64_t num_interactions = 0;
-  std::string predicate_text;
   uint64_t predicate_words[4] = {0, 0, 0, 0};
-};
-
-struct StatsBody {};  ///< Stats request carries no fields.
-
-/// StatsOk payload version. v1 carried the bare counters; v2 prefixed the
-/// version word and appended latency-histogram summaries; v3 carries
-/// counters only — histograms travel in full on the kMetrics frame, the
-/// one surface that has them. Decoders reject any other version with
-/// ParseError — an operator tool reading a newer server fails loudly
-/// instead of misparsing.
-inline constexpr uint32_t kStatsOkVersion = 3;
-
-/// Server-wide observability snapshot, the operator's curl-able counters.
-struct StatsOkBody {
-  uint32_t version = kStatsOkVersion;
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_open = 0;
-  uint64_t sessions_completed = 0;
-  uint64_t sessions_aborted = 0;   ///< Dropped with their connection.
-  uint64_t sessions_shed = 0;      ///< Refused by admission control.
-  uint64_t frames_read = 0;
-  uint64_t frames_written = 0;
-  uint64_t protocol_errors = 0;    ///< Malformed frames answered + closed.
-  uint64_t deadline_closes = 0;    ///< Connections closed by a deadline.
-  uint64_t cache_hits = 0;         ///< IndexCache memory-tier hits.
-  uint64_t cache_builds = 0;       ///< Full index builds run.
 };
 
 struct MetricsBody {};  ///< Metrics request carries no fields.
@@ -145,8 +115,6 @@ std::vector<uint8_t> Encode(const AnswerBody& body);
 std::vector<uint8_t> Encode(const AnswerOkBody& body);
 std::vector<uint8_t> Encode(const CloseSessionBody& body);
 std::vector<uint8_t> Encode(const CloseOkBody& body);
-std::vector<uint8_t> Encode(const StatsBody& body);
-std::vector<uint8_t> Encode(const StatsOkBody& body);
 std::vector<uint8_t> Encode(const MetricsBody& body);
 std::vector<uint8_t> Encode(const MetricsOkBody& body);
 std::vector<uint8_t> Encode(const ErrorBody& body);
@@ -162,8 +130,6 @@ util::Result<AnswerOkBody> DecodeAnswerOk(std::span<const uint8_t> payload);
 util::Result<CloseSessionBody> DecodeCloseSession(
     std::span<const uint8_t> payload);
 util::Result<CloseOkBody> DecodeCloseOk(std::span<const uint8_t> payload);
-util::Result<StatsBody> DecodeStats(std::span<const uint8_t> payload);
-util::Result<StatsOkBody> DecodeStatsOk(std::span<const uint8_t> payload);
 util::Result<MetricsBody> DecodeMetrics(std::span<const uint8_t> payload);
 util::Result<MetricsOkBody> DecodeMetricsOk(
     std::span<const uint8_t> payload);

@@ -37,20 +37,6 @@ struct ServerMetrics {
   }
 };
 
-/// "Name: attr=value, attr=value" — the CLI's question rendering, shared
-/// verbatim so the remote UX matches the local one.
-std::string RenderTuple(const rel::Relation& rel, size_t row) {
-  std::string out = rel.schema().relation_name();
-  out += ": ";
-  for (size_t c = 0; c < rel.num_attributes(); ++c) {
-    if (c) out += ", ";
-    out += rel.schema().attribute_names()[c];
-    out += "=";
-    out += rel.at(row, c).ToString();
-  }
-  return out;
-}
-
 /// RETRY_LATER marks refusals the client should simply retry: admission /
 /// queue shedding (kResourceExhausted) and transient faults (kUnavailable).
 uint8_t RetryFlagFor(const util::Status& status) {
@@ -414,8 +400,6 @@ void Server::ApplyCompletions() {
       // worker just opened has no owner — abort it so its cache pin drops.
       if (c.bind == Completion::kBind) {
         (void)manager_.AbortHosted(c.session_id);
-        std::lock_guard<std::mutex> lock(render_mu_);
-        render_.erase(c.session_id);
       }
       continue;
     }
@@ -467,11 +451,7 @@ void Server::CloseConn(int fd, bool abort_session) {
   if (it == conns_.end()) return;
   const uint64_t session = it->second->session_id();
   conns_.erase(it);
-  if (abort_session && session != 0) {
-    (void)manager_.AbortHosted(session);
-    std::lock_guard<std::mutex> lock(render_mu_);
-    render_.erase(session);
-  }
+  if (abort_session && session != 0) (void)manager_.AbortHosted(session);
   counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
 }
 
@@ -538,8 +518,6 @@ Server::Completion Server::HandleFrame(Work work) {
       return HandleAnswer(work);
     case FrameType::kCloseSession:
       return HandleCloseSession(work);
-    case FrameType::kStats:
-      return HandleStats(work);
     case FrameType::kMetrics:
       return HandleMetrics(work);
     default: {
@@ -615,11 +593,6 @@ Server::Completion Server::HandleOpenSession(const Work& work) {
                          RetryFlagFor(session_id.status()));
     return c;
   }
-  {
-    std::lock_guard<std::mutex> lock(render_mu_);
-    render_.emplace(*session_id,
-                    RenderData{std::move(*r), std::move(*p)});
-  }
   // Stamp the hosted id on the session's observability spans so a flight
   // dump can be filtered to this tenant.
   if (auto lease = manager_.AcquireHosted(*session_id); lease.ok()) {
@@ -660,8 +633,6 @@ Server::Completion Server::HandleNextQuestion(const Work& work) {
     if (session.status().code() == util::StatusCode::kNotFound) {
       // Aborted underneath the client: unbind so it may reopen.
       c.bind = Completion::kUnbind;
-      std::lock_guard<std::mutex> lock(render_mu_);
-      render_.erase(body->session_id);
     }
     c.bytes = ErrorFrame(session.status(), 0);
     return c;
@@ -676,14 +647,9 @@ Server::Completion Server::HandleNextQuestion(const Work& work) {
     q.question_index = s.num_interactions();
     q.class_id = *next;
     const core::SignatureClass& cls = s.index().cls(*next);
-    std::lock_guard<std::mutex> lock(render_mu_);
-    auto rd = render_.find(body->session_id);
-    if (rd != render_.end()) {
-      q.r_text = RenderTuple(rd->second.r, cls.rep_r);
-      q.p_text = RenderTuple(rd->second.p, cls.rep_p);
-    }
+    q.rep_r = cls.rep_r;
+    q.rep_p = cls.rep_p;
   }
-  q.predicate_text = s.index().omega().Format(s.CurrentPredicate());
   PredicateToWords(s.CurrentPredicate(), q.predicate_words);
   manager_.ReleaseHosted(body->session_id);
   c.bytes = EncodeFrame(FrameType::kQuestion, Encode(q));
@@ -699,8 +665,6 @@ Server::Completion Server::HandleAnswer(const Work& work) {
   if (!session.ok()) {
     if (session.status().code() == util::StatusCode::kNotFound) {
       c.bind = Completion::kUnbind;
-      std::lock_guard<std::mutex> lock(render_mu_);
-      render_.erase(body->session_id);
     }
     c.bytes = ErrorFrame(session.status(), 0);
     return c;
@@ -718,7 +682,6 @@ Server::Completion Server::HandleAnswer(const Work& work) {
   }
   AnswerOkBody ok;
   ok.session_id = body->session_id;
-  ok.predicate_text = s.index().omega().Format(s.CurrentPredicate());
   PredicateToWords(s.CurrentPredicate(), ok.predicate_words);
   manager_.ReleaseHosted(body->session_id);
   c.bytes = EncodeFrame(FrameType::kAnswerOk, Encode(ok));
@@ -731,14 +694,12 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
       DecodeCloseSession(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) return RejectFrame(std::move(c), body.status());
   JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
-  // Snapshot the result under a lease (the index, and with it the Ω
-  // formatter, dies with the session), then close for real.
+  // Snapshot the result under a lease (the session dies with the close),
+  // then close for real.
   auto session = manager_.AcquireHosted(body->session_id);
   if (!session.ok()) {
     if (session.status().code() == util::StatusCode::kNotFound) {
       c.bind = Completion::kUnbind;
-      std::lock_guard<std::mutex> lock(render_mu_);
-      render_.erase(body->session_id);
     }
     c.bytes = ErrorFrame(session.status(), 0);
     return c;
@@ -747,7 +708,6 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
   CloseOkBody ok;
   ok.session_id = body->session_id;
   ok.num_interactions = s.num_interactions();
-  ok.predicate_text = s.index().omega().Format(s.CurrentPredicate());
   PredicateToWords(s.CurrentPredicate(), ok.predicate_words);
   manager_.ReleaseHosted(body->session_id);
   const auto closed = manager_.CloseHosted(body->session_id);
@@ -756,20 +716,8 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
     // is still the session's final word.
     (void)closed;
   }
-  {
-    std::lock_guard<std::mutex> lock(render_mu_);
-    render_.erase(body->session_id);
-  }
   c.bind = Completion::kUnbind;
   c.bytes = EncodeFrame(FrameType::kCloseOk, Encode(ok));
-  return c;
-}
-
-Server::Completion Server::HandleStats(const Work& work) {
-  Completion c = Base(work);
-  auto body = DecodeStats(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
-  c.bytes = EncodeFrame(FrameType::kStatsOk, Encode(Stats()));
   return c;
 }
 

@@ -46,7 +46,6 @@
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "relational/relation.h"
 #include "runtime/session_manager.h"
 #include "server/connection.h"
 #include "server/frame.h"
@@ -86,6 +85,23 @@ struct ServerOptions {
   runtime::SessionManager::Options runtime;
 };
 
+/// Server::Stats() snapshot: the operator's quick figures.
+struct StatsOkBody {
+  uint64_t connections_accepted = 0;
+  uint64_t connections_open = 0;
+  uint64_t sessions_opened = 0;
+  uint64_t sessions_open = 0;
+  uint64_t sessions_completed = 0;
+  uint64_t sessions_aborted = 0;   ///< Dropped with their connection.
+  uint64_t sessions_shed = 0;      ///< Refused by admission control.
+  uint64_t frames_read = 0;
+  uint64_t frames_written = 0;
+  uint64_t protocol_errors = 0;    ///< Malformed frames answered + closed.
+  uint64_t deadline_closes = 0;    ///< Connections closed by a deadline.
+  uint64_t cache_hits = 0;         ///< IndexCache memory-tier hits.
+  uint64_t cache_builds = 0;       ///< Full index builds run.
+};
+
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -114,8 +130,9 @@ class Server {
   /// a drain or stop, an error if the event loop died on its own).
   util::Status Wait();
 
-  /// Point-in-time counters — the same snapshot a kStats frame returns,
-  /// read from the server's and its manager's own counter cells.
+  /// Point-in-time counters for in-process callers (the CLI's drain
+  /// banner, benches, tests), read from the server's and its manager's own
+  /// counter cells. Remote callers read the same cells on kMetrics.
   StatsOkBody Stats();
 
   /// The hosted runtime (tests reach in for leak/pin assertions).
@@ -144,12 +161,6 @@ class Server {
     uint64_t session_id = 0;  ///< For kBind (aborted if the conn is gone).
   };
 
-  /// What a hosted session needs to render questions: the uploaded
-  /// relations (the index stores codes, not values).
-  struct RenderData {
-    rel::Relation r, p;
-  };
-
   void EventLoop();
   void WorkerLoop();
 
@@ -171,7 +182,6 @@ class Server {
   Completion HandleNextQuestion(const Work& work);
   Completion HandleAnswer(const Work& work);
   Completion HandleCloseSession(const Work& work);
-  Completion HandleStats(const Work& work);
   Completion HandleMetrics(const Work& work);
 
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
@@ -209,10 +219,6 @@ class Server {
 
   std::mutex done_mu_;
   std::deque<Completion> done_;
-
-  // Rendering context per hosted session (workers, under render_mu_).
-  std::mutex render_mu_;
-  std::unordered_map<uint64_t, RenderData> render_;
 
   /// Server-level counters (event thread + workers) and the gauges the
   /// event thread refreshes — each cell the only store of its figure,

@@ -61,6 +61,15 @@ TEST(RelationTest, ToStringTruncates) {
   EXPECT_NE(s.find("7 more rows"), std::string::npos);
 }
 
+TEST(RelationTest, FormatRowPinsTheQuestionFormat) {
+  // The one tuple renderer behind both CLI modes: an int, a NULL (empty)
+  // and a string with a comma, printed verbatim (no CSV quoting).
+  auto r = Relation::Make("Flight", {"Id", "Gate", "Route"},
+                          {{7, Value(), "Paris, Lille"}});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->FormatRow(0), "Flight: Id=7, Gate=, Route=Paris, Lille");
+}
+
 }  // namespace
 }  // namespace rel
 }  // namespace jinfer

@@ -7,6 +7,7 @@
 #include "server/frame.h"
 
 #include <cstring>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -65,8 +66,8 @@ TEST(FrameCodecTest, RoundTripsRandomPayloadsAtEverySize) {
 }
 
 TEST(FrameCodecTest, RoundTripsEveryFrameType) {
-  for (uint8_t type : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x41, 0x42, 0x43,
-                       0x44, 0x45, 0x46, 0x47}) {
+  for (uint8_t type :
+       {0x01, 0x02, 0x03, 0x04, 0x06, 0x41, 0x42, 0x43, 0x44, 0x46, 0x47}) {
     const std::vector<uint8_t> payload = {1, 2, 3};
     const std::vector<uint8_t> wire =
         EncodeFrame(static_cast<FrameType>(type), payload);
@@ -81,12 +82,15 @@ TEST(FrameCodecTest, RoundTripsEveryFrameType) {
   EXPECT_FALSE(IsRequestType(0x41));
   EXPECT_FALSE(IsRequestType(0x00));
   EXPECT_FALSE(IsKnownFrameType(0x7f));
+  // v1's stats pair is gone from v2.
+  EXPECT_FALSE(IsKnownFrameType(0x05));
+  EXPECT_FALSE(IsKnownFrameType(0x45));
 }
 
 // --- The malformed-frame corpus --------------------------------------------
 
 TEST(FrameCodecTest, RejectsBadMagic) {
-  auto wire = EncodeFrame(FrameType::kStats, {});
+  auto wire = EncodeFrame(FrameType::kMetrics, {});
   FrameHeader header = HeaderOf(wire);
   header.magic = 0xdeadbeef;
   wire = WithHeader(header, wire);
@@ -99,19 +103,27 @@ TEST(FrameCodecTest, RejectsBadMagic) {
 }
 
 TEST(FrameCodecTest, RejectsUnsupportedVersion) {
-  auto wire = EncodeFrame(FrameType::kStats, {});
-  FrameHeader header = HeaderOf(wire);
-  header.version = 99;
-  wire = WithHeader(header, wire);
-  auto decoded = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
+  EXPECT_EQ(kProtocolVersion, 2);
+  // Version 1 is the previous wire, not a fallback.
+  for (uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+    auto wire = EncodeFrame(FrameType::kMetrics, {});
+    FrameHeader header = HeaderOf(wire);
+    header.version = version;
+    wire = WithHeader(header, wire);
+    auto decoded = DecodeFrameHeader(
+        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
+        kMaxFramePayload);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
+    EXPECT_NE(decoded.status().ToString().find(
+                  "unsupported protocol version " + std::to_string(version)),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(FrameCodecTest, RejectsUnknownType) {
-  auto wire = EncodeFrame(FrameType::kStats, {});
+  auto wire = EncodeFrame(FrameType::kMetrics, {});
   FrameHeader header = HeaderOf(wire);
   header.type = 0x33;
   wire = WithHeader(header, wire);
@@ -265,30 +277,22 @@ TEST(ProtocolTest, RoundTripsQuestionWithPredicateWords) {
   body.finished = 0;
   body.question_index = 7;
   body.class_id = 3;
-  body.r_text = "R: A=1";
-  body.p_text = "P: B=2";
-  body.predicate_text = "{(A1,B2)}";
+  body.rep_r = 11;
+  body.rep_p = 0xfffffffeu;
   body.predicate_words[0] = 0x8000000000000001ULL;
   body.predicate_words[3] = 0xf0f0f0f0f0f0f0f0ULL;
   auto decoded = DecodeQuestion(Encode(body));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->session_id, 42u);
+  EXPECT_EQ(decoded->question_index, 7u);
   EXPECT_EQ(decoded->class_id, 3u);
+  EXPECT_EQ(decoded->rep_r, 11u);
+  EXPECT_EQ(decoded->rep_p, 0xfffffffeu);
   EXPECT_EQ(decoded->predicate_words[0], body.predicate_words[0]);
   EXPECT_EQ(decoded->predicate_words[3], body.predicate_words[3]);
 }
 
-TEST(ProtocolTest, RoundTripsStatsAndError) {
-  StatsOkBody stats;
-  stats.connections_accepted = 1;
-  stats.frames_read = 99;
-  stats.deadline_closes = 3;
-  auto s = DecodeStatsOk(Encode(stats));
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->connections_accepted, 1u);
-  EXPECT_EQ(s->frames_read, 99u);
-  EXPECT_EQ(s->deadline_closes, 3u);
-
+TEST(ProtocolTest, RoundTripsError) {
   ErrorBody err;
   err.code = static_cast<uint32_t>(util::StatusCode::kResourceExhausted);
   err.flags = kErrorFlagRetryLater;
@@ -298,36 +302,6 @@ TEST(ProtocolTest, RoundTripsStatsAndError) {
   EXPECT_EQ(e->code, err.code);
   EXPECT_EQ(e->flags, kErrorFlagRetryLater);
   EXPECT_EQ(e->message, err.message);
-}
-
-TEST(ProtocolTest, StatsOkV3CarriesCountersOnly) {
-  // The version word plus 13 u64 counters — histograms ride the kMetrics
-  // frame, and anything after the counters is a framing error.
-  StatsOkBody stats;
-  stats.cache_builds = 5;
-  auto wire = Encode(stats);
-  EXPECT_EQ(kStatsOkVersion, 3u);
-  EXPECT_EQ(wire.size(), 4u + 13u * 8u);
-  auto decoded = DecodeStatsOk(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->version, kStatsOkVersion);
-  EXPECT_EQ(decoded->cache_builds, 5u);
-  wire.push_back(0);
-  EXPECT_FALSE(DecodeStatsOk(wire).ok());
-}
-
-TEST(ProtocolTest, StatsOkDecoderRejectsOtherVersions) {
-  // The version word leads the payload, little-endian. A v2 reply (with its
-  // histogram summaries) or a future v4 must fail loudly, not misparse as
-  // shifted counters.
-  for (uint8_t version : {uint8_t{2}, uint8_t{4}}) {
-    auto wire = Encode(StatsOkBody{});
-    wire[0] = version;
-    auto decoded = DecodeStatsOk(wire);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
-    EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
-  }
 }
 
 TEST(ProtocolTest, RoundTripsMetricsOkText) {
@@ -342,17 +316,57 @@ TEST(ProtocolTest, RoundTripsMetricsOkText) {
 }
 
 TEST(ProtocolTest, DecodersRejectTruncatedAndTrailingBytes) {
-  const auto full = Encode(CloseSessionBody{42});
-  // Truncated at every prefix length.
-  for (size_t n = 0; n < full.size(); ++n) {
-    auto decoded =
-        DecodeCloseSession(std::span<const uint8_t>(full.data(), n));
-    EXPECT_FALSE(decoded.ok()) << "prefix " << n;
+  // Every body, with each field present: its decoder accepts the encoding
+  // and rejects every strict prefix of it and one trailing byte.
+  OpenSessionBody open;
+  open.strategy = "TD";
+  open.r_name = "R";
+  open.p_name = "P";
+  open.r_csv = "A\n1\n";
+  open.p_csv = "B\n1\n";
+  QuestionBody question;
+  question.session_id = 42;
+  question.rep_r = 1;
+  question.rep_p = 2;
+  ErrorBody error;
+  error.message = "refused";
+  MetricsOkBody metrics_ok;
+  metrics_ok.text = "x 1\n";
+
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> wire;
+    std::function<bool(std::span<const uint8_t>)> decodes;
+  };
+  auto ok = [](auto decode) {
+    return [decode](std::span<const uint8_t> bytes) {
+      return decode(bytes).ok();
+    };
+  };
+  const std::vector<Case> cases = {
+      {"OpenSession", Encode(open), ok(DecodeOpenSession)},
+      {"OpenOk", Encode(OpenOkBody{42, 3, 9, 1}), ok(DecodeOpenOk)},
+      {"NextQuestion", Encode(NextQuestionBody{42}), ok(DecodeNextQuestion)},
+      {"Question", Encode(question), ok(DecodeQuestion)},
+      {"Answer", Encode(AnswerBody{42, 1}), ok(DecodeAnswer)},
+      {"AnswerOk", Encode(AnswerOkBody{42}), ok(DecodeAnswerOk)},
+      {"CloseSession", Encode(CloseSessionBody{42}), ok(DecodeCloseSession)},
+      {"CloseOk", Encode(CloseOkBody{42, 5}), ok(DecodeCloseOk)},
+      {"Metrics", Encode(MetricsBody{}), ok(DecodeMetrics)},
+      {"MetricsOk", Encode(metrics_ok), ok(DecodeMetricsOk)},
+      {"Error", Encode(error), ok(DecodeError)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.decodes(c.wire));
+    for (size_t n = 0; n < c.wire.size(); ++n) {
+      EXPECT_FALSE(c.decodes(std::span<const uint8_t>(c.wire.data(), n)))
+          << "prefix " << n;
+    }
+    std::vector<uint8_t> extra = c.wire;
+    extra.push_back(0);
+    EXPECT_FALSE(c.decodes(extra));
   }
-  // One trailing byte.
-  auto extra = full;
-  extra.push_back(0);
-  EXPECT_FALSE(DecodeCloseSession(extra).ok());
 }
 
 TEST(ProtocolTest, PredicateWordsRoundTrip) {

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "core/oracle.h"
 #include "core/signature_index.h"
 #include "core/strategy.h"
+#include "obs/metric_names.h"
 #include "relational/csv.h"
 #include "runtime/session.h"
 #include "server/client.h"
@@ -101,6 +103,11 @@ void ExpectRemoteMatchesLocal(Client& client, const Instance& inst,
     ASSERT_TRUE(local_q.has_value())
         << "local finished but remote asked a question";
     EXPECT_EQ(question->class_id, *local_q) << "step " << steps;
+    // The rows the client renders are the local index's representatives.
+    EXPECT_EQ(question->rep_r, local_index->cls(*local_q).rep_r)
+        << "step " << steps;
+    EXPECT_EQ(question->rep_p, local_index->cls(*local_q).rep_p)
+        << "step " << steps;
     EXPECT_EQ(PredicateFromWords(question->predicate_words),
               local.CurrentPredicate())
         << "hypothesis diverged at step " << steps;
@@ -221,10 +228,10 @@ TEST(ServerTest, FullWorkQueueShedsWithoutClosing) {
 
   Client client = ConnectTo(*server);
   for (int attempt = 0; attempt < 3; ++attempt) {
-    auto stats = client.ServerStats();
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.status().code(), util::StatusCode::kResourceExhausted);
-    EXPECT_TRUE(RetryLater(stats.status()));
+    auto metrics = client.ServerMetrics();
+    ASSERT_FALSE(metrics.ok());
+    EXPECT_EQ(metrics.status().code(), util::StatusCode::kResourceExhausted);
+    EXPECT_TRUE(RetryLater(metrics.status()));
     // The connection survives each shed — the next attempt reuses it.
   }
 }
@@ -300,7 +307,7 @@ TEST(ServerTest, MalformedFramesGetTypedErrorThenClose) {
 
   // Bad magic.
   {
-    auto wire = EncodeFrame(FrameType::kStats, {});
+    auto wire = EncodeFrame(FrameType::kMetrics, {});
     uint32_t magic = 0x12345678;
     std::memcpy(wire.data(), &magic, sizeof(magic));
     ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
@@ -333,9 +340,23 @@ TEST(ServerTest, MalformedFramesGetTypedErrorThenClose) {
     auto wire = EncodeFrame(FrameType::kAnswer, junk);
     ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
   }
+  // A v1 header: the version bump has no fallback path.
+  {
+    auto wire = EncodeFrame(FrameType::kMetrics, {});
+    FrameHeader header;
+    std::memcpy(&header, wire.data(), sizeof(header));
+    header.version = 1;
+    std::memcpy(wire.data(), &header, sizeof(header));
+    ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
+  }
+  // v1's stats request and reply type bytes are unassigned in v2.
+  for (uint8_t type : {uint8_t{0x05}, uint8_t{0x45}}) {
+    auto wire = EncodeFrame(static_cast<FrameType>(type), {});
+    ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
+  }
 
   StatsOkBody stats = server->Stats();
-  EXPECT_GE(stats.protocol_errors, 5u);
+  EXPECT_GE(stats.protocol_errors, 8u);
 }
 
 TEST(ServerTest, MidFrameEofIsAProtocolErrorNotAHang) {
@@ -488,16 +509,34 @@ TEST(ServerTest, DrainDeadlineForcesStragglersOut) {
   EXPECT_TRUE(server->Wait().ok());
 }
 
-// --- Stats ------------------------------------------------------------------
+// --- Metrics ----------------------------------------------------------------
 
-TEST(ServerTest, StatsFrameReportsCounters) {
+/// The value of the unlabelled sample `name` in a Prometheus exposition.
+uint64_t SampleOf(const std::string& text, const char* name) {
+  const std::string key = std::string("\n") + name + " ";
+  const size_t at = text.find(key);
+  JINFER_CHECK(at != std::string::npos, "no sample %s", name);
+  return std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(ServerTest, MetricsFrameReportsCounterDeltas) {
+  // The registry series are process-wide (earlier servers in this binary
+  // retired their totals into them), so compare two scrapes.
   auto server = StartServer(ServerOptions{});
   Client client = ConnectTo(*server);
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->connections_accepted, 1u);
-  EXPECT_EQ(stats->connections_open, 1u);
-  EXPECT_GE(stats->frames_read, 1u);
+  auto before = client.ServerMetrics();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  Client second = ConnectTo(*server);
+  auto after = second.ServerMetrics();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto delta = [&](const char* name) {
+    return SampleOf(after->text, name) - SampleOf(before->text, name);
+  };
+  EXPECT_EQ(delta(obs::kServerConnectionsAcceptedTotal), 1u);
+  EXPECT_EQ(delta(obs::kServerFramesReadTotal), 1u);
+  EXPECT_EQ(delta(obs::kServerFramesWrittenTotal), 1u);
+  EXPECT_EQ(delta(obs::kServerProtocolErrorsTotal), 0u);
 }
 
 TEST(ServerTest, HistogramsTravelOnlyOnTheMetricsFrame) {
@@ -512,12 +551,7 @@ TEST(ServerTest, HistogramsTravelOnlyOnTheMetricsFrame) {
   auto question = client.NextQuestion();
   ASSERT_TRUE(question.ok()) << question.status().ToString();
 
-  // StatsOk is counters only...
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->version, kStatsOkVersion);
-  EXPECT_GE(stats->frames_read, 3u);
-  // ...and the execute-latency histogram arrives in full on kMetrics.
+  // The execute-latency histogram arrives in full on kMetrics.
   auto metrics = client.ServerMetrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_NE(
