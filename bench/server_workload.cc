@@ -10,7 +10,7 @@
 // sessions (the tenant retries with a fresh one), but any divergence in a
 // COMPLETED transcript is corruption and exits 1. The run finishes with a
 // graceful drain and verifies nothing leaked: zero open connections, zero
-// hosted sessions.
+// open sessions, and every opened session ended exactly once.
 //
 //   server_workload [--connections=N] [--sessions=N] [--workers=N] [--chaos]
 //
@@ -220,6 +220,16 @@ int Run(const Config& config) {
                  "connection(s) still open)\n",
                  static_cast<unsigned long long>(stats.sessions_open),
                  static_cast<unsigned long long>(stats.connections_open));
+    rc = 1;
+  }
+  if (stats.sessions_opened !=
+      stats.sessions_completed + stats.sessions_aborted) {
+    std::fprintf(stderr,
+                 "FAIL: %llu session(s) opened, but %llu closed + %llu "
+                 "aborted\n",
+                 static_cast<unsigned long long>(stats.sessions_opened),
+                 static_cast<unsigned long long>(stats.sessions_completed),
+                 static_cast<unsigned long long>(stats.sessions_aborted));
     rc = 1;
   }
   if (rc == 0) {

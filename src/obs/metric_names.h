@@ -51,7 +51,7 @@ inline constexpr char kCacheBackoffArmsTotal[] =
 inline constexpr char kCacheProbeNanos[] = "jinfer_cache_probe_nanos";
 inline constexpr char kCacheBuildNanos[] = "jinfer_cache_build_nanos";
 
-// --- manager: SessionManager batch + hosted lifecycle --------------------
+// --- manager: SessionManager batch runs (runtime/session_manager.cc) -----
 inline constexpr char kManagerCompletedTotal[] =
     "jinfer_manager_completed_total";
 inline constexpr char kManagerFailedTotal[] = "jinfer_manager_failed_total";
@@ -62,14 +62,6 @@ inline constexpr char kManagerFactoryRetriesTotal[] =
     "jinfer_manager_factory_retries_total";
 inline constexpr char kManagerSliceFaultsTotal[] =
     "jinfer_manager_slice_faults_total";
-inline constexpr char kManagerHostedOpenedTotal[] =
-    "jinfer_manager_hosted_opened_total";
-inline constexpr char kManagerHostedClosedTotal[] =
-    "jinfer_manager_hosted_closed_total";
-inline constexpr char kManagerHostedAbortedTotal[] =
-    "jinfer_manager_hosted_aborted_total";
-inline constexpr char kManagerHostedShedTotal[] =
-    "jinfer_manager_hosted_shed_total";
 
 // --- session: the step API (runtime/session.cc) --------------------------
 inline constexpr char kSessionQuestionNanos[] =
@@ -100,6 +92,14 @@ inline constexpr char kServerDeadlineClosesTotal[] =
     "jinfer_server_deadline_closes_total";
 inline constexpr char kServerWorkShedTotal[] =
     "jinfer_server_work_shed_total";
+inline constexpr char kServerSessionsOpenedTotal[] =
+    "jinfer_server_sessions_opened_total";
+inline constexpr char kServerSessionsClosedTotal[] =
+    "jinfer_server_sessions_closed_total";
+inline constexpr char kServerSessionsAbortedTotal[] =
+    "jinfer_server_sessions_aborted_total";
+inline constexpr char kServerSessionsShedTotal[] =
+    "jinfer_server_sessions_shed_total";
 inline constexpr char kServerConnectionsOpen[] =
     "jinfer_server_connections_open";
 inline constexpr char kServerSessionsOpen[] = "jinfer_server_sessions_open";

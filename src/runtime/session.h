@@ -87,9 +87,9 @@ class Session {
   const core::InferenceState& state() const { return state_; }
 
   /// Trace id stamped on this session's observability spans (question
-  /// compute, answer apply); 0 = untraced. The serving layer sets the
-  /// hosted-session id here so a flight-recorder dump can be filtered to
-  /// one tenant.
+  /// compute, answer apply); 0 = untraced. The server sets the session's
+  /// wire id here, so the id a client names is the one a flight-recorder
+  /// dump filters by.
   void set_trace_id(uint64_t id) { trace_id_ = id; }
   uint64_t trace_id() const { return trace_id_; }
 

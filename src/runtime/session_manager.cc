@@ -230,102 +230,6 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
   return results;
 }
 
-util::Result<uint64_t> SessionManager::OpenHosted(
-    const std::function<util::Result<Session>()>& make) {
-  JINFER_CHECK(make != nullptr, "OpenHosted needs a session factory");
-  {
-    std::lock_guard<std::mutex> lock(hosted_mu_);
-    if (options_.max_sessions > 0 &&
-        hosted_.size() + hosted_opening_ >= options_.max_sessions) {
-      counters_.hosted_shed.Inc();
-      return util::Status::ResourceExhausted(util::StrFormat(
-          "session shed: %zu hosted sessions open, bounded at %zu",
-          hosted_.size() + hosted_opening_, options_.max_sessions));
-    }
-    ++hosted_opening_;  // Reserve the slot while the factory runs unlocked.
-  }
-
-  util::Result<Session> made = make();
-
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  --hosted_opening_;
-  if (!made.ok()) return made.status();
-  const uint64_t id = next_hosted_id_++;
-  const bool inserted =
-      hosted_.try_emplace(id, std::move(made).ValueOrDie()).second;
-  JINFER_CHECK(inserted, "hosted id %llu reused",
-               static_cast<unsigned long long>(id));
-  counters_.hosted_opened.Inc();
-  return id;
-}
-
-util::Result<Session*> SessionManager::AcquireHosted(uint64_t id) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  auto it = hosted_.find(id);
-  if (it == hosted_.end()) {
-    return util::Status::NotFound(util::StrFormat(
-        "no hosted session %llu", static_cast<unsigned long long>(id)));
-  }
-  if (it->second.busy) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "hosted session %llu already leased",
-        static_cast<unsigned long long>(id)));
-  }
-  it->second.busy = true;
-  return &it->second.session;
-}
-
-void SessionManager::ReleaseHosted(uint64_t id) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  auto it = hosted_.find(id);
-  if (it == hosted_.end()) return;
-  JINFER_CHECK(it->second.busy, "release of an unleased hosted session");
-  it->second.busy = false;
-  if (it->second.aborted) {
-    hosted_.erase(it);
-    counters_.hosted_aborted.Inc();
-  }
-}
-
-util::Result<core::InferenceResult> SessionManager::CloseHosted(uint64_t id) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  auto it = hosted_.find(id);
-  if (it == hosted_.end()) {
-    return util::Status::NotFound(util::StrFormat(
-        "no hosted session %llu", static_cast<unsigned long long>(id)));
-  }
-  if (it->second.busy) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "hosted session %llu is leased", static_cast<unsigned long long>(id)));
-  }
-  core::InferenceResult result = it->second.session.Result();
-  hosted_.erase(it);
-  counters_.hosted_closed.Inc();
-  return result;
-}
-
-util::Status SessionManager::AbortHosted(uint64_t id) {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  auto it = hosted_.find(id);
-  if (it == hosted_.end()) {
-    return util::Status::NotFound(util::StrFormat(
-        "no hosted session %llu", static_cast<unsigned long long>(id)));
-  }
-  if (it->second.busy) {
-    // A worker holds the lease: mark and let ReleaseHosted finish the job.
-    it->second.aborted = true;
-    return util::Status::OK();
-  }
-  hosted_.erase(it);
-  counters_.hosted_aborted.Inc();
-  return util::Status::OK();
-}
-
-size_t SessionManager::hosted_open() const {
-  std::lock_guard<std::mutex> lock(hosted_mu_);
-  return hosted_.size();
-}
-
 SessionManager::Stats SessionManager::stats() const {
   Stats out;
   out.completed = counters_.completed.Value();
@@ -335,10 +239,6 @@ SessionManager::Stats SessionManager::stats() const {
   out.factory_retries = counters_.factory_retries.Value();
   out.slice_faults = counters_.slice_faults.Value();
   out.degraded_serves = cache_.stats().degraded_builds;
-  out.hosted_opened = counters_.hosted_opened.Value();
-  out.hosted_closed = counters_.hosted_closed.Value();
-  out.hosted_aborted = counters_.hosted_aborted.Value();
-  out.hosted_shed = counters_.hosted_shed.Value();
   return out;
 }
 

@@ -42,8 +42,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/inference.h"
@@ -84,7 +82,8 @@ class SessionManager {
 
     /// Options for the manager-owned IndexCache (see cache()): build
     /// options, the memory-tier capacity bound, and an optional persistent
-    /// store tier. The default is the documented bounded capacity
+    /// store tier — the same struct a server::Server takes for its own
+    /// cache. The default is the documented bounded capacity
     /// (runtime::kDefaultIndexCacheCapacity); set capacity = 0 to opt back
     /// into PR 3's unbounded never-evicting behavior.
     IndexCacheOptions cache_options;
@@ -110,12 +109,6 @@ class SessionManager {
     /// retries until the job deadline says otherwise — the right setting
     /// under chaos schedules where every fault is transient by contract.
     util::RetryPolicy factory_retry;
-
-    /// Bound on concurrently open *hosted* sessions (OpenHosted); 0 =
-    /// unbounded. An open past the bound is shed with kResourceExhausted —
-    /// the serving front end maps this to a RETRY_LATER frame, so overload
-    /// refuses new tenants instead of queueing them.
-    size_t max_sessions = 0;
   };
 
   /// Counters accumulated across RunAll calls; see stats().
@@ -129,11 +122,6 @@ class SessionManager {
     uint64_t degraded_serves = 0;  ///< Cache builds run because the store
                                    ///< tier failed transiently (snapshot of
                                    ///< cache().stats().degraded_builds).
-    uint64_t hosted_opened = 0;   ///< Hosted sessions opened.
-    uint64_t hosted_closed = 0;   ///< Hosted sessions closed normally.
-    uint64_t hosted_aborted = 0;  ///< Hosted sessions dropped via the
-                                  ///< detach/abort path (client vanished).
-    uint64_t hosted_shed = 0;     ///< Hosted opens refused by max_sessions.
   };
 
   SessionManager() : SessionManager(Options{}) {}
@@ -147,75 +135,14 @@ class SessionManager {
       std::vector<SessionJob> jobs);
 
   /// The manager-owned index cache. Session factories that capture it
-  /// resolve their indexes through one shared, bounded, tiered cache —
-  /// the intended wiring for a server bundling worker pool and cache.
+  /// resolve their indexes through one shared, bounded, tiered cache.
   IndexCache& cache() { return cache_; }
 
   /// A read of the manager's own counter cells (thread-safe; callable while
   /// RunAll is in flight from another thread, exact once it returns).
   Stats stats() const;
 
-  // -------------------------------------------------------------------------
-  // Hosted sessions (the serving front end's handle model, DESIGN.md §11.2)
-  //
-  // RunAll drives batch jobs whose oracle is in-process; a *hosted* session
-  // is the interactive counterpart: the answers arrive from a remote user
-  // on their own schedule, so the manager owns the parked Session and hands
-  // out an opaque id. The lifecycle is
-  //
-  //   OpenHosted(make)      admission-checked (Options::max_sessions →
-  //                         kResourceExhausted), runs the factory on the
-  //                         calling thread (IndexCache single-flight applies)
-  //   AcquireHosted(id)     exclusive lease for one step; a second acquire
-  //                         of a busy id is FailedPrecondition — the serving
-  //                         layer serializes frames per session, so overlap
-  //                         is a protocol violation, not a wait
-  //   ReleaseHosted(id)     ends the lease
-  //   CloseHosted(id)       final result + erase (normal end of life)
-  //   AbortHosted(id)       detach/abort: drop the session and release its
-  //                         IndexCache pin — the path a vanished client
-  //                         takes. Safe against a concurrent lease: a busy
-  //                         session is erased when its lease releases.
-  //
-  // Idle sessions are ended by their connection's idle deadline: the server
-  // closes the connection and aborts the session it holds (DESIGN.md §11.2).
-  // -------------------------------------------------------------------------
-
-  /// Opens a hosted session; `make` runs on this thread. Fails with
-  /// kResourceExhausted when max_sessions are already open.
-  util::Result<uint64_t> OpenHosted(
-      const std::function<util::Result<Session>()>& make);
-
-  /// Exclusive lease on a hosted session. NotFound for unknown/closed ids,
-  /// FailedPrecondition when already leased. Pair with ReleaseHosted.
-  util::Result<Session*> AcquireHosted(uint64_t id);
-
-  /// Ends a lease. If an abort arrived while leased, the session is erased
-  /// here. Unknown ids are ignored (the abort may have won).
-  void ReleaseHosted(uint64_t id);
-
-  /// Finishes a hosted session normally: returns Result() and erases it.
-  /// FailedPrecondition while leased; NotFound for unknown ids.
-  util::Result<core::InferenceResult> CloseHosted(uint64_t id);
-
-  /// Drops a hosted session (no result). Deferred while leased. NotFound
-  /// for unknown ids.
-  util::Status AbortHosted(uint64_t id);
-
-  /// Open hosted sessions (busy ones included).
-  size_t hosted_open() const;
-
  private:
-  /// One parked interactive session. `busy` marks an outstanding lease;
-  /// `aborted` defers an AbortHosted that raced a lease.
-  struct Hosted {
-    Session session;
-    bool busy = false;
-    bool aborted = false;
-
-    explicit Hosted(Session s) : session(std::move(s)) {}
-  };
-
   /// One cell per Stats counter — its only store, attached to the
   /// process-wide series of the same name (DESIGN.md §13.1).
   struct Counters {
@@ -225,19 +152,11 @@ class SessionManager {
     obs::OwnedCounter deadline_exceeded{obs::kManagerDeadlineExceededTotal};
     obs::OwnedCounter factory_retries{obs::kManagerFactoryRetriesTotal};
     obs::OwnedCounter slice_faults{obs::kManagerSliceFaultsTotal};
-    obs::OwnedCounter hosted_opened{obs::kManagerHostedOpenedTotal};
-    obs::OwnedCounter hosted_closed{obs::kManagerHostedClosedTotal};
-    obs::OwnedCounter hosted_aborted{obs::kManagerHostedAbortedTotal};
-    obs::OwnedCounter hosted_shed{obs::kManagerHostedShedTotal};
   };
 
   Options options_;
   IndexCache cache_;
   Counters counters_;
-  mutable std::mutex hosted_mu_;
-  std::unordered_map<uint64_t, Hosted> hosted_;
-  uint64_t next_hosted_id_ = 1;
-  size_t hosted_opening_ = 0;  ///< Factories in flight (reserve the bound).
 };
 
 }  // namespace runtime

@@ -36,7 +36,7 @@ util::Result<Connection::ReadEvent> Connection::OnReadable() {
       if (in_.size() >= need) {
         static obs::Histogram& decode_nanos =
             obs::Registry::Global().histogram(obs::kServerFrameDecodeNanos);
-        obs::ScopedSpan decode_span(obs::SpanKind::kFrameDecode, session_id_,
+        obs::ScopedSpan decode_span(obs::SpanKind::kFrameDecode, trace_id(),
                                     &decode_nanos);
         decode_span.set_detail(pending_header_->payload_bytes);
         JINFER_RETURN_NOT_OK(util::FailpointHit("server.frame.decode"));
@@ -50,6 +50,7 @@ util::Result<Connection::ReadEvent> Connection::OnReadable() {
         pending_header_.reset();
         // The read deadline restarts per frame: cleared at a boundary,
         // re-armed when pipelined bytes of the next frame already sit here.
+        // It pauses while a frame is in flight; OnWorkDone restarts it.
         frame_start_ =
             in_.empty() ? Clock::time_point{} : Clock::now();
         last_activity_ = Clock::now();
@@ -121,7 +122,7 @@ util::Result<bool> Connection::OnWritable() {
 
 Connection::Clock::time_point Connection::NextDeadline() const {
   auto earliest = Clock::time_point::max();
-  if (frame_start_ != Clock::time_point{} &&
+  if (!busy_ && frame_start_ != Clock::time_point{} &&
       limits_.read_deadline.count() > 0) {
     earliest = std::min(earliest, frame_start_ + limits_.read_deadline);
   }
@@ -136,7 +137,7 @@ Connection::Clock::time_point Connection::NextDeadline() const {
 
 const char* Connection::ExpiredReason() const {
   const auto now = Clock::now();
-  if (frame_start_ != Clock::time_point{} &&
+  if (!busy_ && frame_start_ != Clock::time_point{} &&
       limits_.read_deadline.count() > 0 &&
       now >= frame_start_ + limits_.read_deadline) {
     return "read deadline exceeded";

@@ -4,18 +4,22 @@
 // A connection assembles frames from a nonblocking socket, hands exactly
 // one frame at a time to the processing pool, and drains response bytes
 // back out — all driven by the server's poll loop (server.cc), which is the
-// only thread that touches this object. The lifecycle hardening lives
-// here:
+// only thread that touches this object. It is also the only owner of its
+// session: the session leaves with a dispatched frame (BeginWork) and
+// comes back with its completion (OnWorkDone), and it dies with the
+// connection, which releases its IndexCache pin. The lifecycle hardening
+// lives here:
 //
-//   read deadline   armed while a frame is partially received — a client
-//                   that trickles a header one byte per minute is closed
-//                   with kDeadlineExceeded, not allowed to hold a slot;
+//   read deadline   armed while a frame is partially received and no frame
+//                   is in flight — a client that trickles a header one
+//                   byte per minute is closed with kDeadlineExceeded, not
+//                   allowed to hold a slot;
 //   write deadline  armed while response bytes are pending — a client that
 //                   stops reading is closed, not allowed to wedge a worker
 //                   or grow the buffer;
 //   idle timeout    armed between frames — an abandoned connection (client
-//                   vanished mid-question) is closed and its hosted
-//                   session aborted, releasing the IndexCache pin;
+//                   vanished mid-question) is closed, and its session with
+//                   it;
 //   write cap       Enqueue refuses to buffer past write_buffer_cap, the
 //                   slow-client bound (kResourceExhausted close);
 //   framing errors  every malformed shape surfaces as ParseError from
@@ -33,10 +37,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "runtime/session.h"
 #include "server/frame.h"
 #include "util/result.h"
 #include "util/socket.h"
@@ -98,14 +104,26 @@ class Connection {
   Clock::time_point NextDeadline() const;
   const char* ExpiredReason() const;
 
-  /// Marks a dispatched frame: reading pauses until OnWorkDone.
-  void BeginWork() { busy_ = true; }
-  /// Completion arrived (response already Enqueued by the caller).
-  void OnWorkDone() {
+  /// Marks a dispatched frame: reading pauses until OnWorkDone. The
+  /// session (null if none is open) leaves with the frame.
+  std::unique_ptr<runtime::Session> BeginWork() {
+    busy_ = true;
+    return std::move(session_);
+  }
+  /// The frame's completion arrived with the session (null once closed,
+  /// new after an open); the caller enqueues the response. Bytes pipelined
+  /// behind the frame restart the read deadline now, not while the server
+  /// was working.
+  void OnWorkDone(std::unique_ptr<runtime::Session> session) {
     busy_ = false;
+    session_ = std::move(session);
     last_activity_ = Clock::now();
+    frame_start_ = in_.empty() ? Clock::time_point{} : last_activity_;
   }
   bool busy() const { return busy_; }
+
+  /// Bytes of a next frame already read; poll will not report them again.
+  bool has_buffered_input() const { return !in_.empty(); }
 
   /// After this, the connection flushes its buffer and is then closed by
   /// the server (no further reads are processed).
@@ -115,10 +133,10 @@ class Connection {
   const util::Socket& sock() const { return sock_; }
   uint64_t generation() const { return generation_; }
 
-  /// The hosted session bound to this connection (0 = none).
-  uint64_t session_id() const { return session_id_; }
-  void BindSession(uint64_t id) { session_id_ = id; }
-  void UnbindSession() { session_id_ = 0; }
+  /// Whether a session is open here (false while it is out with a frame).
+  bool has_session() const { return session_ != nullptr; }
+  /// The session's trace id — its wire id — or 0.
+  uint64_t trace_id() const { return session_ ? session_->trace_id() : 0; }
 
  private:
   util::Socket sock_;
@@ -138,7 +156,7 @@ class Connection {
   Clock::time_point last_activity_;
   bool busy_ = false;
   bool close_after_flush_ = false;
-  uint64_t session_id_ = 0;
+  std::unique_ptr<runtime::Session> session_;
 };
 
 }  // namespace server

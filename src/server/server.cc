@@ -37,8 +37,8 @@ struct ServerMetrics {
   }
 };
 
-/// RETRY_LATER marks refusals the client should simply retry: admission /
-/// queue shedding (kResourceExhausted) and transient faults (kUnavailable).
+/// RETRY_LATER marks refusals the client should simply retry: shedding
+/// (kResourceExhausted) and transient faults (kUnavailable).
 uint8_t RetryFlagFor(const util::Status& status) {
   return (status.code() == util::StatusCode::kResourceExhausted ||
           status.code() == util::StatusCode::kUnavailable)
@@ -46,10 +46,25 @@ uint8_t RetryFlagFor(const util::Status& status) {
              : 0;
 }
 
+/// Prologue of the session-scoped handlers: the body must decode and name
+/// the connection's own session. Anything else is a protocol violation —
+/// a cross-tenant one when it names another session — that closes the
+/// connection.
+template <typename Body>
+util::Status CheckOwned(const util::Result<Body>& body,
+                        const runtime::Session* session) {
+  if (!body.ok()) return body.status();
+  if (session == nullptr || body->session_id != session->trace_id()) {
+    return util::Status::FailedPrecondition(
+        "frame names a session this connection does not own");
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), manager_(options_.runtime) {
+    : options_(std::move(options)), cache_(options_.runtime.cache_options) {
   if (options_.workers < 1) options_.workers = 1;
 }
 
@@ -100,8 +115,23 @@ util::Status Server::Wait() {
   work_cv_.notify_all();
   for (auto& t : worker_threads_) t.join();
   worker_threads_.clear();
+  // Completions that landed after the event loop exited still hold their
+  // sessions (an open finishing during a stop): they end here.
+  for (const Completion& c : done_) {
+    if (c.session != nullptr) counters_.sessions_aborted.Inc();
+  }
+  done_.clear();
   joined_ = true;
   return serve_status_;
+}
+
+uint64_t Server::SessionsOpen() const {
+  // Ends first: a session's end is counted after its open, so a racing
+  // read can only overstate the level; the clamp guards the rest.
+  const uint64_t ended = counters_.sessions_closed.Value() +
+                         counters_.sessions_aborted.Value();
+  const uint64_t opened = counters_.sessions_opened.Value();
+  return opened > ended ? opened - ended : 0;
 }
 
 StatsOkBody Server::Stats() {
@@ -109,17 +139,16 @@ StatsOkBody Server::Stats() {
   out.connections_accepted = counters_.connections_accepted.Value();
   out.connections_open =
       static_cast<uint64_t>(counters_.connections_open.Value());
-  const runtime::SessionManager::Stats m = manager_.stats();
-  out.sessions_opened = m.hosted_opened;
-  out.sessions_open = manager_.hosted_open();
-  out.sessions_completed = m.hosted_closed;
-  out.sessions_aborted = m.hosted_aborted;
-  out.sessions_shed = m.hosted_shed;
+  out.sessions_opened = counters_.sessions_opened.Value();
+  out.sessions_open = SessionsOpen();
+  out.sessions_completed = counters_.sessions_closed.Value();
+  out.sessions_aborted = counters_.sessions_aborted.Value();
+  out.sessions_shed = counters_.sessions_shed.Value();
   out.frames_read = counters_.frames_read.Value();
   out.frames_written = counters_.frames_written.Value();
   out.protocol_errors = counters_.protocol_errors.Value();
   out.deadline_closes = counters_.deadline_closes.Value();
-  const runtime::IndexCacheStats c = manager_.cache().stats();
+  const runtime::IndexCacheStats c = cache_.stats();
   out.cache_hits = c.hits;
   out.cache_builds = c.builds;
   return out;
@@ -134,12 +163,10 @@ std::vector<uint8_t> Server::ErrorFrame(const util::Status& status,
   return EncodeFrame(FrameType::kError, Encode(body));
 }
 
-Server::Completion Server::RejectFrame(Completion c,
-                                       const util::Status& status) {
+void Server::RejectFrame(Completion& c, const util::Status& status) {
   counters_.protocol_errors.Inc();
   c.bytes = ErrorFrame(status, kErrorFlagWillClose);
   c.close_after = true;
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +201,7 @@ void Server::EventLoop() {
                                       "server drain deadline reached"),
                                   kErrorFlagWillClose));
           (void)conn.OnWritable();  // Best effort; the close is unconditional.
-          CloseConn(fd, /*abort_session=*/true);
+          CloseConn(fd);
         }
         break;
       }
@@ -189,7 +216,7 @@ void Server::EventLoop() {
           done_fds.push_back(fd);
         }
       }
-      for (int fd : done_fds) CloseConn(fd, /*abort_session=*/true);
+      for (int fd : done_fds) CloseConn(fd);
     }
 
     // Build the poll set: wake pipe, listener (when accepting), and every
@@ -239,8 +266,7 @@ void Server::EventLoop() {
     // staleness at ~500 ms): the event thread owns these figures, so the
     // scrape path never has to take its locks.
     {
-      counters_.sessions_open.Set(
-          static_cast<int64_t>(manager_.hosted_open()));
+      counters_.sessions_open.Set(static_cast<int64_t>(SessionsOpen()));
       size_t pending;
       {
         std::lock_guard<std::mutex> lock(work_mu_);
@@ -267,12 +293,12 @@ void Server::EventLoop() {
     SweepDeadlines();
   }
 
-  // Teardown: every remaining connection closes, every bound session
-  // aborts (their IndexCache pins drop with them).
+  // Teardown: every remaining connection closes, and the sessions they
+  // hold abort (their IndexCache pins drop with them).
   std::vector<int> fds;
   fds.reserve(conns_.size());
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-  for (int fd : fds) CloseConn(fd, /*abort_session=*/true);
+  for (int fd : fds) CloseConn(fd);
   listener_->Close();
 }
 
@@ -294,7 +320,7 @@ bool Server::EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes) {
   const int fd = conn.sock().fd();
   if (!conn.Enqueue(bytes)) {
     // Slow client: the write cap is the bound, the close is the policy.
-    CloseConn(fd, /*abort_session=*/true);
+    CloseConn(fd);
     return false;
   }
   counters_.frames_written.Inc();
@@ -310,80 +336,105 @@ void Server::SendErrorAndClose(Connection& conn, const util::Status& status,
   }
   conn.CloseAfterFlush();
   auto flushed = conn.OnWritable();
-  if (!flushed.ok() || *flushed) CloseConn(fd, /*abort_session=*/true);
+  if (!flushed.ok() || *flushed) CloseConn(fd);
 }
 
 void Server::HandleReadable(Connection& conn) {
   const int fd = conn.sock().fd();
-  auto ev = conn.OnReadable();
-  if (!ev.ok()) {
-    if (ev.status().code() == util::StatusCode::kParseError) {
-      // Malformed framing: say why (typed error frame), then close.
-      counters_.protocol_errors.Inc();
-      SendErrorAndClose(conn, ev.status(), 0);
-    } else {
-      // Broken socket, or an injected read/decode fault: this connection
-      // dies; no frame was half-applied, no other tenant notices.
-      CloseConn(fd, /*abort_session=*/true);
+  // Poll reports pipelined bytes once: while a frame answered on the spot
+  // (shed) leaves more buffered, serve the next one now.
+  do {
+    auto ev = conn.OnReadable();
+    if (!ev.ok()) {
+      if (ev.status().code() == util::StatusCode::kParseError) {
+        // Malformed framing: say why (typed error frame), then close.
+        counters_.protocol_errors.Inc();
+        SendErrorAndClose(conn, ev.status(), 0);
+      } else {
+        // Broken socket, or an injected read/decode fault: this connection
+        // dies; no frame was half-applied, no other tenant notices.
+        CloseConn(fd);
+      }
+      return;
     }
-    return;
-  }
-  switch (ev->kind) {
-    case Connection::ReadEvent::kNoProgress:
-      return;
-    case Connection::ReadEvent::kPeerClosed:
-      CloseConn(fd, /*abort_session=*/true);
-      return;
-    case Connection::ReadEvent::kFrame:
-      break;
-  }
+    switch (ev->kind) {
+      case Connection::ReadEvent::kNoProgress:
+        return;
+      case Connection::ReadEvent::kPeerClosed:
+        CloseConn(fd);
+        return;
+      case Connection::ReadEvent::kFrame:
+        break;
+    }
 
-  counters_.frames_read.Inc();
-  if (!IsRequestType(static_cast<uint8_t>(ev->frame.type))) {
-    counters_.protocol_errors.Inc();
-    SendErrorAndClose(
-        conn, util::Status::ParseError("response-type frame from client"), 0);
-    return;
+    counters_.frames_read.Inc();
+    if (!IsRequestType(static_cast<uint8_t>(ev->frame.type))) {
+      counters_.protocol_errors.Inc();
+      SendErrorAndClose(
+          conn, util::Status::ParseError("response-type frame from client"),
+          0);
+      return;
+    }
+    if (!Dispatch(conn, std::move(ev->frame))) return;
+  } while (!conn.busy() && conn.has_buffered_input());
+}
+
+bool Server::Dispatch(Connection& conn, Frame frame) {
+  // Admission: sessions open plus opens in flight, against the bound. An
+  // open from a connection that holds a session is the worker's to refuse.
+  const bool open = frame.type == FrameType::kOpenSession;
+  const size_t max_sessions = options_.runtime.max_sessions;
+  if (open && max_sessions > 0 && !conn.has_session()) {
+    const uint64_t held = SessionsOpen() + opens_in_flight_;
+    if (held >= max_sessions) {
+      counters_.sessions_shed.Inc();
+      return EnqueueOrClose(
+          conn, ErrorFrame(util::Status::ResourceExhausted(util::StrFormat(
+                               "session shed: %llu sessions open or opening, "
+                               "bounded at %zu",
+                               static_cast<unsigned long long>(held),
+                               max_sessions)),
+                           kErrorFlagRetryLater));
+    }
   }
 
   Work work;
-  work.fd = fd;
+  work.fd = conn.sock().fd();
   work.generation = conn.generation();
-  work.frame = std::move(ev->frame);
-  work.conn_session = conn.session_id();
+  work.frame = std::move(frame);
   work.enqueue_nanos = util::SystemClock()->NowNanos();
   // Load shedding: the work queue is the bound; a frame past it is refused
   // at once with RETRY_LATER instead of buffered toward an OOM.
-  bool shed = false;
+  bool queued = false;
   {
     std::lock_guard<std::mutex> lock(work_mu_);
-    if (work_.size() >= options_.max_pending_work) {
-      shed = true;
-    } else {
+    if (work_.size() < options_.max_pending_work) {
+      work.session = conn.BeginWork();
       work_.push_back(std::move(work));
+      queued = true;
     }
   }
-  if (shed) {
+  if (!queued) {
     counters_.work_shed.Inc();
-    EnqueueOrClose(conn,
-                   ErrorFrame(util::Status::ResourceExhausted(
-                                  "server overloaded; retry later"),
-                              kErrorFlagRetryLater));
-    return;
+    return EnqueueOrClose(conn,
+                          ErrorFrame(util::Status::ResourceExhausted(
+                                         "server overloaded; retry later"),
+                                     kErrorFlagRetryLater));
   }
-  conn.BeginWork();
+  if (open) ++opens_in_flight_;
   work_cv_.notify_one();
+  return true;
 }
 
 void Server::HandleWritable(Connection& conn) {
   const int fd = conn.sock().fd();
   auto flushed = conn.OnWritable();
   if (!flushed.ok()) {
-    CloseConn(fd, /*abort_session=*/true);
+    CloseConn(fd);
     return;
   }
   if (*flushed && conn.close_after_flush()) {
-    CloseConn(fd, /*abort_session=*/true);
+    CloseConn(fd);
   }
 }
 
@@ -394,22 +445,17 @@ void Server::ApplyCompletions() {
     batch.swap(done_);
   }
   for (auto& c : batch) {
+    if (c.open) --opens_in_flight_;
     auto it = conns_.find(c.fd);
     if (it == conns_.end() || it->second->generation() != c.generation) {
-      // The connection died while its frame was processing. A session the
-      // worker just opened has no owner — abort it so its cache pin drops.
-      if (c.bind == Completion::kBind) {
-        (void)manager_.AbortHosted(c.session_id);
-      }
+      // The connection died while its frame was processing. The session
+      // that went out with the frame, or that an open just made, has no
+      // owner left: it ends here, and its cache pin drops.
+      if (c.session != nullptr) counters_.sessions_aborted.Inc();
       continue;
     }
     Connection& conn = *it->second;
-    conn.OnWorkDone();
-    if (c.bind == Completion::kBind) {
-      conn.BindSession(c.session_id);
-    } else if (c.bind == Completion::kUnbind) {
-      conn.UnbindSession();
-    }
+    conn.OnWorkDone(std::move(c.session));
     if (!c.bytes.empty() && !EnqueueOrClose(conn, std::move(c.bytes))) {
       continue;
     }
@@ -417,7 +463,14 @@ void Server::ApplyCompletions() {
     if (conn.wants_write()) {
       HandleWritable(conn);
     } else if (conn.close_after_flush()) {
-      CloseConn(c.fd, /*abort_session=*/true);
+      CloseConn(c.fd);
+    }
+    // A frame pipelined behind this one is already buffered, where poll
+    // cannot see it.
+    it = conns_.find(c.fd);
+    if (it != conns_.end() && it->second->wants_read() &&
+        it->second->has_buffered_input()) {
+      HandleReadable(*it->second);
     }
   }
 }
@@ -434,24 +487,25 @@ void Server::SweepDeadlines() {
     if (reason == nullptr) continue;
     counters_.deadline_closes.Inc();
     // Name the span that ate the budget, filtered to this tenant's trace
-    // when the connection has a bound session (DESIGN.md §13.2).
+    // when the connection holds a session (DESIGN.md §13.2).
     obs::EmitFlightDump(
         util::StrFormat("connection fd=%d closed: %s", fd, reason),
-        conn.session_id());
+        conn.trace_id());
     // Best-effort goodbye; a deadline violator gets no flush patience.
     conn.Enqueue(ErrorFrame(util::Status::DeadlineExceeded(reason),
                             kErrorFlagWillClose));
     (void)conn.OnWritable();
-    CloseConn(fd, /*abort_session=*/true);
+    CloseConn(fd);
   }
 }
 
-void Server::CloseConn(int fd, bool abort_session) {
+void Server::CloseConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  const uint64_t session = it->second->session_id();
+  // A session the connection holds dies with it (a session out with a
+  // frame ends when its completion finds the connection gone).
+  if (it->second->has_session()) counters_.sessions_aborted.Inc();
   conns_.erase(it);
-  if (abort_session && session != 0) (void)manager_.AbortHosted(session);
   counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
 }
 
@@ -469,6 +523,8 @@ void Server::WorkerLoop() {
       work = std::move(work_.front());
       work_.pop_front();
     }
+    const uint64_t trace_id =
+        work.session != nullptr ? work.session->trace_id() : 0;
     // Queue-wait span: enqueue on the event thread → claim here. Recorded
     // from the timestamps already taken, not a ScopedSpan, because the
     // waiting happened on no one's stack.
@@ -478,7 +534,7 @@ void Server::WorkerLoop() {
           now > work.enqueue_nanos ? now - work.enqueue_nanos : 0;
       ServerMetrics::Get().frame_queue_nanos.Record(waited);
       obs::SpanRecord queued;
-      queued.trace_id = work.conn_session;
+      queued.trace_id = trace_id;
       queued.start_nanos = work.enqueue_nanos;
       queued.duration_nanos = waited;
       queued.detail = static_cast<uint64_t>(work.frame.type);
@@ -488,7 +544,7 @@ void Server::WorkerLoop() {
     Completion done;
     {
       obs::ScopedSpan execute_span(
-          obs::SpanKind::kFrameExecute, work.conn_session,
+          obs::SpanKind::kFrameExecute, trace_id,
           &ServerMetrics::Get().frame_execute_nanos);
       execute_span.set_detail(static_cast<uint64_t>(work.frame.type));
       done = HandleFrame(std::move(work));
@@ -501,58 +557,60 @@ void Server::WorkerLoop() {
   }
 }
 
-Server::Completion Server::Base(const Work& work) {
+Server::Completion Server::HandleFrame(Work work) {
   Completion c;
   c.fd = work.fd;
   c.generation = work.generation;
-  return c;
-}
-
-Server::Completion Server::HandleFrame(Work work) {
-  switch (work.frame.type) {
+  c.open = work.frame.type == FrameType::kOpenSession;
+  c.session = std::move(work.session);
+  const Frame& frame = work.frame;
+  switch (frame.type) {
     case FrameType::kOpenSession:
-      return HandleOpenSession(work);
+      HandleOpenSession(frame, c);
+      break;
     case FrameType::kNextQuestion:
-      return HandleNextQuestion(work);
+      HandleNextQuestion(frame, c);
+      break;
     case FrameType::kAnswer:
-      return HandleAnswer(work);
+      HandleAnswer(frame, c);
+      break;
     case FrameType::kCloseSession:
-      return HandleCloseSession(work);
+      HandleCloseSession(frame, c);
+      break;
     case FrameType::kMetrics:
-      return HandleMetrics(work);
-    default: {
-      Completion c = Base(work);
+      HandleMetrics(frame, c);
+      break;
+    default:
       c.bytes = ErrorFrame(
           util::Status::ParseError("unhandled request frame type"),
           kErrorFlagWillClose);
       c.close_after = true;
-      return c;
-    }
+      break;
   }
+  return c;
 }
 
-Server::Completion Server::HandleOpenSession(const Work& work) {
-  Completion c = Base(work);
-  auto body = DecodeOpenSession(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
-  if (work.conn_session != 0) {
+void Server::HandleOpenSession(const Frame& frame, Completion& c) {
+  auto body = DecodeOpenSession(std::span<const uint8_t>(frame.payload));
+  if (!body.ok()) return RejectFrame(c, body.status());
+  if (c.session != nullptr) {
     c.bytes = ErrorFrame(util::Status::FailedPrecondition(
                              "a session is already open on this connection"),
                          0);
-    return c;
+    return;
   }
   if (draining_.load(std::memory_order_acquire)) {
     c.bytes = ErrorFrame(
         util::Status::Unavailable("server is draining; retry elsewhere"),
         kErrorFlagRetryLater);
-    return c;
+    return;
   }
   auto kind = core::StrategyKindFromName(body->strategy);
   if (!kind.ok()) {
     c.bytes = ErrorFrame(kind.status(), 0);
-    return c;
+    return;
   }
-  const bool server_compress = manager_.cache().options().build.compress;
+  const bool server_compress = cache_.options().build.compress;
   if ((body->compress != 0) != server_compress) {
     c.bytes = ErrorFrame(
         util::Status::InvalidArgument(util::StrFormat(
@@ -560,84 +618,48 @@ Server::Completion Server::HandleOpenSession(const Work& work) {
             "matching flag",
             server_compress ? 1 : 0)),
         0);
-    return c;
+    return;
   }
   auto r = rel::ReadRelationCsvText(
       body->r_csv, body->r_name.empty() ? "R" : body->r_name);
   if (!r.ok()) {
     c.bytes = ErrorFrame(r.status(), 0);
-    return c;
+    return;
   }
   auto p = rel::ReadRelationCsvText(
       body->p_csv, body->p_name.empty() ? "P" : body->p_name);
   if (!p.ok()) {
     c.bytes = ErrorFrame(p.status(), 0);
-    return c;
+    return;
   }
 
-  runtime::IndexTier tier = runtime::IndexTier::kMemory;
-  std::shared_ptr<const core::SignatureIndex> index;
-  auto session_id = manager_.OpenHosted(
-      [&]() -> util::Result<runtime::Session> {
-        JINFER_ASSIGN_OR_RETURN(runtime::TieredIndex tiered,
-                                manager_.cache().GetOrBuildTiered(*r, *p));
-        tier = tiered.tier;
-        index = tiered.index;
-        return runtime::Session(tiered.index,
-                                core::MakeStrategy(*kind, body->seed));
-      });
-  if (!session_id.ok()) {
-    // Admission shedding and transient cache faults are both "try again
-    // later", not "you did something wrong".
-    c.bytes = ErrorFrame(session_id.status(),
-                         RetryFlagFor(session_id.status()));
-    return c;
-  }
-  // Stamp the hosted id on the session's observability spans so a flight
-  // dump can be filtered to this tenant.
-  if (auto lease = manager_.AcquireHosted(*session_id); lease.ok()) {
-    (*lease)->set_trace_id(*session_id);
-    manager_.ReleaseHosted(*session_id);
+  auto tiered = cache_.GetOrBuildTiered(*r, *p);
+  if (!tiered.ok()) {
+    // A transient cache fault is "try again later", not "you did
+    // something wrong".
+    c.bytes = ErrorFrame(tiered.status(), RetryFlagFor(tiered.status()));
+    return;
   }
   OpenOkBody ok;
-  ok.session_id = *session_id;
-  ok.num_classes = index->num_classes();
-  ok.num_tuples = index->num_tuples();
-  ok.index_tier = static_cast<uint8_t>(tier);
+  ok.session_id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
+  ok.num_classes = tiered->index->num_classes();
+  ok.num_tuples = tiered->index->num_tuples();
+  ok.index_tier = static_cast<uint8_t>(tiered->tier);
+  c.session = std::make_unique<runtime::Session>(
+      std::move(tiered->index), core::MakeStrategy(*kind, body->seed));
+  // The wire id is also the trace id, so a flight dump can be filtered to
+  // this tenant.
+  c.session->set_trace_id(ok.session_id);
+  counters_.sessions_opened.Inc();
   c.bytes = EncodeFrame(FrameType::kOpenOk, Encode(ok));
-  c.bind = Completion::kBind;
-  c.session_id = *session_id;
-  return c;
 }
 
-/// Shared prologue of the session-scoped handlers: the frame must name the
-/// session bound to its connection — anything else is a cross-tenant
-/// protocol violation and closes the connection.
-#define JINFER_SERVER_CHECK_OWNERSHIP(c, work, session_id)                 \
-  do {                                                                     \
-    if ((session_id) == 0 || (session_id) != (work).conn_session) {        \
-      return RejectFrame(                                                  \
-          std::move(c),                                                    \
-          util::Status::FailedPrecondition(                                \
-              "frame names a session this connection does not own"));      \
-    }                                                                      \
-  } while (0)
-
-Server::Completion Server::HandleNextQuestion(const Work& work) {
-  Completion c = Base(work);
-  auto body = DecodeNextQuestion(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
-  JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
-  auto session = manager_.AcquireHosted(body->session_id);
-  if (!session.ok()) {
-    if (session.status().code() == util::StatusCode::kNotFound) {
-      // Aborted underneath the client: unbind so it may reopen.
-      c.bind = Completion::kUnbind;
-    }
-    c.bytes = ErrorFrame(session.status(), 0);
-    return c;
+void Server::HandleNextQuestion(const Frame& frame, Completion& c) {
+  auto body = DecodeNextQuestion(std::span<const uint8_t>(frame.payload));
+  if (util::Status owned = CheckOwned(body, c.session.get()); !owned.ok()) {
+    return RejectFrame(c, owned);
   }
-  runtime::Session& s = **session;
+  runtime::Session& s = *c.session;
   QuestionBody q;
   q.session_id = body->session_id;
   const std::optional<core::ClassId> next = s.NextQuestion();
@@ -651,87 +673,52 @@ Server::Completion Server::HandleNextQuestion(const Work& work) {
     q.rep_p = cls.rep_p;
   }
   PredicateToWords(s.CurrentPredicate(), q.predicate_words);
-  manager_.ReleaseHosted(body->session_id);
   c.bytes = EncodeFrame(FrameType::kQuestion, Encode(q));
-  return c;
 }
 
-Server::Completion Server::HandleAnswer(const Work& work) {
-  Completion c = Base(work);
-  auto body = DecodeAnswer(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
-  JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
-  auto session = manager_.AcquireHosted(body->session_id);
-  if (!session.ok()) {
-    if (session.status().code() == util::StatusCode::kNotFound) {
-      c.bind = Completion::kUnbind;
-    }
-    c.bytes = ErrorFrame(session.status(), 0);
-    return c;
+void Server::HandleAnswer(const Frame& frame, Completion& c) {
+  auto body = DecodeAnswer(std::span<const uint8_t>(frame.payload));
+  if (util::Status owned = CheckOwned(body, c.session.get()); !owned.ok()) {
+    return RejectFrame(c, owned);
   }
-  runtime::Session& s = **session;
+  runtime::Session& s = *c.session;
   const util::Status applied = s.Answer(body->label != 0
                                             ? core::Label::kPositive
                                             : core::Label::kNegative);
   if (!applied.ok()) {
     // InconsistentSample / no pending question: the session state is
     // untouched, the question (if any) stays pending — report and carry on.
-    manager_.ReleaseHosted(body->session_id);
     c.bytes = ErrorFrame(applied, 0);
-    return c;
+    return;
   }
   AnswerOkBody ok;
   ok.session_id = body->session_id;
   PredicateToWords(s.CurrentPredicate(), ok.predicate_words);
-  manager_.ReleaseHosted(body->session_id);
   c.bytes = EncodeFrame(FrameType::kAnswerOk, Encode(ok));
-  return c;
 }
 
-Server::Completion Server::HandleCloseSession(const Work& work) {
-  Completion c = Base(work);
+void Server::HandleCloseSession(const Frame& frame, Completion& c) {
   auto body =
-      DecodeCloseSession(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
-  JINFER_SERVER_CHECK_OWNERSHIP(c, work, body->session_id);
-  // Snapshot the result under a lease (the session dies with the close),
-  // then close for real.
-  auto session = manager_.AcquireHosted(body->session_id);
-  if (!session.ok()) {
-    if (session.status().code() == util::StatusCode::kNotFound) {
-      c.bind = Completion::kUnbind;
-    }
-    c.bytes = ErrorFrame(session.status(), 0);
-    return c;
+      DecodeCloseSession(std::span<const uint8_t>(frame.payload));
+  if (util::Status owned = CheckOwned(body, c.session.get()); !owned.ok()) {
+    return RejectFrame(c, owned);
   }
-  runtime::Session& s = **session;
   CloseOkBody ok;
   ok.session_id = body->session_id;
-  ok.num_interactions = s.num_interactions();
-  PredicateToWords(s.CurrentPredicate(), ok.predicate_words);
-  manager_.ReleaseHosted(body->session_id);
-  const auto closed = manager_.CloseHosted(body->session_id);
-  if (!closed.ok()) {
-    // An abort won the race between release and close; the snapshot above
-    // is still the session's final word.
-    (void)closed;
-  }
-  c.bind = Completion::kUnbind;
+  ok.num_interactions = c.session->num_interactions();
+  PredicateToWords(c.session->CurrentPredicate(), ok.predicate_words);
+  c.session.reset();  // The session ends here; the connection gets none back.
+  counters_.sessions_closed.Inc();
   c.bytes = EncodeFrame(FrameType::kCloseOk, Encode(ok));
-  return c;
 }
 
-Server::Completion Server::HandleMetrics(const Work& work) {
-  Completion c = Base(work);
-  auto body = DecodeMetrics(std::span<const uint8_t>(work.frame.payload));
-  if (!body.ok()) return RejectFrame(std::move(c), body.status());
+void Server::HandleMetrics(const Frame& frame, Completion& c) {
+  auto body = DecodeMetrics(std::span<const uint8_t>(frame.payload));
+  if (!body.ok()) return RejectFrame(c, body.status());
   MetricsOkBody ok;
   ok.text = obs::RenderPrometheusText();
   c.bytes = EncodeFrame(FrameType::kMetricsOk, Encode(ok));
-  return c;
 }
-
-#undef JINFER_SERVER_CHECK_OWNERSHIP
 
 }  // namespace server
 }  // namespace jinfer

@@ -1,23 +1,25 @@
 // Server: the fault-tolerant network serving front end (DESIGN.md §11).
 //
-// One poll()-driven event thread owns the listener and every Connection;
-// a small worker pool executes frame handlers against the hosted-session
-// API of runtime::SessionManager. The event thread never blocks on
-// inference and the workers never touch a socket, so a slow client cannot
-// wedge a worker and a slow build cannot wedge the event loop. Exactly one
-// frame per connection is in flight at a time — reading pauses while a
-// frame is being processed, which is the natural per-connection
-// backpressure and what serializes a session's transcript.
+// One poll()-driven event thread owns the listener and every Connection,
+// and each Connection owns its one runtime::Session; a small worker pool
+// executes frame handlers. A dispatched frame carries its connection's
+// session to the worker and the completion carries it back, so one thread
+// at a time touches a session and it needs no lock of its own. The event
+// thread never blocks on inference and the workers never touch a socket,
+// so a slow client cannot wedge a worker and a slow build cannot wedge the
+// event loop. Exactly one frame per connection is in flight at a time —
+// reading pauses while a frame is being processed, which is the natural
+// per-connection backpressure and what serializes a session's transcript.
 //
 // Failure-domain map (the robustness contract this PR exists for):
 //   malformed frame      typed kError frame (kParseError) then close —
 //                        never a crash, never trust a length prefix
-//   read/write/idle      connection closed with kDeadlineExceeded, its
-//     deadline expiry    hosted session aborted (IndexCache pin released)
+//   read/write/idle      connection closed with kDeadlineExceeded; its
+//     deadline expiry    session dies with it (IndexCache pin released)
 //   overload             admission (Options::runtime.max_sessions) and the
-//                        work queue (max_pending_work) both shed with a
-//                        kResourceExhausted RETRY_LATER frame — refuse,
-//                        never queue without bound
+//                        work queue (max_pending_work) both shed at
+//                        dispatch with a kResourceExhausted RETRY_LATER
+//                        frame — refuse, never queue without bound
 //   slow client          write buffer capped; overflow closes the
 //                        connection instead of growing the heap
 //   SIGTERM              RequestDrain (async-signal-safe): stop accepting,
@@ -46,7 +48,8 @@
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "runtime/session_manager.h"
+#include "runtime/index_cache.h"
+#include "runtime/session.h"
 #include "server/connection.h"
 #include "server/frame.h"
 #include "server/listener.h"
@@ -80,9 +83,14 @@ struct ServerOptions {
   /// connections get this long to finish before being closed.
   std::chrono::milliseconds drain_deadline{3000};
 
-  /// The hosted runtime underneath: worker cache, max_sessions admission
-  /// bound, build options. (threads/steps_per_slice only affect RunAll.)
-  runtime::SessionManager::Options runtime;
+  /// The session layer underneath: the server's IndexCache (build
+  /// options, memory-tier bound, optional store tier) and the bound on open
+  /// sessions, 0 = unbounded. Opens in flight count against the bound; an
+  /// open past it is shed with kResourceExhausted RETRY_LATER.
+  struct {
+    runtime::IndexCacheOptions cache_options;
+    size_t max_sessions = 0;
+  } runtime;
 };
 
 /// Server::Stats() snapshot: the operator's quick figures.
@@ -92,7 +100,8 @@ struct StatsOkBody {
   uint64_t sessions_opened = 0;
   uint64_t sessions_open = 0;
   uint64_t sessions_completed = 0;
-  uint64_t sessions_aborted = 0;   ///< Dropped with their connection.
+  uint64_t sessions_aborted = 0;   ///< Dropped with their connection, or
+                                   ///< stranded in flight by a stop.
   uint64_t sessions_shed = 0;      ///< Refused by admission control.
   uint64_t frames_read = 0;
   uint64_t frames_written = 0;
@@ -131,12 +140,9 @@ class Server {
   util::Status Wait();
 
   /// Point-in-time counters for in-process callers (the CLI's drain
-  /// banner, benches, tests), read from the server's and its manager's own
+  /// banner, benches, tests), read from the server's and its cache's own
   /// counter cells. Remote callers read the same cells on kMetrics.
   StatsOkBody Stats();
-
-  /// The hosted runtime (tests reach in for leak/pin assertions).
-  runtime::SessionManager& manager() { return manager_; }
 
  private:
   /// A dispatched request frame, bound to its connection by (fd,
@@ -145,7 +151,8 @@ class Server {
     int fd = -1;
     uint64_t generation = 0;
     Frame frame;
-    uint64_t conn_session = 0;  ///< Session bound to the connection, 0=none.
+    std::unique_ptr<runtime::Session> session;  ///< The connection's, if
+                                                ///< one is open.
     uint64_t enqueue_nanos = 0;  ///< When the event thread queued it (obs:
                                  ///< the frame-queue wait span).
   };
@@ -157,8 +164,12 @@ class Server {
     uint64_t generation = 0;
     std::vector<uint8_t> bytes;  ///< Encoded response frame.
     bool close_after = false;    ///< Close once the response is flushed.
-    enum Bind : uint8_t { kNone, kBind, kUnbind } bind = kNone;
-    uint64_t session_id = 0;  ///< For kBind (aborted if the conn is gone).
+    bool open = false;           ///< Answers an open: frees its admission
+                                 ///< slot.
+    /// The session going back to the connection: the one that went out,
+    /// a new one after an open, null after a close. Dropped (counted
+    /// aborted) if the connection died meanwhile.
+    std::unique_ptr<runtime::Session> session;
   };
 
   void EventLoop();
@@ -170,29 +181,36 @@ class Server {
   void HandleWritable(Connection& conn);
   void ApplyCompletions();
   void SweepDeadlines();
-  void CloseConn(int fd, bool abort_session);
+  void CloseConn(int fd);
   void SendErrorAndClose(Connection& conn, const util::Status& status,
                          uint8_t extra_flags);
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
+  /// Queues `frame` with the connection's session, or answers it at once
+  /// when admission or the work queue sheds it. False when that answer
+  /// closed the connection.
+  bool Dispatch(Connection& conn, Frame frame);
+
+  /// Sessions opened and not yet ended (the three counters' difference).
+  uint64_t SessionsOpen() const;
 
   // --- Worker-side frame handlers --------------------------------------
-  static Completion Base(const Work& work);
+  // Each fills `c`, which already holds the connection's session.
   Completion HandleFrame(Work work);
-  Completion HandleOpenSession(const Work& work);
-  Completion HandleNextQuestion(const Work& work);
-  Completion HandleAnswer(const Work& work);
-  Completion HandleCloseSession(const Work& work);
-  Completion HandleMetrics(const Work& work);
+  void HandleOpenSession(const Frame& frame, Completion& c);
+  void HandleNextQuestion(const Frame& frame, Completion& c);
+  void HandleAnswer(const Frame& frame, Completion& c);
+  void HandleCloseSession(const Frame& frame, Completion& c);
+  void HandleMetrics(const Frame& frame, Completion& c);
 
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
                                          uint8_t flags);
 
   /// Answers a malformed or cross-tenant request: counts a protocol error,
   /// replies with a typed error frame and closes the connection.
-  Completion RejectFrame(Completion c, const util::Status& status);
+  void RejectFrame(Completion& c, const util::Status& status);
 
   ServerOptions options_;
-  runtime::SessionManager manager_;
+  runtime::IndexCache cache_;
   util::WakePipe wake_;
 
   std::unique_ptr<Listener> listener_;
@@ -210,6 +228,10 @@ class Server {
   // Event-thread-only connection table.
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
   uint64_t next_generation_ = 1;
+  size_t opens_in_flight_ = 0;  ///< Dispatched opens (hold admission slots).
+
+  /// Wire ids of opened sessions; each is also the session's trace id.
+  std::atomic<uint64_t> next_session_id_{1};
 
   // Work / completion queues.
   std::mutex work_mu_;
@@ -232,6 +254,11 @@ class Server {
     obs::OwnedCounter protocol_errors{obs::kServerProtocolErrorsTotal};
     obs::OwnedCounter deadline_closes{obs::kServerDeadlineClosesTotal};
     obs::OwnedCounter work_shed{obs::kServerWorkShedTotal};
+    // One counter per way a session ends; open = opened − closed − aborted.
+    obs::OwnedCounter sessions_opened{obs::kServerSessionsOpenedTotal};
+    obs::OwnedCounter sessions_closed{obs::kServerSessionsClosedTotal};
+    obs::OwnedCounter sessions_aborted{obs::kServerSessionsAbortedTotal};
+    obs::OwnedCounter sessions_shed{obs::kServerSessionsShedTotal};
     obs::OwnedGauge connections_open{obs::kServerConnectionsOpen};
     obs::OwnedGauge sessions_open{obs::kServerSessionsOpen};
     obs::OwnedGauge pending_work{obs::kServerPendingWork};

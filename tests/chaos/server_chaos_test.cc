@@ -6,7 +6,8 @@
 // may kill a connection (its session aborts, the client retries with a
 // fresh session), but a killed neighbor must never perturb another
 // tenant's question sequence, labels, or final predicate — and after the
-// storm, a graceful drain must end with zero hosted sessions.
+// storm, a graceful drain must end with zero open sessions, each opened
+// session ended exactly once.
 //
 // Like chaos_test.cc, this file never Reset()s the failpoint registry:
 // arming is additive over any ambient JINFER_FAILPOINTS schedule, and
@@ -218,9 +219,10 @@ TEST_F(ServerChaosTest, FaultScheduleNeverCorruptsCompletedTranscripts) {
       util::Failpoints::PauseScope paused;
       server.RequestDrain();
       EXPECT_TRUE(server.Wait().ok());
-      EXPECT_EQ(server.manager().hosted_open(), 0u);
       StatsOkBody stats = server.Stats();
       EXPECT_EQ(stats.sessions_open, 0u);
+      EXPECT_EQ(stats.sessions_opened,
+                stats.sessions_completed + stats.sessions_aborted);
       EXPECT_EQ(stats.connections_open, 0u);
     }
   }

@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "server/frame.h"
 #include "server/protocol.h"
 #include "testing/paper_fixtures.h"
+#include "util/failpoint.h"
 #include "util/socket.h"
 #include "workload/synthetic.h"
 
@@ -72,6 +75,66 @@ Client ConnectTo(const Server& server) {
   JINFER_CHECK(client.ok(), "connect failed: %s",
                client.status().ToString().c_str());
   return std::move(client).ValueOrDie();
+}
+
+/// Polls `done` for up to 5 s; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  return true;
+}
+
+/// Makes every index build sleep `ms` first, for one scope.
+class SlowBuilds {
+ public:
+  explicit SlowBuilds(int ms) {
+    JINFER_CHECK(
+        util::Failpoints::Arm("cache.build", "sleep:" + std::to_string(ms))
+            .ok(),
+        "arming cache.build failed");
+  }
+  ~SlowBuilds() { util::Failpoints::Disarm("cache.build"); }
+};
+
+/// A raw socket to `server`, with a 5 s I/O timeout.
+util::Socket RawConnect(const Server& server) {
+  auto sock = util::ConnectTcp("127.0.0.1", server.port());
+  JINFER_CHECK(sock.ok(), "connect failed: %s",
+               sock.status().ToString().c_str());
+  JINFER_CHECK(util::SetIoTimeout(*sock, milliseconds(5000)).ok(),
+               "socket timeout");
+  return std::move(sock).ValueOrDie();
+}
+
+/// Reads one whole frame off a raw socket.
+util::Result<Frame> ReadFrame(const util::Socket& sock) {
+  uint8_t header_bytes[kFrameHeaderBytes];
+  JINFER_RETURN_NOT_OK(util::ReadExact(sock, std::span<uint8_t>(header_bytes)));
+  JINFER_ASSIGN_OR_RETURN(
+      FrameHeader header,
+      DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
+                        kMaxFramePayload));
+  std::vector<uint8_t> payload(header.payload_bytes);
+  JINFER_RETURN_NOT_OK(util::ReadExact(sock, std::span<uint8_t>(payload)));
+  return DecodeFramePayload(header, payload);
+}
+
+/// The frames `types` (with valid bodies) encoded back to back: one write.
+std::vector<uint8_t> Pipelined(const std::vector<FrameType>& types,
+                               const OpenSessionBody& open) {
+  std::vector<uint8_t> wire;
+  for (FrameType type : types) {
+    const std::vector<uint8_t> frame = EncodeFrame(
+        type, type == FrameType::kOpenSession ? Encode(open)
+                                              : Encode(MetricsBody{}));
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  return wire;
 }
 
 /// Drives a remote session to completion against an oracle over the local
@@ -155,7 +218,7 @@ TEST(ServerTest, RemoteTranscriptsMatchInProcessRuns) {
     }
     server->RequestDrain();
     EXPECT_TRUE(server->Wait().ok());
-    EXPECT_EQ(server->manager().hosted_open(), 0u);
+    EXPECT_EQ(server->Stats().sessions_open, 0u);
   }
 }
 
@@ -221,6 +284,77 @@ TEST(ServerTest, AdmissionControlShedsThenRecovers) {
   EXPECT_EQ(stats.sessions_shed, 1u);
 }
 
+TEST(ServerTest, FailedOpenFreesItsAdmissionSlot) {
+  ServerOptions options;
+  options.runtime.max_sessions = 1;
+  auto server = StartServer(options);
+  const Instance inst = Example21();
+
+  Client client = ConnectTo(*server);
+  OpenSessionBody unparsable = OpenBodyFor(inst, "BU", 0);
+  unparsable.r_csv.clear();
+  auto failed = client.OpenSession(unparsable);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kParseError);
+
+  auto opened = client.OpenSession(OpenBodyFor(inst, "BU", 0));
+  EXPECT_TRUE(opened.ok()) << "failed open kept its admission slot: "
+                           << opened.status().ToString();
+}
+
+TEST(ServerTest, DispatchedOpensHoldAdmissionSlots) {
+  // Admission counts opens still building: with one slot, an open that
+  // arrives while another builds is shed, and the builder gets its session.
+  SlowBuilds slow(200);
+  ServerOptions options;
+  options.runtime.max_sessions = 1;
+  auto server = StartServer(options);
+  const OpenSessionBody body = OpenBodyFor(Example21(), "BU", 0);
+
+  Client first = ConnectTo(*server);
+  Client second = ConnectTo(*server);
+  std::optional<util::Result<OpenOkBody>> first_open;
+  std::thread opener([&] { first_open.emplace(first.OpenSession(body)); });
+  ASSERT_TRUE(WaitFor([&] { return server->Stats().frames_read == 1; }));
+  auto second_open = second.OpenSession(body);
+  opener.join();
+
+  ASSERT_TRUE(first_open->ok()) << first_open->status().ToString();
+  ASSERT_FALSE(second_open.ok());
+  EXPECT_EQ(second_open.status().code(),
+            util::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(RetryLater(second_open.status()));
+  EXPECT_EQ(server->Stats().sessions_shed, 1u);
+}
+
+TEST(ServerTest, StatsCountEveryLifecycleEdge) {
+  // Open to the bound, shed one, close one, drop one by disconnecting,
+  // reopen: each edge lands in exactly one counter.
+  ServerOptions options;
+  options.runtime.max_sessions = 2;
+  auto server = StartServer(options);
+  const OpenSessionBody body = OpenBodyFor(Example21(), "BU", 0);
+
+  Client a = ConnectTo(*server);
+  std::optional<Client> b(ConnectTo(*server));
+  Client c = ConnectTo(*server);
+  ASSERT_TRUE(a.OpenSession(body).ok());
+  ASSERT_TRUE(b->OpenSession(body).ok());
+  EXPECT_EQ(c.OpenSession(body).status().code(),
+            util::StatusCode::kResourceExhausted);
+  ASSERT_TRUE(a.CloseSession().ok());
+  b.reset();  // Hangs up with its session open.
+  ASSERT_TRUE(WaitFor([&] { return server->Stats().sessions_aborted == 1; }));
+  ASSERT_TRUE(c.OpenSession(body).ok());
+
+  const StatsOkBody stats = server->Stats();
+  EXPECT_EQ(stats.sessions_opened, 3u);
+  EXPECT_EQ(stats.sessions_shed, 1u);
+  EXPECT_EQ(stats.sessions_completed, 1u);
+  EXPECT_EQ(stats.sessions_aborted, 1u);
+  EXPECT_EQ(stats.sessions_open, 1u);
+}
+
 TEST(ServerTest, FullWorkQueueShedsWithoutClosing) {
   ServerOptions options;
   options.max_pending_work = 0;  // Everything sheds: the pathological floor.
@@ -236,6 +370,78 @@ TEST(ServerTest, FullWorkQueueShedsWithoutClosing) {
   }
 }
 
+// --- Pipelined frames -------------------------------------------------------
+
+TEST(ServerTest, PipelinedRequestsAreServedInOrder) {
+  // Frames sent in one write are read in one go; poll never reports the
+  // buffered ones again, so each completion must dispatch the next.
+  ServerOptions options;
+  options.limits.read_deadline = milliseconds(1000);
+  auto server = StartServer(options);
+  util::Socket sock = RawConnect(*server);
+  ASSERT_TRUE(util::WriteAll(sock, Pipelined({FrameType::kMetrics,
+                                              FrameType::kOpenSession,
+                                              FrameType::kMetrics},
+                                             OpenBodyFor(Example21(), "BU",
+                                                         0)))
+                  .ok());
+  for (FrameType want : {FrameType::kMetricsOk, FrameType::kOpenOk,
+                         FrameType::kMetricsOk}) {
+    auto reply = ReadFrame(sock);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_STREQ(FrameTypeName(reply->type), FrameTypeName(want));
+  }
+
+  // A shed frame dispatches nothing, so no completion will serve the frame
+  // behind it: the shed must.
+  options.max_pending_work = 0;
+  auto shedding = StartServer(options);
+  util::Socket shed_sock = RawConnect(*shedding);
+  ASSERT_TRUE(util::WriteAll(shed_sock, Pipelined({FrameType::kMetrics,
+                                                   FrameType::kMetrics},
+                                                  OpenSessionBody{}))
+                  .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto reply = ReadFrame(shed_sock);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_STREQ(FrameTypeName(reply->type), FrameTypeName(FrameType::kError));
+    auto err = DecodeError(reply->payload);
+    ASSERT_TRUE(err.ok());
+    EXPECT_EQ(err->code,
+              static_cast<uint32_t>(util::StatusCode::kResourceExhausted))
+        << "shed reply " << i << ": " << err->message;
+  }
+}
+
+TEST(ServerTest, PipelinedFrameBehindASlowOpenIsNotTimedOut) {
+  // The read deadline times the client, never the server: half a frame
+  // waiting behind a 500 ms open must not trip a 200 ms read deadline,
+  // and once the open is answered the client gets a fresh 200 ms.
+  SlowBuilds slow(500);
+  ServerOptions options;
+  options.limits.read_deadline = milliseconds(200);
+  auto server = StartServer(options);
+  util::Socket sock = RawConnect(*server);
+  std::vector<uint8_t> wire =
+      Pipelined({FrameType::kOpenSession}, OpenBodyFor(Example21(), "BU", 0));
+  const std::vector<uint8_t> next = Pipelined({FrameType::kMetrics}, {});
+  const size_t half = kFrameHeaderBytes / 2;
+  wire.insert(wire.end(), next.begin(), next.begin() + half);
+  ASSERT_TRUE(util::WriteAll(sock, wire).ok());
+
+  auto opened = ReadFrame(sock);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_STREQ(FrameTypeName(opened->type), FrameTypeName(FrameType::kOpenOk));
+  std::this_thread::sleep_for(milliseconds(20));
+  ASSERT_TRUE(util::WriteAll(sock, std::span<const uint8_t>(next).subspan(half))
+                  .ok());
+  auto metrics = ReadFrame(sock);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_STREQ(FrameTypeName(metrics->type),
+               FrameTypeName(FrameType::kMetricsOk));
+  EXPECT_EQ(server->Stats().deadline_closes, 0u);
+}
+
 // --- Abandoned sessions -----------------------------------------------------
 
 TEST(ServerTest, IdleConnectionsAreReapedAndSessionsAborted) {
@@ -249,14 +455,8 @@ TEST(ServerTest, IdleConnectionsAreReapedAndSessionsAborted) {
   ASSERT_TRUE(client.NextQuestion().ok());
 
   // The client wanders off. The idle timeout must close the connection and
-  // abort the hosted session, releasing its cache pin.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (server->manager().hosted_open() != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(milliseconds(20));
-  }
-  EXPECT_EQ(server->manager().hosted_open(), 0u);
+  // abort the session it owns, releasing its cache pin.
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().sessions_open == 0; }));
 
   StatsOkBody stats = server->Stats();
   EXPECT_EQ(stats.sessions_aborted, 1u);
@@ -507,6 +707,26 @@ TEST(ServerTest, DrainDeadlineForcesStragglersOut) {
 
   // ...and Wait still returns OK: a deadline-bounded drain is a success.
   EXPECT_TRUE(server->Wait().ok());
+}
+
+TEST(ServerTest, StopWithOpenInFlightLeavesNoSession) {
+  // The open finishes building after the event loop stopped, so its
+  // completion is never applied: Wait() must end the session it holds.
+  SlowBuilds slow(300);
+  auto server = StartServer(ServerOptions{});
+  util::Socket sock = RawConnect(*server);
+  ASSERT_TRUE(util::WriteAll(sock, Pipelined({FrameType::kOpenSession},
+                                             OpenBodyFor(Example21(), "BU",
+                                                         0)))
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] { return server->Stats().frames_read == 1; }));
+  server->RequestStop();
+  EXPECT_TRUE(server->Wait().ok());
+
+  const StatsOkBody stats = server->Stats();
+  EXPECT_EQ(stats.sessions_opened, 1u);
+  EXPECT_EQ(stats.sessions_aborted, 1u);
+  EXPECT_EQ(stats.sessions_open, 0u);
 }
 
 // --- Metrics ----------------------------------------------------------------
