@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -68,14 +69,20 @@ struct Tenant {
 
 /// The tenant catalog: a few small synthetic instances, deterministic
 /// strategies, one goal each — sessions short enough to survive a fault
-/// schedule, transcripts long enough to catch corruption.
+/// schedule, transcripts long enough to catch corruption. The strategies
+/// rotate over both frame routes: BU and TD questions run on the event
+/// thread, L1S questions on a worker (with its answers inline).
 std::vector<Tenant> MakeTenants(size_t n) {
+  constexpr core::StrategyKind kRotation[] = {core::StrategyKind::kBottomUp,
+                                              core::StrategyKind::kTopDown,
+                                              core::StrategyKind::kLookahead1};
   std::vector<Tenant> tenants;
   for (size_t i = 0; i < n; ++i) {
     auto inst = workload::GenerateSynthetic({3, 3, 24, 6}, 7000 + i % 4);
     JINFER_CHECK(inst.ok(), "instance generation");
+    const core::StrategyKind kind = kRotation[i % std::size(kRotation)];
     Tenant t;
-    t.body.strategy = i % 2 == 0 ? "BU" : "TD";
+    t.body.strategy = core::StrategyKindName(kind);
     t.body.compress = 1;
     t.body.r_name = inst->r.schema().relation_name();
     t.body.p_name = inst->p.schema().relation_name();
@@ -89,10 +96,7 @@ std::vector<Tenant> MakeTenants(size_t n) {
 
     // The fault-free in-process baseline, with any ambient schedule paused.
     util::Failpoints::PauseScope paused;
-    runtime::Session session(
-        t.index, core::MakeStrategy(
-                     i % 2 == 0 ? core::StrategyKind::kBottomUp
-                                : core::StrategyKind::kTopDown));
+    runtime::Session session(t.index, core::MakeStrategy(kind));
     core::GoalOracle oracle(t.goal);
     while (auto q = session.NextQuestion()) {
       const core::Label label = oracle.LabelClass(*t.index, *q);

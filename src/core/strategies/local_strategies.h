@@ -17,6 +17,7 @@ class BottomUpStrategy : public Strategy {
  public:
   const char* name() const override { return "BU"; }
   std::optional<ClassId> SelectNext(const InferenceState& state) override;
+  bool one_pass() const override { return true; }
 };
 
 /// Algorithm 3: while no positive example exists, present tuples whose
@@ -27,6 +28,7 @@ class TopDownStrategy : public Strategy {
  public:
   const char* name() const override { return "TD"; }
   std::optional<ClassId> SelectNext(const InferenceState& state) override;
+  bool one_pass() const override { return true; }
 };
 
 }  // namespace core

@@ -18,6 +18,7 @@ class RandomStrategy : public Strategy {
   const char* name() const override { return "RND"; }
   std::optional<ClassId> SelectNext(const InferenceState& state) override;
   bool deterministic() const override { return false; }
+  bool one_pass() const override { return true; }
 
  private:
   util::Rng rng_;

@@ -60,6 +60,11 @@ class Strategy {
   /// bundled strategy except RND). The worst-case adversary memoizes on
   /// the sample set and requires this.
   virtual bool deterministic() const { return true; }
+
+  /// True iff SelectNext picks in one pass over the classes, with no
+  /// lookahead or search (BU, TD, RND), so a pick costs O(classes). The
+  /// server runs such picks on its event thread (DESIGN.md §11.2).
+  virtual bool one_pass() const { return false; }
 };
 
 /// Factory. `seed` only affects the RND strategy.

@@ -85,6 +85,7 @@ class Session {
 
   const core::SignatureIndex& index() const { return *index_; }
   const core::InferenceState& state() const { return state_; }
+  const core::Strategy& strategy() const { return *strategy_; }
 
   /// Trace id stamped on this session's observability spans (question
   /// compute, answer apply); 0 = untraced. The server sets the session's

@@ -2,13 +2,14 @@
 // (DESIGN.md §11.2).
 //
 // A connection assembles frames from a nonblocking socket, hands exactly
-// one frame at a time to the processing pool, and drains response bytes
-// back out — all driven by the server's poll loop (server.cc), which is the
-// only thread that touches this object. It is also the only owner of its
-// session: the session leaves with a dispatched frame (BeginWork) and
-// comes back with its completion (OnWorkDone), and it dies with the
-// connection, which releases its IndexCache pin. The lifecycle hardening
-// lives here:
+// one frame at a time to its handler — run in place on the event thread
+// when its cost is bounded, on the worker pool otherwise (server.cc,
+// RunsInline) — and drains response bytes back out, all driven by the
+// server's poll loop, whose thread is the only one that touches this
+// object. It is also the only owner of its session: the session leaves
+// with a dispatched frame (BeginWork) and comes back with its completion
+// (OnWorkDone) on either route, and it dies with the connection, which
+// releases its IndexCache pin. The lifecycle hardening lives here:
 //
 //   read deadline   armed while a frame is partially received and no frame
 //                   is in flight — a client that trickles a header one
@@ -104,8 +105,8 @@ class Connection {
   Clock::time_point NextDeadline() const;
   const char* ExpiredReason() const;
 
-  /// Marks a dispatched frame: reading pauses until OnWorkDone. The
-  /// session (null if none is open) leaves with the frame.
+  /// Marks a dispatched frame, inline or queued: reading pauses until
+  /// OnWorkDone. The session (null if none is open) leaves with the frame.
   std::unique_ptr<runtime::Session> BeginWork() {
     busy_ = true;
     return std::move(session_);
@@ -120,7 +121,6 @@ class Connection {
     last_activity_ = Clock::now();
     frame_start_ = in_.empty() ? Clock::time_point{} : last_activity_;
   }
-  bool busy() const { return busy_; }
 
   /// Bytes of a next frame already read; poll will not report them again.
   bool has_buffered_input() const { return !in_.empty(); }
@@ -133,8 +133,8 @@ class Connection {
   const util::Socket& sock() const { return sock_; }
   uint64_t generation() const { return generation_; }
 
-  /// Whether a session is open here (false while it is out with a frame).
-  bool has_session() const { return session_ != nullptr; }
+  /// The session open here, or null (also while it is out with a frame).
+  const runtime::Session* session() const { return session_.get(); }
   /// The session's trace id — its wire id — or 0.
   uint64_t trace_id() const { return session_ ? session_->trace_id() : 0; }
 

@@ -61,6 +61,26 @@ util::Status CheckOwned(const util::Result<Body>& body,
   return util::Status::OK();
 }
 
+/// The routing rule: whether a `type` frame on a connection holding
+/// `session` runs on the event thread. Only frames whose cost is bounded
+/// by a pass over the classes do: an answer (one ApplyLabel), a close,
+/// and a question whose strategy picks in one pass (BU, TD, RND). A frame
+/// with no session to act on is a cheap reject. Opens (CSV parse,
+/// fingerprint, maybe a build), metrics scrapes and lookahead, EG and OPT
+/// questions go to the workers, so one expensive frame never stalls the
+/// other connections (DESIGN.md §11.2).
+bool RunsInline(FrameType type, const runtime::Session* session) {
+  switch (type) {
+    case FrameType::kAnswer:
+    case FrameType::kCloseSession:
+      return true;
+    case FrameType::kNextQuestion:
+      return session == nullptr || session->strategy().one_pass();
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -342,7 +362,8 @@ void Server::SendErrorAndClose(Connection& conn, const util::Status& status,
 void Server::HandleReadable(Connection& conn) {
   const int fd = conn.sock().fd();
   // Poll reports pipelined bytes once: while a frame answered on the spot
-  // (shed) leaves more buffered, serve the next one now.
+  // (inline, or shed) leaves more buffered, serve the next one now. An
+  // inline reject that set close-after-flush stops the loop here.
   do {
     auto ev = conn.OnReadable();
     if (!ev.ok()) {
@@ -376,7 +397,7 @@ void Server::HandleReadable(Connection& conn) {
       return;
     }
     if (!Dispatch(conn, std::move(ev->frame))) return;
-  } while (!conn.busy() && conn.has_buffered_input());
+  } while (conn.wants_read() && conn.has_buffered_input());
 }
 
 bool Server::Dispatch(Connection& conn, Frame frame) {
@@ -384,7 +405,7 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
   // open from a connection that holds a session is the worker's to refuse.
   const bool open = frame.type == FrameType::kOpenSession;
   const size_t max_sessions = options_.runtime.max_sessions;
-  if (open && max_sessions > 0 && !conn.has_session()) {
+  if (open && max_sessions > 0 && conn.session() == nullptr) {
     const uint64_t held = SessionsOpen() + opens_in_flight_;
     if (held >= max_sessions) {
       counters_.sessions_shed.Inc();
@@ -402,6 +423,12 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
   work.fd = conn.sock().fd();
   work.generation = conn.generation();
   work.frame = std::move(frame);
+  if (RunsInline(work.frame.type, conn.session())) {
+    // Run it here and start the reply's write in this poll round: no
+    // queue, no wake, no hand-back.
+    work.session = conn.BeginWork();
+    return Deliver(HandleFrame(std::move(work))) != nullptr;
+  }
   work.enqueue_nanos = util::SystemClock()->NowNanos();
   // Load shedding: the work queue is the bound; a frame past it is refused
   // at once with RETRY_LATER instead of buffered toward an OOM.
@@ -445,34 +472,38 @@ void Server::ApplyCompletions() {
     batch.swap(done_);
   }
   for (auto& c : batch) {
-    if (c.open) --opens_in_flight_;
-    auto it = conns_.find(c.fd);
-    if (it == conns_.end() || it->second->generation() != c.generation) {
-      // The connection died while its frame was processing. The session
-      // that went out with the frame, or that an open just made, has no
-      // owner left: it ends here, and its cache pin drops.
-      if (c.session != nullptr) counters_.sessions_aborted.Inc();
-      continue;
-    }
-    Connection& conn = *it->second;
-    conn.OnWorkDone(std::move(c.session));
-    if (!c.bytes.empty() && !EnqueueOrClose(conn, std::move(c.bytes))) {
-      continue;
-    }
-    if (c.close_after) conn.CloseAfterFlush();
-    if (conn.wants_write()) {
-      HandleWritable(conn);
-    } else if (conn.close_after_flush()) {
-      CloseConn(c.fd);
-    }
+    Connection* conn = Deliver(std::move(c));
     // A frame pipelined behind this one is already buffered, where poll
     // cannot see it.
-    it = conns_.find(c.fd);
-    if (it != conns_.end() && it->second->wants_read() &&
-        it->second->has_buffered_input()) {
-      HandleReadable(*it->second);
+    if (conn != nullptr && conn->wants_read() && conn->has_buffered_input()) {
+      HandleReadable(*conn);
     }
   }
+}
+
+Connection* Server::Deliver(Completion c) {
+  if (c.open) --opens_in_flight_;
+  auto it = conns_.find(c.fd);
+  if (it == conns_.end() || it->second->generation() != c.generation) {
+    // The connection died while its frame was processing. The session
+    // that went out with the frame, or that an open just made, has no
+    // owner left: it ends here, and its cache pin drops.
+    if (c.session != nullptr) counters_.sessions_aborted.Inc();
+    return nullptr;
+  }
+  Connection& conn = *it->second;
+  conn.OnWorkDone(std::move(c.session));
+  if (!c.bytes.empty() && !EnqueueOrClose(conn, std::move(c.bytes))) {
+    return nullptr;
+  }
+  if (c.close_after) conn.CloseAfterFlush();
+  if (conn.wants_write()) {
+    HandleWritable(conn);
+  } else if (conn.close_after_flush()) {
+    CloseConn(c.fd);
+  }
+  it = conns_.find(c.fd);
+  return it != conns_.end() ? it->second.get() : nullptr;
 }
 
 void Server::SweepDeadlines() {
@@ -504,7 +535,7 @@ void Server::CloseConn(int fd) {
   if (it == conns_.end()) return;
   // A session the connection holds dies with it (a session out with a
   // frame ends when its completion finds the connection gone).
-  if (it->second->has_session()) counters_.sessions_aborted.Inc();
+  if (it->second->session() != nullptr) counters_.sessions_aborted.Inc();
   conns_.erase(it);
   counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
 }
@@ -523,8 +554,6 @@ void Server::WorkerLoop() {
       work = std::move(work_.front());
       work_.pop_front();
     }
-    const uint64_t trace_id =
-        work.session != nullptr ? work.session->trace_id() : 0;
     // Queue-wait span: enqueue on the event thread → claim here. Recorded
     // from the timestamps already taken, not a ScopedSpan, because the
     // waiting happened on no one's stack.
@@ -534,21 +563,14 @@ void Server::WorkerLoop() {
           now > work.enqueue_nanos ? now - work.enqueue_nanos : 0;
       ServerMetrics::Get().frame_queue_nanos.Record(waited);
       obs::SpanRecord queued;
-      queued.trace_id = trace_id;
+      queued.trace_id = work.session != nullptr ? work.session->trace_id() : 0;
       queued.start_nanos = work.enqueue_nanos;
       queued.duration_nanos = waited;
       queued.detail = static_cast<uint64_t>(work.frame.type);
       queued.kind = obs::SpanKind::kFrameQueue;
       obs::FlightRecorder::Global().Record(queued);
     }
-    Completion done;
-    {
-      obs::ScopedSpan execute_span(
-          obs::SpanKind::kFrameExecute, trace_id,
-          &ServerMetrics::Get().frame_execute_nanos);
-      execute_span.set_detail(static_cast<uint64_t>(work.frame.type));
-      done = HandleFrame(std::move(work));
-    }
+    Completion done = HandleFrame(std::move(work));
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(done));
@@ -564,6 +586,11 @@ Server::Completion Server::HandleFrame(Work work) {
   c.open = work.frame.type == FrameType::kOpenSession;
   c.session = std::move(work.session);
   const Frame& frame = work.frame;
+  obs::ScopedSpan execute_span(
+      obs::SpanKind::kFrameExecute,
+      c.session != nullptr ? c.session->trace_id() : 0,
+      &ServerMetrics::Get().frame_execute_nanos);
+  execute_span.set_detail(static_cast<uint64_t>(frame.type));
   switch (frame.type) {
     case FrameType::kOpenSession:
       HandleOpenSession(frame, c);

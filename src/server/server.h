@@ -1,15 +1,20 @@
 // Server: the fault-tolerant network serving front end (DESIGN.md §11).
 //
 // One poll()-driven event thread owns the listener and every Connection,
-// and each Connection owns its one runtime::Session; a small worker pool
-// executes frame handlers. A dispatched frame carries its connection's
-// session to the worker and the completion carries it back, so one thread
-// at a time touches a session and it needs no lock of its own. The event
-// thread never blocks on inference and the workers never touch a socket,
-// so a slow client cannot wedge a worker and a slow build cannot wedge the
-// event loop. Exactly one frame per connection is in flight at a time —
-// reading pauses while a frame is being processed, which is the natural
-// per-connection backpressure and what serializes a session's transcript.
+// and each Connection owns its one runtime::Session. Frames of bounded
+// cost — answers, closes, and questions whose strategy picks in one pass
+// over the classes (BU, TD, RND) — run on the event thread, which starts
+// writing the reply in the same poll round. Opens, metrics scrapes and
+// lookahead, EG and OPT questions go to a small worker pool; RunsInline
+// (server.cc) is the one routing rule. A worker frame carries its
+// connection's session to the worker and its completion carries it back,
+// so one thread at a time touches a session and it needs no lock of its
+// own. The event thread never runs unbounded inference and the workers
+// never touch a socket, so a slow client cannot wedge a worker and a slow
+// build or search cannot wedge the event loop. Exactly one frame per
+// connection is in flight at a time — reading pauses while a frame is
+// being processed, which is the natural per-connection backpressure and
+// what serializes a session's transcript.
 //
 // Failure-domain map (the robustness contract this PR exists for):
 //   malformed frame      typed kError frame (kParseError) then close —
@@ -17,9 +22,10 @@
 //   read/write/idle      connection closed with kDeadlineExceeded; its
 //     deadline expiry    session dies with it (IndexCache pin released)
 //   overload             admission (Options::runtime.max_sessions) and the
-//                        work queue (max_pending_work) both shed at
-//                        dispatch with a kResourceExhausted RETRY_LATER
-//                        frame — refuse, never queue without bound
+//                        work queue (max_pending_work, worker frames) both
+//                        shed at dispatch with a kResourceExhausted
+//                        RETRY_LATER frame — refuse, never queue without
+//                        bound
 //   slow client          write buffer capped; overflow closes the
 //                        connection instead of growing the heap
 //   SIGTERM              RequestDrain (async-signal-safe): stop accepting,
@@ -64,16 +70,20 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; read the real one via port().
 
-  /// Frame-processing threads (inference runs here). >= 1.
+  /// Threads for the frames the event thread does not run itself: opens
+  /// (CSV parse, fingerprint, index build), metrics scrapes, and
+  /// lookahead, EG and OPT questions. >= 1.
   int workers = 2;
 
   /// Accepted connections beyond this are not accepted (the listener is
   /// simply not polled while full — the kernel backlog absorbs bursts).
   size_t max_connections = 256;
 
-  /// Bound on dispatched-but-unprocessed frames. A frame arriving past the
-  /// bound is answered immediately with kResourceExhausted RETRY_LATER and
-  /// never queued — load shedding, not buffering.
+  /// Bound on frames queued for the workers and not yet claimed; frames
+  /// run on the event thread never enter the queue. A worker frame
+  /// arriving past the bound is answered immediately with
+  /// kResourceExhausted RETRY_LATER and never queued — load shedding, not
+  /// buffering.
   size_t max_pending_work = 64;
 
   /// Per-connection deadlines and caps (connection.h).
@@ -157,8 +167,9 @@ class Server {
                                  ///< the frame-queue wait span).
   };
 
-  /// A worker's answer, routed back through the event thread (the only
-  /// thread allowed to touch a Connection).
+  /// A handled frame's answer, delivered on the event thread (the only
+  /// thread allowed to touch a Connection): a worker's goes through the
+  /// done queue, an inline frame's straight to Deliver.
   struct Completion {
     int fd = -1;
     uint64_t generation = 0;
@@ -180,21 +191,29 @@ class Server {
   void HandleReadable(Connection& conn);
   void HandleWritable(Connection& conn);
   void ApplyCompletions();
+  /// Hands a finished frame back to its connection, from a worker's
+  /// completion or an inline run alike: returns the session, enqueues the
+  /// reply, starts the flush and honours close-after. Returns the
+  /// connection, or null once it is gone (it died meanwhile, or closed
+  /// here).
+  Connection* Deliver(Completion c);
   void SweepDeadlines();
   void CloseConn(int fd);
   void SendErrorAndClose(Connection& conn, const util::Status& status,
                          uint8_t extra_flags);
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
-  /// Queues `frame` with the connection's session, or answers it at once
-  /// when admission or the work queue sheds it. False when that answer
+  /// Runs `frame` on this thread when RunsInline (server.cc) allows it,
+  /// else queues it with the connection's session, or answers it at once
+  /// when admission or the work queue sheds it. False when the answer
   /// closed the connection.
   bool Dispatch(Connection& conn, Frame frame);
 
   /// Sessions opened and not yet ended (the three counters' difference).
   uint64_t SessionsOpen() const;
 
-  // --- Worker-side frame handlers --------------------------------------
-  // Each fills `c`, which already holds the connection's session.
+  // --- Frame handlers (a worker, or the event thread for inline frames) -
+  // HandleFrame times the frame-execute span; each handler fills `c`,
+  // which already holds the connection's session.
   Completion HandleFrame(Work work);
   void HandleOpenSession(const Frame& frame, Completion& c);
   void HandleNextQuestion(const Frame& frame, Completion& c);

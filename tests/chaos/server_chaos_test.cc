@@ -1,8 +1,11 @@
 // Protocol chaos suite (DESIGN.md §11.3): the serving front end under an
 // adversarial schedule — socket-edge failpoints (accept, read, write,
 // frame-decode) plus clients that randomly kill their own connections
-// mid-session. The property, at 1 worker and at 4: every transcript that
-// COMPLETES is bit-identical to the fault-free in-process baseline. Faults
+// mid-session. The tenants cover both frame routes: BU and RND sessions
+// run every frame after the open on the event thread, while an L1S
+// session's questions run on a worker and its answers inline. The
+// property, at 1 worker and at 4: every transcript that COMPLETES is
+// bit-identical to the fault-free in-process baseline. Faults
 // may kill a connection (its session aborts, the client retries with a
 // fresh session), but a killed neighbor must never perturb another
 // tenant's question sequence, labels, or final predicate — and after the
@@ -143,6 +146,8 @@ std::vector<Spec> MakeSpecs(const core::SignatureIndex& index) {
       break;
     }
   }
+  // Its questions go to a worker, its answers stay inline: the split route.
+  specs.push_back({core::StrategyKind::kLookahead1, 0, specs.back().goal});
   return specs;
 }
 

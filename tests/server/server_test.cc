@@ -1,15 +1,18 @@
 // Integration tests for the serving front end: real sockets against a real
 // Server. The load-bearing property is transcript bit-identity — a session
 // driven over the wire must match an in-process Session step for step
-// (same questions, same hypothesis words, same final predicate) — plus the
-// lifecycle hardening: admission shedding, work-queue shedding, idle
-// reaping, cross-tenant isolation, malformed-frame handling, and graceful
-// drain (DESIGN.md §11.2, §11.3).
+// (same questions, same hypothesis words, same final predicate) — plus
+// frame routing (which frames run on the event thread, and that a slow
+// worker frame stalls no inline tenant) and the lifecycle hardening:
+// admission shedding, work-queue shedding, idle reaping, cross-tenant
+// isolation, malformed-frame handling, and graceful drain (DESIGN.md
+// §11.2, §11.3).
 
 #include "server/server.h"
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +28,7 @@
 #include "core/signature_index.h"
 #include "core/strategy.h"
 #include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "relational/csv.h"
 #include "runtime/session.h"
 #include "server/client.h"
@@ -139,9 +143,11 @@ std::vector<uint8_t> Pipelined(const std::vector<FrameType>& types,
 
 /// Drives a remote session to completion against an oracle over the local
 /// twin index, asserting bit-identity with a local Session at every step.
+/// `interactions`, when set, receives the session's answered questions.
 void ExpectRemoteMatchesLocal(Client& client, const Instance& inst,
                               core::StrategyKind kind, uint64_t seed,
-                              const core::JoinPredicate& goal) {
+                              const core::JoinPredicate& goal,
+                              size_t* interactions = nullptr) {
   auto local_index = core::SignatureIndex::Build(inst.r, inst.p);
   ASSERT_TRUE(local_index.ok());
   runtime::Session local(*local_index, core::MakeStrategy(kind, seed));
@@ -192,6 +198,7 @@ void ExpectRemoteMatchesLocal(Client& client, const Instance& inst,
   EXPECT_EQ(closed->num_interactions, local.num_interactions());
   EXPECT_EQ(PredicateFromWords(closed->predicate_words),
             local.Result().predicate);
+  if (interactions != nullptr) *interactions = steps;
 }
 
 // --- Transcript bit-identity ------------------------------------------------
@@ -253,6 +260,107 @@ TEST(ServerTest, SyntheticInstanceMatchesAcrossConcurrentClients) {
   EXPECT_EQ(stats.cache_builds, 1u);
   EXPECT_EQ(stats.sessions_completed, uint64_t(kClients));
   EXPECT_EQ(stats.sessions_open, 0u);
+}
+
+// --- Frame routing -----------------------------------------------------------
+
+TEST(ServerTest, OnlyOpensAndSearchingQuestionsQueueForAWorker) {
+  // Every frame is executed once; only a frame that goes to a worker also
+  // waits in the queue. BU, TD and RND pick in one pass, so their
+  // questions run on the event thread with the answers and the close;
+  // lookahead, EG and OPT questions queue like the open.
+  auto server = StartServer(ServerOptions{});
+  const Instance inst = Example21();
+  auto index = core::SignatureIndex::Build(inst.r, inst.p);
+  ASSERT_TRUE(index.ok());
+  const core::JoinPredicate goal =
+      testing::Pred(index->omega(), {{0, 0}, {1, 1}});
+  const obs::Histogram& queue =
+      obs::Registry::Global().histogram(obs::kServerFrameQueueNanos);
+  const obs::Histogram& execute =
+      obs::Registry::Global().histogram(obs::kServerFrameExecuteNanos);
+
+  for (core::StrategyKind kind :
+       {core::StrategyKind::kRandom, core::StrategyKind::kBottomUp,
+        core::StrategyKind::kTopDown, core::StrategyKind::kLookahead1,
+        core::StrategyKind::kLookahead2, core::StrategyKind::kLookahead3,
+        core::StrategyKind::kExpectedGain, core::StrategyKind::kOptimal}) {
+    SCOPED_TRACE(core::StrategyKindName(kind));
+    const uint64_t queued_before = queue.Snapshot().count;
+    const uint64_t executed_before = execute.Snapshot().count;
+    Client client = ConnectTo(*server);
+    size_t interactions = 0;
+    ExpectRemoteMatchesLocal(client, inst, kind, /*seed=*/3, goal,
+                             &interactions);
+    // Open, a question per interaction plus the one that says finished,
+    // an answer per interaction, close.
+    const uint64_t questions = interactions + 1;
+    const uint64_t frames = 1 + questions + interactions + 1;
+    const bool one_pass = kind == core::StrategyKind::kRandom ||
+                          kind == core::StrategyKind::kBottomUp ||
+                          kind == core::StrategyKind::kTopDown;
+    EXPECT_EQ(queue.Snapshot().count - queued_before,
+              1 + (one_pass ? 0 : questions));
+    EXPECT_EQ(execute.Snapshot().count - executed_before, frames);
+  }
+}
+
+TEST(ServerTest, SlowWorkerQuestionDoesNotBlockInlineTenants) {
+  // One worker, busy for tens of milliseconds on an OPT pick over 18
+  // classes, while a TD tenant repeats its (idempotent) question. TD
+  // frames run on the event thread, so each repeat is a full round trip
+  // that completes meanwhile. Had they queued, they would wait behind the
+  // OPT pick on the one worker; had the OPT pick run inline, the event
+  // thread would be blocked. Either way no TD round trip would complete
+  // before the OPT reply.
+  constexpr int kRoundTrips = 20;
+  auto generated = workload::GenerateSynthetic({3, 2, 8, 4}, 20140324);
+  ASSERT_TRUE(generated.ok());
+  const Instance slow{generated->r, generated->p};
+  auto slow_index = core::SignatureIndex::Build(slow.r, slow.p);
+  ASSERT_TRUE(slow_index.ok());
+  runtime::Session local(*slow_index,
+                         core::MakeStrategy(core::StrategyKind::kOptimal));
+  const std::optional<core::ClassId> local_pick = local.NextQuestion();
+  ASSERT_TRUE(local_pick.has_value());
+
+  ServerOptions options;
+  options.workers = 1;
+  auto server = StartServer(options);
+  Client cheap = ConnectTo(*server);
+  ASSERT_TRUE(cheap.OpenSession(OpenBodyFor(Example21(), "TD", 0)).ok());
+  // The OPT pick takes seconds in a sanitizer build on a small machine.
+  Client::Options patient;
+  patient.io_timeout = std::chrono::seconds(120);
+  auto searching = Client::Connect("127.0.0.1", server->port(), patient);
+  ASSERT_TRUE(searching.ok()) << searching.status().ToString();
+  ASSERT_TRUE(searching->OpenSession(OpenBodyFor(slow, "OPT", 0)).ok());
+
+  const uint64_t read_before = server->Stats().frames_read;
+  std::optional<util::Result<QuestionBody>> slow_question;
+  std::atomic<bool> landed{false};
+  std::thread asker([&] {
+    slow_question.emplace(searching->NextQuestion());
+    landed.store(true);
+  });
+  const bool slow_read = WaitFor(
+      [&] { return server->Stats().frames_read == read_before + 1; });
+  // Stop at kRoundTrips, so the TD tenant stops competing for the CPU.
+  int round_trips = 0;
+  while (slow_read && !landed.load() && round_trips < kRoundTrips) {
+    auto q = cheap.NextQuestion();
+    if (!q.ok()) {
+      ADD_FAILURE() << "TD question failed: " << q.status().ToString();
+      break;
+    }
+    if (!landed.load()) ++round_trips;
+  }
+  asker.join();
+
+  ASSERT_TRUE(slow_read);
+  EXPECT_EQ(round_trips, kRoundTrips);
+  ASSERT_TRUE(slow_question->ok()) << slow_question->status().ToString();
+  EXPECT_EQ((*slow_question)->class_id, *local_pick);
 }
 
 // --- Load shedding ----------------------------------------------------------
