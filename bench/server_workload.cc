@@ -70,8 +70,8 @@ struct Tenant {
 /// The tenant catalog: a few small synthetic instances, deterministic
 /// strategies, one goal each — sessions short enough to survive a fault
 /// schedule, transcripts long enough to catch corruption. The strategies
-/// rotate over both frame routes: BU and TD questions run on the event
-/// thread, L1S questions on a worker (with its answers inline).
+/// rotate over both frame routes: BU and TD answers run on the event
+/// thread, L1S answers (whose replies carry a searching pick) on a worker.
 std::vector<Tenant> MakeTenants(size_t n) {
   constexpr core::StrategyKind kRotation[] = {core::StrategyKind::kBottomUp,
                                               core::StrategyKind::kTopDown,

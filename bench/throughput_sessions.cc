@@ -321,10 +321,10 @@ BENCHMARK(BM_ThroughputSessionsDegraded)
 
 // End-to-end sessions/sec through the network server as the concurrent
 // connection count grows (Arg): real sockets on loopback, the full frame
-// protocol, the event loop (which runs TD questions, answers and closes
-// itself) + the worker handoff of each open, and the shared tiered cache
-// underneath. Each connection runs complete sessions back to back (open,
-// question/answer loop, close); per-session wall latency is recorded into
+// protocol, the event loop (which runs TD answers, each replying with the
+// next question, itself) + the worker handoff of each open, and the shared
+// tiered cache underneath. Each connection runs complete sessions back to
+// back (open, question/answer loop, close); per-session wall latency is recorded into
 // an obs::Histogram and reported as latency_p50_ms / latency_p99_ms next
 // to items_per_second — the same log₂ buckets and interpolated quantile
 // definition the server's kMetrics exposition uses (DESIGN.md §13), so

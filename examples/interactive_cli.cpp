@@ -311,9 +311,9 @@ int RunConnect(const std::string& spec, const rel::Relation& r,
       },
       [&](core::Label label) -> util::Result<core::JoinPredicate> {
         JINFER_ASSIGN_OR_RETURN(
-            server::AnswerOkBody ok,
+            server::QuestionBody next,
             client->Answer(label == core::Label::kPositive));
-        return server::PredicateFromWords(ok.predicate_words);
+        return server::PredicateFromWords(next.predicate_words);
       });
   if (!asked) return 1;
 
@@ -469,9 +469,10 @@ int main(int argc, char** argv) {
       });
   if (!asked) return 1;
 
-  std::printf("\nInferred join predicate: %s\n",
+  std::printf("\nInferred join predicate: %s (%zu interaction(s))\n",
               session.index().omega().Format(
-                  session.CurrentPredicate()).c_str());
+                  session.CurrentPredicate()).c_str(),
+              session.num_interactions());
   if (metrics_dump) {
     std::printf("\n# process metrics\n%s",
                 obs::RenderPrometheusText().c_str());

@@ -1,5 +1,7 @@
 #include "server/client.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/string_util.h"
@@ -114,43 +116,53 @@ util::Result<OpenOkBody> Client::OpenSession(const OpenSessionBody& body) {
     return WrongResponse(response.type, FrameType::kOpenOk);
   }
   JINFER_ASSIGN_OR_RETURN(OpenOkBody ok, DecodeOpenOk(response.payload));
-  session_id_ = ok.session_id;
+  question_ = ok.question;
   return ok;
 }
 
 util::Result<QuestionBody> Client::NextQuestion() {
-  NextQuestionBody req;
-  req.session_id = session_id_;
-  JINFER_ASSIGN_OR_RETURN(
-      Frame response, RoundTrip(FrameType::kNextQuestion, Encode(req)));
-  if (response.type != FrameType::kQuestion) {
-    return WrongResponse(response.type, FrameType::kQuestion);
-  }
-  return DecodeQuestion(response.payload);
+  if (!question_) return util::Status::FailedPrecondition("no session open");
+  return *question_;
 }
 
-util::Result<AnswerOkBody> Client::Answer(bool positive) {
+util::Result<QuestionBody> Client::Answer(bool positive) {
+  if (!question_ || question_->finished) {
+    return util::Status::FailedPrecondition(
+        "Answer with no pending question");
+  }
   AnswerBody req;
-  req.session_id = session_id_;
+  req.session_id = question_->session_id;
   req.label = positive ? 1 : 0;
   JINFER_ASSIGN_OR_RETURN(Frame response,
                           RoundTrip(FrameType::kAnswer, Encode(req)));
-  if (response.type != FrameType::kAnswerOk) {
-    return WrongResponse(response.type, FrameType::kAnswerOk);
+  if (response.type != FrameType::kQuestion) {
+    return WrongResponse(response.type, FrameType::kQuestion);
   }
-  return DecodeAnswerOk(response.payload);
+  JINFER_ASSIGN_OR_RETURN(QuestionBody next, DecodeQuestion(response.payload));
+  question_ = next;
+  return next;
 }
 
 util::Result<CloseOkBody> Client::CloseSession() {
-  CloseSessionBody req;
-  req.session_id = session_id_;
-  JINFER_ASSIGN_OR_RETURN(
-      Frame response, RoundTrip(FrameType::kCloseSession, Encode(req)));
-  if (response.type != FrameType::kCloseOk) {
-    return WrongResponse(response.type, FrameType::kCloseOk);
+  if (!question_) return util::Status::FailedPrecondition("no session open");
+  CloseOkBody ok;
+  if (question_->finished) {
+    // The server ended the session when it sent this question.
+    ok.session_id = question_->session_id;
+    ok.num_interactions = question_->num_interactions;
+    std::copy(std::begin(question_->predicate_words),
+              std::end(question_->predicate_words), ok.predicate_words);
+  } else {
+    CloseSessionBody req;
+    req.session_id = question_->session_id;
+    JINFER_ASSIGN_OR_RETURN(
+        Frame response, RoundTrip(FrameType::kCloseSession, Encode(req)));
+    if (response.type != FrameType::kCloseOk) {
+      return WrongResponse(response.type, FrameType::kCloseOk);
+    }
+    JINFER_ASSIGN_OR_RETURN(ok, DecodeCloseOk(response.payload));
   }
-  JINFER_ASSIGN_OR_RETURN(CloseOkBody ok, DecodeCloseOk(response.payload));
-  session_id_ = 0;
+  question_.reset();
   return ok;
 }
 

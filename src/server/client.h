@@ -5,6 +5,14 @@
 // reference implementation for anyone speaking the protocol from another
 // language.
 //
+// Callers drive the step API's loop — OpenSession, then NextQuestion /
+// Answer until a question says finished, then CloseSession — and pay one
+// round trip per interaction: the open's and each answer's reply carry
+// the next question, which the client holds, so NextQuestion does no I/O.
+// A finished question ends the session on the server, so CloseSession
+// then builds its result from that question without a frame; it sends
+// kCloseSession only to stop a session that is still running.
+//
 // Error frames decode back into the library's own Status taxonomy: the
 // code travels numerically, so a server-side kResourceExhausted refusal
 // IS kResourceExhausted here, and util::RetryCall composes with it the
@@ -17,6 +25,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "server/frame.h"
@@ -52,24 +61,33 @@ class Client {
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
-  /// Opens a session; remembers its id for the calls below.
+  /// Opens a session and holds its first question for the calls below.
   util::Result<OpenOkBody> OpenSession(const OpenSessionBody& body);
 
-  /// Asks for the next question. finished=1 means the inference is done —
-  /// follow with CloseSession for the final predicate.
+  /// The question the last open or answer delivered, with no I/O.
+  /// finished=1 means the inference is done — follow with CloseSession for
+  /// the final predicate. FailedPrecondition when no session is open.
   util::Result<QuestionBody> NextQuestion();
 
-  /// Labels the pending question. kInconsistentSample leaves it pending.
-  util::Result<AnswerOkBody> Answer(bool positive);
+  /// Labels the pending question; the reply is the next question, which
+  /// the client now holds. An error (kInconsistentSample, a RETRY_LATER
+  /// shed) leaves the question pending. With no pending question it fails
+  /// locally with FailedPrecondition and sends nothing.
+  util::Result<QuestionBody> Answer(bool positive);
 
-  /// Closes the session and returns the final predicate + interaction
-  /// count. Clears the remembered session id.
+  /// Returns the final predicate + interaction count and forgets the
+  /// session. A finished session already ended on the server, so its
+  /// result comes from the finished question with no I/O; a running one
+  /// is closed with a kCloseSession round trip.
   util::Result<CloseOkBody> CloseSession();
 
   /// The server's full Prometheus text exposition (no session required).
   util::Result<MetricsOkBody> ServerMetrics();
 
-  uint64_t session_id() const { return session_id_; }
+  /// The open session's id, or 0.
+  uint64_t session_id() const {
+    return question_ ? question_->session_id : 0;
+  }
   const util::Socket& sock() const { return sock_; }
 
   /// The raw exchange: send one request frame, read one response frame.
@@ -86,7 +104,8 @@ class Client {
 
   util::Socket sock_;
   Options options_;
-  uint64_t session_id_ = 0;
+  /// The open session's current question; empty when no session is open.
+  std::optional<QuestionBody> question_;
 };
 
 }  // namespace server

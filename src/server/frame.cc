@@ -26,7 +26,6 @@ bool IsKnownFrameType(uint8_t type) {
   switch (static_cast<FrameType>(type)) {
     case FrameType::kOpenOk:
     case FrameType::kQuestion:
-    case FrameType::kAnswerOk:
     case FrameType::kCloseOk:
     case FrameType::kError:
     case FrameType::kMetricsOk:
@@ -45,7 +44,6 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kMetrics: return "Metrics";
     case FrameType::kOpenOk: return "OpenOk";
     case FrameType::kQuestion: return "Question";
-    case FrameType::kAnswerOk: return "AnswerOk";
     case FrameType::kCloseOk: return "CloseOk";
     case FrameType::kError: return "Error";
     case FrameType::kMetricsOk: return "MetricsOk";

@@ -43,7 +43,7 @@ namespace server {
 inline constexpr uint32_t kFrameMagic = 0x4d52464a;  // "JFRM" on LE.
 /// A peer on any other version gets a typed ParseError; there is no
 /// fallback path.
-inline constexpr uint8_t kProtocolVersion = 2;
+inline constexpr uint8_t kProtocolVersion = 3;
 
 /// Hard ceiling on a frame payload. OpenSession carries CSV text, so the
 /// bound is generous; anything larger is a protocol error by definition
@@ -62,8 +62,7 @@ enum class FrameType : uint8_t {
   kMetrics = 0x06,
   // Server → client.
   kOpenOk = 0x41,
-  kQuestion = 0x42,
-  kAnswerOk = 0x43,
+  kQuestion = 0x42,  ///< Answers kNextQuestion and kAnswer.
   kCloseOk = 0x44,
   kError = 0x46,
   kMetricsOk = 0x47,
@@ -91,7 +90,7 @@ inline constexpr size_t kFrameHeaderBytes = sizeof(FrameHeader);
 
 /// A decoded frame: type plus owned payload bytes.
 struct Frame {
-  FrameType type;
+  FrameType type{};
   std::vector<uint8_t> payload;
 };
 

@@ -19,6 +19,28 @@ util::Status GetWords(WireReader& r, uint64_t words[4]) {
   return util::Status::OK();
 }
 
+// The one wire layout of a question: the kQuestion body, and the tail of
+// the OpenOk body.
+void PutQuestion(WireWriter& w, const QuestionBody& q) {
+  w.U64(q.session_id);
+  w.U8(q.finished);
+  w.U64(q.num_interactions);
+  w.U32(q.class_id);
+  w.U32(q.rep_r);
+  w.U32(q.rep_p);
+  PutWords(w, q.predicate_words);
+}
+
+util::Status GetQuestion(WireReader& r, QuestionBody& q) {
+  JINFER_ASSIGN_OR_RETURN(q.session_id, r.U64());
+  JINFER_ASSIGN_OR_RETURN(q.finished, r.U8());
+  JINFER_ASSIGN_OR_RETURN(q.num_interactions, r.U64());
+  JINFER_ASSIGN_OR_RETURN(q.class_id, r.U32());
+  JINFER_ASSIGN_OR_RETURN(q.rep_r, r.U32());
+  JINFER_ASSIGN_OR_RETURN(q.rep_p, r.U32());
+  return GetWords(r, q.predicate_words);
+}
+
 }  // namespace
 
 void PredicateToWords(const core::JoinPredicate& predicate,
@@ -74,6 +96,7 @@ std::vector<uint8_t> Encode(const OpenOkBody& body) {
   w.U64(body.num_classes);
   w.U64(body.num_tuples);
   w.U8(body.index_tier);
+  PutQuestion(w, body.question);
   return std::move(w).Take();
 }
 
@@ -84,6 +107,7 @@ util::Result<OpenOkBody> DecodeOpenOk(std::span<const uint8_t> payload) {
   JINFER_ASSIGN_OR_RETURN(body.num_classes, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.num_tuples, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.index_tier, r.U8());
+  JINFER_RETURN_NOT_OK(GetQuestion(r, body.question));
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
 }
@@ -105,26 +129,14 @@ util::Result<NextQuestionBody> DecodeNextQuestion(
 
 std::vector<uint8_t> Encode(const QuestionBody& body) {
   WireWriter w;
-  w.U64(body.session_id);
-  w.U8(body.finished);
-  w.U64(body.question_index);
-  w.U32(body.class_id);
-  w.U32(body.rep_r);
-  w.U32(body.rep_p);
-  PutWords(w, body.predicate_words);
+  PutQuestion(w, body);
   return std::move(w).Take();
 }
 
 util::Result<QuestionBody> DecodeQuestion(std::span<const uint8_t> payload) {
   WireReader r(payload);
   QuestionBody body;
-  JINFER_ASSIGN_OR_RETURN(body.session_id, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.finished, r.U8());
-  JINFER_ASSIGN_OR_RETURN(body.question_index, r.U64());
-  JINFER_ASSIGN_OR_RETURN(body.class_id, r.U32());
-  JINFER_ASSIGN_OR_RETURN(body.rep_r, r.U32());
-  JINFER_ASSIGN_OR_RETURN(body.rep_p, r.U32());
-  JINFER_RETURN_NOT_OK(GetWords(r, body.predicate_words));
+  JINFER_RETURN_NOT_OK(GetQuestion(r, body));
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
 }
@@ -141,22 +153,6 @@ util::Result<AnswerBody> DecodeAnswer(std::span<const uint8_t> payload) {
   AnswerBody body;
   JINFER_ASSIGN_OR_RETURN(body.session_id, r.U64());
   JINFER_ASSIGN_OR_RETURN(body.label, r.U8());
-  JINFER_RETURN_NOT_OK(r.Finish());
-  return body;
-}
-
-std::vector<uint8_t> Encode(const AnswerOkBody& body) {
-  WireWriter w;
-  w.U64(body.session_id);
-  PutWords(w, body.predicate_words);
-  return std::move(w).Take();
-}
-
-util::Result<AnswerOkBody> DecodeAnswerOk(std::span<const uint8_t> payload) {
-  WireReader r(payload);
-  AnswerOkBody body;
-  JINFER_ASSIGN_OR_RETURN(body.session_id, r.U64());
-  JINFER_RETURN_NOT_OK(GetWords(r, body.predicate_words));
   JINFER_RETURN_NOT_OK(r.Finish());
   return body;
 }

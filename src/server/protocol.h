@@ -2,14 +2,19 @@
 // typed payloads that travel inside frames (frame.h), one struct + encode /
 // decode pair per frame type.
 //
-// The session vocabulary is exactly the step API's: OpenSession names the
-// instance (the client uploads both relations as CSV text — the server
-// fingerprints them, so repeated opens of the same data share one index
-// through the tiered IndexCache), NextQuestion returns the strategy's pick
-// as a class id plus its representative row numbers in R and P, Answer
-// applies one label, CloseSession returns the final predicate. Hypotheses
-// travel as raw predicate words. The client holds R and P, so it renders
-// the tuples and formats the predicate over Ω itself.
+// The session vocabulary is exactly the step API's, fused so that one
+// interaction costs one round trip: OpenSession names the instance (the
+// client uploads both relations as CSV text — the server fingerprints
+// them, so repeated opens of the same data share one index through the
+// tiered IndexCache) and its OpenOk carries the first question; Answer
+// applies one label and is answered with the next question. A question is
+// the strategy's pick as a class id plus its representative row numbers in
+// R and P, or, once the inference is done, a finished question carrying
+// the final predicate and interaction count of a session the server has
+// already ended. NextQuestion re-asks the pending question (idempotent);
+// CloseSession ends a session early and returns its predicate so far.
+// Hypotheses travel as raw predicate words. The client holds R and P, so
+// it renders the tuples and formats the predicate over Ω itself.
 // Session ids are opaque u64 handles drawn from the hosting runtime and
 // validated per connection: a frame naming a session the connection does
 // not own is a protocol error, so one tenant can never touch another's
@@ -47,35 +52,35 @@ struct OpenSessionBody {
   std::string r_csv, p_csv;    ///< The instance, as CSV text.
 };
 
-struct OpenOkBody {
-  uint64_t session_id = 0;
-  uint64_t num_classes = 0;
-  uint64_t num_tuples = 0;
-  uint8_t index_tier = 0;  ///< runtime::IndexTier of the serving index.
-};
-
 struct NextQuestionBody {
   uint64_t session_id = 0;
 };
 
 struct QuestionBody {
   uint64_t session_id = 0;
-  uint8_t finished = 0;  ///< 1: no question follows, the session is done.
-  uint64_t question_index = 0;  ///< 0-based interaction number.
+  /// 1: no question follows. The server has ended the session; the
+  /// predicate words and the count below are its final result.
+  uint8_t finished = 0;
+  uint64_t num_interactions = 0;  ///< Questions answered so far.
   uint32_t class_id = 0;
   uint32_t rep_r = 0, rep_p = 0;  ///< The class's representative rows.
   /// Current hypothesis T(S+) (PredicateFromWords).
   uint64_t predicate_words[4] = {0, 0, 0, 0};
 };
 
+struct OpenOkBody {
+  uint64_t session_id = 0;
+  uint64_t num_classes = 0;
+  uint64_t num_tuples = 0;
+  uint8_t index_tier = 0;  ///< runtime::IndexTier of the serving index.
+  /// The first question, in the kQuestion body's layout. Finished when
+  /// the instance has no informative class: the session is already over.
+  QuestionBody question;
+};
+
 struct AnswerBody {
   uint64_t session_id = 0;
   uint8_t label = 0;  ///< 1 = positive, 0 = negative.
-};
-
-struct AnswerOkBody {
-  uint64_t session_id = 0;
-  uint64_t predicate_words[4] = {0, 0, 0, 0};
 };
 
 struct CloseSessionBody {
@@ -112,7 +117,6 @@ std::vector<uint8_t> Encode(const OpenOkBody& body);
 std::vector<uint8_t> Encode(const NextQuestionBody& body);
 std::vector<uint8_t> Encode(const QuestionBody& body);
 std::vector<uint8_t> Encode(const AnswerBody& body);
-std::vector<uint8_t> Encode(const AnswerOkBody& body);
 std::vector<uint8_t> Encode(const CloseSessionBody& body);
 std::vector<uint8_t> Encode(const CloseOkBody& body);
 std::vector<uint8_t> Encode(const MetricsBody& body);
@@ -126,7 +130,6 @@ util::Result<NextQuestionBody> DecodeNextQuestion(
     std::span<const uint8_t> payload);
 util::Result<QuestionBody> DecodeQuestion(std::span<const uint8_t> payload);
 util::Result<AnswerBody> DecodeAnswer(std::span<const uint8_t> payload);
-util::Result<AnswerOkBody> DecodeAnswerOk(std::span<const uint8_t> payload);
 util::Result<CloseSessionBody> DecodeCloseSession(
     std::span<const uint8_t> payload);
 util::Result<CloseOkBody> DecodeCloseOk(std::span<const uint8_t> payload);

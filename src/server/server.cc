@@ -63,17 +63,19 @@ util::Status CheckOwned(const util::Result<Body>& body,
 
 /// The routing rule: whether a `type` frame on a connection holding
 /// `session` runs on the event thread. Only frames whose cost is bounded
-/// by a pass over the classes do: an answer (one ApplyLabel), a close,
-/// and a question whose strategy picks in one pass (BU, TD, RND). A frame
-/// with no session to act on is a cheap reject. Opens (CSV parse,
-/// fingerprint, maybe a build), metrics scrapes and lookahead, EG and OPT
-/// questions go to the workers, so one expensive frame never stalls the
-/// other connections (DESIGN.md §11.2).
+/// by a pass over the classes do: a close, and an answer or question of a
+/// strategy that picks in one pass (BU, TD, RND) — an answer's reply
+/// carries the next pick, so it costs one ApplyLabel plus that pass. A
+/// frame with no session to act on is a cheap reject. Opens (CSV parse,
+/// fingerprint, maybe a build, the first pick), metrics scrapes and the
+/// answers and questions of lookahead, EG and OPT go to the workers, so
+/// one expensive frame never stalls the other connections (DESIGN.md
+/// §11.2).
 bool RunsInline(FrameType type, const runtime::Session* session) {
   switch (type) {
-    case FrameType::kAnswer:
     case FrameType::kCloseSession:
       return true;
+    case FrameType::kAnswer:
     case FrameType::kNextQuestion:
       return session == nullptr || session->strategy().one_pass();
     default:
@@ -678,7 +680,32 @@ void Server::HandleOpenSession(const Frame& frame, Completion& c) {
   // this tenant.
   c.session->set_trace_id(ok.session_id);
   counters_.sessions_opened.Inc();
+  ok.question = AskNext(c);
   c.bytes = EncodeFrame(FrameType::kOpenOk, Encode(ok));
+}
+
+QuestionBody Server::AskNext(Completion& c) {
+  runtime::Session& s = *c.session;
+  QuestionBody q;
+  q.session_id = s.trace_id();
+  const std::optional<core::ClassId> next = s.NextQuestion();
+  q.num_interactions = s.num_interactions();
+  PredicateToWords(s.CurrentPredicate(), q.predicate_words);
+  if (next.has_value()) {
+    q.class_id = *next;
+    const core::SignatureClass& cls = s.index().cls(*next);
+    q.rep_r = cls.rep_r;
+    q.rep_p = cls.rep_p;
+  } else {
+    q.finished = 1;
+    EndSession(c);
+  }
+  return q;
+}
+
+void Server::EndSession(Completion& c) {
+  c.session.reset();  // The connection gets none back.
+  counters_.sessions_closed.Inc();
 }
 
 void Server::HandleNextQuestion(const Frame& frame, Completion& c) {
@@ -686,21 +713,7 @@ void Server::HandleNextQuestion(const Frame& frame, Completion& c) {
   if (util::Status owned = CheckOwned(body, c.session.get()); !owned.ok()) {
     return RejectFrame(c, owned);
   }
-  runtime::Session& s = *c.session;
-  QuestionBody q;
-  q.session_id = body->session_id;
-  const std::optional<core::ClassId> next = s.NextQuestion();
-  if (!next.has_value()) {
-    q.finished = 1;
-  } else {
-    q.question_index = s.num_interactions();
-    q.class_id = *next;
-    const core::SignatureClass& cls = s.index().cls(*next);
-    q.rep_r = cls.rep_r;
-    q.rep_p = cls.rep_p;
-  }
-  PredicateToWords(s.CurrentPredicate(), q.predicate_words);
-  c.bytes = EncodeFrame(FrameType::kQuestion, Encode(q));
+  c.bytes = EncodeFrame(FrameType::kQuestion, Encode(AskNext(c)));
 }
 
 void Server::HandleAnswer(const Frame& frame, Completion& c) {
@@ -708,20 +721,15 @@ void Server::HandleAnswer(const Frame& frame, Completion& c) {
   if (util::Status owned = CheckOwned(body, c.session.get()); !owned.ok()) {
     return RejectFrame(c, owned);
   }
-  runtime::Session& s = *c.session;
-  const util::Status applied = s.Answer(body->label != 0
-                                            ? core::Label::kPositive
-                                            : core::Label::kNegative);
+  const util::Status applied = c.session->Answer(
+      body->label != 0 ? core::Label::kPositive : core::Label::kNegative);
   if (!applied.ok()) {
-    // InconsistentSample / no pending question: the session state is
-    // untouched, the question (if any) stays pending — report and carry on.
+    // InconsistentSample: the session state is untouched and the question
+    // stays pending — report and carry on.
     c.bytes = ErrorFrame(applied, 0);
     return;
   }
-  AnswerOkBody ok;
-  ok.session_id = body->session_id;
-  PredicateToWords(s.CurrentPredicate(), ok.predicate_words);
-  c.bytes = EncodeFrame(FrameType::kAnswerOk, Encode(ok));
+  c.bytes = EncodeFrame(FrameType::kQuestion, Encode(AskNext(c)));
 }
 
 void Server::HandleCloseSession(const Frame& frame, Completion& c) {
@@ -734,8 +742,7 @@ void Server::HandleCloseSession(const Frame& frame, Completion& c) {
   ok.session_id = body->session_id;
   ok.num_interactions = c.session->num_interactions();
   PredicateToWords(c.session->CurrentPredicate(), ok.predicate_words);
-  c.session.reset();  // The session ends here; the connection gets none back.
-  counters_.sessions_closed.Inc();
+  EndSession(c);
   c.bytes = EncodeFrame(FrameType::kCloseOk, Encode(ok));
 }
 

@@ -1,20 +1,23 @@
 // Server: the fault-tolerant network serving front end (DESIGN.md §11).
 //
 // One poll()-driven event thread owns the listener and every Connection,
-// and each Connection owns its one runtime::Session. Frames of bounded
-// cost — answers, closes, and questions whose strategy picks in one pass
-// over the classes (BU, TD, RND) — run on the event thread, which starts
-// writing the reply in the same poll round. Opens, metrics scrapes and
-// lookahead, EG and OPT questions go to a small worker pool; RunsInline
-// (server.cc) is the one routing rule. A worker frame carries its
-// connection's session to the worker and its completion carries it back,
-// so one thread at a time touches a session and it needs no lock of its
-// own. The event thread never runs unbounded inference and the workers
-// never touch a socket, so a slow client cannot wedge a worker and a slow
-// build or search cannot wedge the event loop. Exactly one frame per
-// connection is in flight at a time — reading pauses while a frame is
-// being processed, which is the natural per-connection backpressure and
-// what serializes a session's transcript.
+// and each Connection owns its one runtime::Session. Every reply that
+// follows an open or an answer carries the session's next question, so an
+// interaction costs one round trip; the reply that says "finished" ends
+// the session. Frames of bounded cost — closes, and the answers and
+// questions of a strategy that picks in one pass over the classes (BU,
+// TD, RND) — run on the event thread, which starts writing the reply in
+// the same poll round. Opens, metrics scrapes and the answers and
+// questions of lookahead, EG and OPT go to a small worker pool;
+// RunsInline (server.cc) is the one routing rule. A worker frame carries
+// its connection's session to the worker and its completion carries it
+// back, so one thread at a time touches a session and it needs no lock of
+// its own. The event thread never runs unbounded inference and the
+// workers never touch a socket, so a slow client cannot wedge a worker
+// and a slow build or search cannot wedge the event loop. Exactly one
+// frame per connection is in flight at a time — reading pauses while a
+// frame is being processed, which is the natural per-connection
+// backpressure and what serializes a session's transcript.
 //
 // Failure-domain map (the robustness contract this PR exists for):
 //   malformed frame      typed kError frame (kParseError) then close —
@@ -71,8 +74,8 @@ struct ServerOptions {
   uint16_t port = 0;  ///< 0 = ephemeral; read the real one via port().
 
   /// Threads for the frames the event thread does not run itself: opens
-  /// (CSV parse, fingerprint, index build), metrics scrapes, and
-  /// lookahead, EG and OPT questions. >= 1.
+  /// (CSV parse, fingerprint, index build, first pick), metrics scrapes,
+  /// and the answers and questions of lookahead, EG and OPT. >= 1.
   int workers = 2;
 
   /// Accepted connections beyond this are not accepted (the listener is
@@ -178,8 +181,9 @@ class Server {
     bool open = false;           ///< Answers an open: frees its admission
                                  ///< slot.
     /// The session going back to the connection: the one that went out,
-    /// a new one after an open, null after a close. Dropped (counted
-    /// aborted) if the connection died meanwhile.
+    /// a new one after an open, null once the session ended (a close, or
+    /// a reply that says finished). Dropped (counted aborted) if the
+    /// connection died meanwhile.
     std::unique_ptr<runtime::Session> session;
   };
 
@@ -220,6 +224,15 @@ class Server {
   void HandleAnswer(const Frame& frame, Completion& c);
   void HandleCloseSession(const Frame& frame, Completion& c);
   void HandleMetrics(const Frame& frame, Completion& c);
+
+  /// The session's pending question, picked now if none is pending: the
+  /// one question fill behind the open, answer and next-question replies.
+  /// A finished question carries the final predicate and count, and ends
+  /// the session.
+  QuestionBody AskNext(Completion& c);
+  /// Ends the session `c` holds, for a close or a finishing reply alike:
+  /// the connection gets none back, and it counts as closed.
+  void EndSession(Completion& c);
 
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
                                          uint8_t flags);

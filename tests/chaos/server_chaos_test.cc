@@ -3,7 +3,8 @@
 // frame-decode) plus clients that randomly kill their own connections
 // mid-session. The tenants cover both frame routes: BU and RND sessions
 // run every frame after the open on the event thread, while an L1S
-// session's questions run on a worker and its answers inline. The
+// session's answers, whose replies carry a searching pick, run on a
+// worker. A session's finishing reply ends it on the server. The
 // property, at 1 worker and at 4: every transcript that COMPLETES is
 // bit-identical to the fault-free in-process baseline. Faults
 // may kill a connection (its session aborts, the client retries with a
@@ -146,7 +147,7 @@ std::vector<Spec> MakeSpecs(const core::SignatureIndex& index) {
       break;
     }
   }
-  // Its questions go to a worker, its answers stay inline: the split route.
+  // Its answers go to a worker with their searching picks: the worker route.
   specs.push_back({core::StrategyKind::kLookahead1, 0, specs.back().goal});
   return specs;
 }

@@ -6,6 +6,8 @@
 
 #include "server/frame.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <random>
@@ -67,7 +69,7 @@ TEST(FrameCodecTest, RoundTripsRandomPayloadsAtEverySize) {
 
 TEST(FrameCodecTest, RoundTripsEveryFrameType) {
   for (uint8_t type :
-       {0x01, 0x02, 0x03, 0x04, 0x06, 0x41, 0x42, 0x43, 0x44, 0x46, 0x47}) {
+       {0x01, 0x02, 0x03, 0x04, 0x06, 0x41, 0x42, 0x44, 0x46, 0x47}) {
     const std::vector<uint8_t> payload = {1, 2, 3};
     const std::vector<uint8_t> wire =
         EncodeFrame(static_cast<FrameType>(type), payload);
@@ -82,9 +84,11 @@ TEST(FrameCodecTest, RoundTripsEveryFrameType) {
   EXPECT_FALSE(IsRequestType(0x41));
   EXPECT_FALSE(IsRequestType(0x00));
   EXPECT_FALSE(IsKnownFrameType(0x7f));
-  // v1's stats pair is gone from v2.
+  // v1's stats pair is gone since v2, v2's answer-ok since v3 (an answer
+  // is answered with a question).
   EXPECT_FALSE(IsKnownFrameType(0x05));
   EXPECT_FALSE(IsKnownFrameType(0x45));
+  EXPECT_FALSE(IsKnownFrameType(0x43));
 }
 
 // --- The malformed-frame corpus --------------------------------------------
@@ -103,9 +107,9 @@ TEST(FrameCodecTest, RejectsBadMagic) {
 }
 
 TEST(FrameCodecTest, RejectsUnsupportedVersion) {
-  EXPECT_EQ(kProtocolVersion, 2);
-  // Version 1 is the previous wire, not a fallback.
-  for (uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+  EXPECT_EQ(kProtocolVersion, 3);
+  // Versions 1 and 2 are previous wires, not fallbacks.
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{99}}) {
     auto wire = EncodeFrame(FrameType::kMetrics, {});
     FrameHeader header = HeaderOf(wire);
     header.version = version;
@@ -275,7 +279,7 @@ TEST(ProtocolTest, RoundTripsQuestionWithPredicateWords) {
   QuestionBody body;
   body.session_id = 42;
   body.finished = 0;
-  body.question_index = 7;
+  body.num_interactions = 7;
   body.class_id = 3;
   body.rep_r = 11;
   body.rep_p = 0xfffffffeu;
@@ -284,12 +288,45 @@ TEST(ProtocolTest, RoundTripsQuestionWithPredicateWords) {
   auto decoded = DecodeQuestion(Encode(body));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->session_id, 42u);
-  EXPECT_EQ(decoded->question_index, 7u);
+  EXPECT_EQ(decoded->num_interactions, 7u);
   EXPECT_EQ(decoded->class_id, 3u);
   EXPECT_EQ(decoded->rep_r, 11u);
   EXPECT_EQ(decoded->rep_p, 0xfffffffeu);
   EXPECT_EQ(decoded->predicate_words[0], body.predicate_words[0]);
   EXPECT_EQ(decoded->predicate_words[3], body.predicate_words[3]);
+}
+
+TEST(ProtocolTest, OpenOkCarriesTheFirstQuestionInTheQuestionLayout) {
+  OpenOkBody body;
+  body.session_id = 42;
+  body.num_classes = 18;
+  body.num_tuples = 64;
+  body.index_tier = 2;
+  body.question.session_id = 42;
+  body.question.class_id = 5;
+  body.question.rep_r = 3;
+  body.question.rep_p = 1;
+  body.question.predicate_words[1] = 0x0102030405060708ULL;
+  const std::vector<uint8_t> wire = Encode(body);
+  auto decoded = DecodeOpenOk(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->session_id, 42u);
+  EXPECT_EQ(decoded->num_classes, 18u);
+  EXPECT_EQ(decoded->num_tuples, 64u);
+  EXPECT_EQ(decoded->index_tier, 2u);
+  EXPECT_EQ(decoded->question.finished, 0u);
+  EXPECT_EQ(decoded->question.class_id, 5u);
+  EXPECT_EQ(decoded->question.rep_r, 3u);
+  EXPECT_EQ(decoded->question.rep_p, 1u);
+  EXPECT_EQ(decoded->question.predicate_words[1],
+            body.question.predicate_words[1]);
+  // The open fields come first; the rest is a kQuestion body, byte for
+  // byte.
+  const std::vector<uint8_t> question = Encode(body.question);
+  ASSERT_GT(wire.size(), question.size());
+  EXPECT_TRUE(std::equal(question.begin(), question.end(),
+                         wire.end() - static_cast<std::ptrdiff_t>(
+                                          question.size())));
 }
 
 TEST(ProtocolTest, RoundTripsError) {
@@ -328,6 +365,8 @@ TEST(ProtocolTest, DecodersRejectTruncatedAndTrailingBytes) {
   question.session_id = 42;
   question.rep_r = 1;
   question.rep_p = 2;
+  OpenOkBody open_ok{42, 3, 9, 1};
+  open_ok.question = question;
   ErrorBody error;
   error.message = "refused";
   MetricsOkBody metrics_ok;
@@ -345,11 +384,10 @@ TEST(ProtocolTest, DecodersRejectTruncatedAndTrailingBytes) {
   };
   const std::vector<Case> cases = {
       {"OpenSession", Encode(open), ok(DecodeOpenSession)},
-      {"OpenOk", Encode(OpenOkBody{42, 3, 9, 1}), ok(DecodeOpenOk)},
+      {"OpenOk", Encode(open_ok), ok(DecodeOpenOk)},
       {"NextQuestion", Encode(NextQuestionBody{42}), ok(DecodeNextQuestion)},
       {"Question", Encode(question), ok(DecodeQuestion)},
       {"Answer", Encode(AnswerBody{42, 1}), ok(DecodeAnswer)},
-      {"AnswerOk", Encode(AnswerOkBody{42}), ok(DecodeAnswerOk)},
       {"CloseSession", Encode(CloseSessionBody{42}), ok(DecodeCloseSession)},
       {"CloseOk", Encode(CloseOkBody{42, 5}), ok(DecodeCloseOk)},
       {"Metrics", Encode(MetricsBody{}), ok(DecodeMetrics)},

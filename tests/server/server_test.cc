@@ -2,8 +2,10 @@
 // Server. The load-bearing property is transcript bit-identity — a session
 // driven over the wire must match an in-process Session step for step
 // (same questions, same hypothesis words, same final predicate) — plus
-// frame routing (which frames run on the event thread, and that a slow
-// worker frame stalls no inline tenant) and the lifecycle hardening:
+// the fused replies (one frame per interaction; a finishing reply ends
+// the session), frame routing (which frames run on the event thread, and
+// that a slow worker frame stalls no inline tenant) and the lifecycle
+// hardening:
 // admission shedding, work-queue shedding, idle reaping, cross-tenant
 // isolation, malformed-frame handling, and graceful drain (DESIGN.md
 // §11.2, §11.3).
@@ -164,6 +166,8 @@ void ExpectRemoteMatchesLocal(Client& client, const Instance& inst,
     auto question = client.NextQuestion();
     ASSERT_TRUE(question.ok()) << question.status().ToString();
     auto local_q = local.NextQuestion();
+    EXPECT_EQ(question->num_interactions, local.num_interactions())
+        << "step " << steps;
     if (question->finished) {
       EXPECT_FALSE(local_q.has_value())
           << "remote finished but local has a question";
@@ -264,11 +268,15 @@ TEST(ServerTest, SyntheticInstanceMatchesAcrossConcurrentClients) {
 
 // --- Frame routing -----------------------------------------------------------
 
-TEST(ServerTest, OnlyOpensAndSearchingQuestionsQueueForAWorker) {
-  // Every frame is executed once; only a frame that goes to a worker also
-  // waits in the queue. BU, TD and RND pick in one pass, so their
-  // questions run on the event thread with the answers and the close;
-  // lookahead, EG and OPT questions queue like the open.
+TEST(ServerTest, OneFramePerInteractionAndOnlySearchingStepsQueue) {
+  // A session of n interactions reads and writes n + 1 frames: the open,
+  // whose reply carries the first question, and one answer per
+  // interaction, whose reply carries the next. The finishing reply ends
+  // the session, so the close sends nothing. Every frame is executed once;
+  // only a frame that goes to a worker also waits in the queue. BU, TD and
+  // RND pick in one pass, so their answers run on the event thread;
+  // lookahead, EG and OPT answers compute a searching pick and queue like
+  // the open.
   auto server = StartServer(ServerOptions{});
   const Instance inst = Example21();
   auto index = core::SignatureIndex::Build(inst.r, inst.p);
@@ -286,33 +294,37 @@ TEST(ServerTest, OnlyOpensAndSearchingQuestionsQueueForAWorker) {
         core::StrategyKind::kLookahead2, core::StrategyKind::kLookahead3,
         core::StrategyKind::kExpectedGain, core::StrategyKind::kOptimal}) {
     SCOPED_TRACE(core::StrategyKindName(kind));
+    const StatsOkBody before = server->Stats();
     const uint64_t queued_before = queue.Snapshot().count;
     const uint64_t executed_before = execute.Snapshot().count;
     Client client = ConnectTo(*server);
     size_t interactions = 0;
     ExpectRemoteMatchesLocal(client, inst, kind, /*seed=*/3, goal,
                              &interactions);
-    // Open, a question per interaction plus the one that says finished,
-    // an answer per interaction, close.
-    const uint64_t questions = interactions + 1;
-    const uint64_t frames = 1 + questions + interactions + 1;
+    ASSERT_GT(interactions, 0u);
+    const StatsOkBody after = server->Stats();
+    const uint64_t frames = 1 + interactions;
+    EXPECT_EQ(after.frames_read - before.frames_read, frames);
+    EXPECT_EQ(after.frames_written - before.frames_written, frames);
     const bool one_pass = kind == core::StrategyKind::kRandom ||
                           kind == core::StrategyKind::kBottomUp ||
                           kind == core::StrategyKind::kTopDown;
     EXPECT_EQ(queue.Snapshot().count - queued_before,
-              1 + (one_pass ? 0 : questions));
+              1 + (one_pass ? 0 : interactions));
     EXPECT_EQ(execute.Snapshot().count - executed_before, frames);
   }
 }
 
 TEST(ServerTest, SlowWorkerQuestionDoesNotBlockInlineTenants) {
-  // One worker, busy for tens of milliseconds on an OPT pick over 18
-  // classes, while a TD tenant repeats its (idempotent) question. TD
-  // frames run on the event thread, so each repeat is a full round trip
-  // that completes meanwhile. Had they queued, they would wait behind the
-  // OPT pick on the one worker; had the OPT pick run inline, the event
-  // thread would be blocked. Either way no TD round trip would complete
-  // before the OPT reply.
+  // One worker, busy for tens of milliseconds on an OPT open, whose reply
+  // carries the OPT pick over 18 classes, while a TD tenant re-asks its
+  // pending question with raw kNextQuestion frames (Client::NextQuestion
+  // would answer from the question it holds). TD frames run on the event
+  // thread, so each re-ask is a full round trip that completes meanwhile.
+  // Had they queued, they would wait behind the OPT pick on the one
+  // worker; had the OPT pick run inline, the event thread would be
+  // blocked. Either way no TD round trip would complete before the OPT
+  // reply.
   constexpr int kRoundTrips = 20;
   auto generated = workload::GenerateSynthetic({3, 2, 8, 4}, 20140324);
   ASSERT_TRUE(generated.ok());
@@ -328,19 +340,21 @@ TEST(ServerTest, SlowWorkerQuestionDoesNotBlockInlineTenants) {
   options.workers = 1;
   auto server = StartServer(options);
   Client cheap = ConnectTo(*server);
-  ASSERT_TRUE(cheap.OpenSession(OpenBodyFor(Example21(), "TD", 0)).ok());
+  auto cheap_open = cheap.OpenSession(OpenBodyFor(Example21(), "TD", 0));
+  ASSERT_TRUE(cheap_open.ok()) << cheap_open.status().ToString();
+  const std::vector<uint8_t> reask =
+      Encode(NextQuestionBody{cheap_open->session_id});
   // The OPT pick takes seconds in a sanitizer build on a small machine.
   Client::Options patient;
   patient.io_timeout = std::chrono::seconds(120);
   auto searching = Client::Connect("127.0.0.1", server->port(), patient);
   ASSERT_TRUE(searching.ok()) << searching.status().ToString();
-  ASSERT_TRUE(searching->OpenSession(OpenBodyFor(slow, "OPT", 0)).ok());
 
   const uint64_t read_before = server->Stats().frames_read;
-  std::optional<util::Result<QuestionBody>> slow_question;
+  std::optional<util::Result<OpenOkBody>> slow_open;
   std::atomic<bool> landed{false};
-  std::thread asker([&] {
-    slow_question.emplace(searching->NextQuestion());
+  std::thread opener([&] {
+    slow_open.emplace(searching->OpenSession(OpenBodyFor(slow, "OPT", 0)));
     landed.store(true);
   });
   const bool slow_read = WaitFor(
@@ -348,19 +362,99 @@ TEST(ServerTest, SlowWorkerQuestionDoesNotBlockInlineTenants) {
   // Stop at kRoundTrips, so the TD tenant stops competing for the CPU.
   int round_trips = 0;
   while (slow_read && !landed.load() && round_trips < kRoundTrips) {
-    auto q = cheap.NextQuestion();
-    if (!q.ok()) {
-      ADD_FAILURE() << "TD question failed: " << q.status().ToString();
+    auto reply = cheap.RoundTrip(FrameType::kNextQuestion, reask);
+    if (!reply.ok()) {
+      ADD_FAILURE() << "TD re-ask failed: " << reply.status().ToString();
+      break;
+    }
+    // The re-ask is idempotent: it returns the question the open carried.
+    auto q = DecodeQuestion(reply->payload);
+    if (reply->type != FrameType::kQuestion || !q.ok() ||
+        q->class_id != cheap_open->question.class_id) {
+      ADD_FAILURE() << "TD re-ask got another reply than its question";
       break;
     }
     if (!landed.load()) ++round_trips;
   }
-  asker.join();
+  opener.join();
 
   ASSERT_TRUE(slow_read);
   EXPECT_EQ(round_trips, kRoundTrips);
-  ASSERT_TRUE(slow_question->ok()) << slow_question->status().ToString();
-  EXPECT_EQ((*slow_question)->class_id, *local_pick);
+  ASSERT_TRUE(slow_open->ok()) << slow_open->status().ToString();
+  ASSERT_EQ((*slow_open)->question.finished, 0u);
+  EXPECT_EQ((*slow_open)->question.class_id, *local_pick);
+}
+
+// --- Sessions that end inside a reply --------------------------------------
+
+TEST(ServerTest, SessionsEndInsideTheirFinishingReply) {
+  auto server = StartServer(ServerOptions{});
+  Client client = ConnectTo(*server);
+
+  // §3.3's single-tuple instance: its one class is certain-positive, so
+  // the open's reply already says finished, with zero interactions.
+  auto r = rel::Relation::Make("R1", {"A1", "A2"}, {{1, 1}});
+  auto p = rel::Relation::Make("P1", {"B1"}, {{1}});
+  ASSERT_TRUE(r.ok() && p.ok());
+  const Instance trivial{*r, *p};
+  auto trivial_index = core::SignatureIndex::Build(trivial.r, trivial.p);
+  ASSERT_TRUE(trivial_index.ok());
+  runtime::Session local(*trivial_index,
+                         core::MakeStrategy(core::StrategyKind::kBottomUp));
+  ASSERT_FALSE(local.NextQuestion().has_value());
+
+  const StatsOkBody before = server->Stats();
+  auto open = client.OpenSession(OpenBodyFor(trivial, "BU", 0));
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(open->question.finished, 1u);
+  EXPECT_EQ(open->question.num_interactions, 0u);
+  const StatsOkBody opened = server->Stats();
+  EXPECT_EQ(opened.sessions_opened - before.sessions_opened, 1u);
+  EXPECT_EQ(opened.sessions_completed - before.sessions_completed, 1u);
+  EXPECT_EQ(opened.sessions_open, 0u);
+
+  // The result comes from the finished question: no close frame.
+  auto closed = client.CloseSession();
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->session_id, open->session_id);
+  EXPECT_EQ(closed->num_interactions, 0u);
+  EXPECT_EQ(PredicateFromWords(closed->predicate_words),
+            local.CurrentPredicate());
+  EXPECT_EQ(server->Stats().frames_read - before.frames_read, 1u);
+
+  // The connection holds no session, so it may open another.
+  auto reopened = client.OpenSession(OpenBodyFor(trivial, "BU", 0));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->question.finished, 1u);
+  ASSERT_TRUE(client.CloseSession().ok());
+
+  // A session finished by its last answer ended on the server too. After
+  // it, Answer fails locally — the server would take a frame for an ended
+  // session as a protocol violation — and the connection stays usable.
+  const Instance inst = Example21();
+  auto index = core::SignatureIndex::Build(inst.r, inst.p);
+  ASSERT_TRUE(index.ok());
+  core::GoalOracle oracle(testing::Pred(index->omega(), {{0, 0}, {1, 1}}));
+  ASSERT_TRUE(client.OpenSession(OpenBodyFor(inst, "TD", 0)).ok());
+  while (true) {
+    auto q = client.NextQuestion();
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    if (q->finished) break;
+    auto answered = client.Answer(oracle.LabelClass(*index, q->class_id) ==
+                                  core::Label::kPositive);
+    ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  }
+  const StatsOkBody finished = server->Stats();
+  EXPECT_EQ(finished.sessions_completed - before.sessions_completed, 3u);
+  EXPECT_EQ(finished.sessions_open, 0u);
+  auto late = client.Answer(true);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server->Stats().frames_read, finished.frames_read);
+  auto metrics = client.ServerMetrics();
+  EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_TRUE(client.CloseSession().ok());
+  EXPECT_EQ(server->Stats().protocol_errors, 0u);
 }
 
 // --- Load shedding ----------------------------------------------------------
@@ -571,8 +665,9 @@ TEST(ServerTest, IdleConnectionsAreReapedAndSessionsAborted) {
   EXPECT_EQ(stats.connections_open, 0u);
   EXPECT_GE(stats.deadline_closes, 1u);
 
-  // Client-side, the socket is dead: the next round trip fails.
-  EXPECT_FALSE(client.NextQuestion().ok());
+  // Client-side, the socket is dead: the next round trip fails. (The held
+  // question is still readable; an answer goes to the wire.)
+  EXPECT_FALSE(client.Answer(true).ok());
 }
 
 // --- Protocol errors over a raw socket --------------------------------------
@@ -648,23 +743,23 @@ TEST(ServerTest, MalformedFramesGetTypedErrorThenClose) {
     auto wire = EncodeFrame(FrameType::kAnswer, junk);
     ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
   }
-  // A v1 header: the version bump has no fallback path.
-  {
+  // v1 and v2 headers: the version bumps have no fallback path.
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
     auto wire = EncodeFrame(FrameType::kMetrics, {});
     FrameHeader header;
     std::memcpy(&header, wire.data(), sizeof(header));
-    header.version = 1;
+    header.version = version;
     std::memcpy(wire.data(), &header, sizeof(header));
     ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
   }
-  // v1's stats request and reply type bytes are unassigned in v2.
-  for (uint8_t type : {uint8_t{0x05}, uint8_t{0x45}}) {
+  // v1's stats request and reply, and v2's answer-ok, are unassigned in v3.
+  for (uint8_t type : {uint8_t{0x05}, uint8_t{0x45}, uint8_t{0x43}}) {
     auto wire = EncodeFrame(static_cast<FrameType>(type), {});
     ExpectErrorThenClose(*server, wire, util::StatusCode::kParseError);
   }
 
   StatsOkBody stats = server->Stats();
-  EXPECT_GE(stats.protocol_errors, 8u);
+  EXPECT_GE(stats.protocol_errors, 10u);
 }
 
 TEST(ServerTest, MidFrameEofIsAProtocolErrorNotAHang) {
@@ -717,7 +812,7 @@ TEST(ServerTest, SessionOwnershipViolationClosesViolatorOnly) {
   EXPECT_EQ(stolen.status().code(),
             util::StatusCode::kFailedPrecondition);
   // The violator's connection is closed...
-  EXPECT_FALSE(attacker.NextQuestion().ok());
+  EXPECT_FALSE(attacker.Answer(true).ok());
 
   // ...and the victim's transcript is untouched: it still completes
   // bit-identically to a fresh in-process run.
@@ -912,8 +1007,9 @@ TEST(ServerTest, MetricsFrameExposesPrometheusTextWhileSessionsRun) {
   EXPECT_NE(metrics->text.find("jinfer_server_sessions_open"),
             std::string::npos);
 
-  // The session is still live: keep stepping it after the scrape.
-  auto next = client.NextQuestion();
+  // The session is still live: step it on the server after the scrape (a
+  // first label is never inconsistent).
+  auto next = client.Answer(true);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_TRUE(client.CloseSession().ok());
 }
