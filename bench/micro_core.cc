@@ -206,7 +206,7 @@ void BM_Reclassify(benchmark::State& state) {
   core::InferenceState base(*index);
   core::ClassId cls = base.InformativeClasses().front();
   for (auto _ : state) {
-    // WithLabel copies and reclassifies the full state.
+    // WithLabel copies the state and applies one label incrementally.
     core::InferenceState next = base.WithLabel(cls, core::Label::kNegative);
     benchmark::DoNotOptimize(next);
   }
@@ -236,7 +236,10 @@ void BM_ApplyUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyUndo)->Arg(50)->Arg(200);
 
-void BM_CountNewlyUninformative(benchmark::State& state) {
+// Both u± counts of one candidate in one sweep: the per-candidate path
+// behind EntropyOf, the entropy^k leaf and the minimax engine's greedy
+// adversary.
+void BM_CountNewlyUninformativeBoth(benchmark::State& state) {
   auto inst = MakeInstance(100, 100);
   auto index = core::SignatureIndex::Build(inst.r, inst.p);
   JINFER_CHECK(index.ok(), "build");
@@ -245,11 +248,10 @@ void BM_CountNewlyUninformative(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     core::ClassId c = informative[i++ % informative.size()];
-    benchmark::DoNotOptimize(
-        st.CountNewlyUninformative(c, core::Label::kPositive));
+    benchmark::DoNotOptimize(st.CountNewlyUninformativeBoth(c));
   }
 }
-BENCHMARK(BM_CountNewlyUninformative);
+BENCHMARK(BM_CountNewlyUninformativeBoth);
 
 void BM_EntropyK(benchmark::State& state) {
   auto inst = MakeInstance(50, 100);

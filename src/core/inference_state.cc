@@ -1,6 +1,7 @@
 #include "core/inference_state.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/simd/sweep.h"
 
@@ -9,49 +10,66 @@ namespace core {
 
 namespace {
 
-// Word loops over the packed arrays, for the multi-word (2..4) paths. The
-// predicates use branch-free accumulators so the loop body carries no
-// early-out dependence; at these word counts the saved mispredicts
-// outweigh the skipped words.
+// Word loops over the packed arrays, with the active word count W fixed at
+// compile time so every loop fully unrolls. The predicates use branch-free
+// accumulators so the loop body carries no early-out dependence.
 
 /// dst[w] = a[w] & b[w].
-inline void And2Words(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t words) {
-  for (size_t w = 0; w < words; ++w) dst[w] = a[w] & b[w];
+template <size_t W>
+inline void And2Words(uint64_t* dst, const uint64_t* a, const uint64_t* b) {
+  for (size_t w = 0; w < W; ++w) dst[w] = a[w] & b[w];
 }
 
 /// True iff a ⊆ b.
-inline bool IsSubsetWords(const uint64_t* a, const uint64_t* b, size_t words) {
+template <size_t W>
+inline bool IsSubsetWords(const uint64_t* a, const uint64_t* b) {
   uint64_t stray = 0;
-  for (size_t w = 0; w < words; ++w) stray |= a[w] & ~b[w];
+  for (size_t w = 0; w < W; ++w) stray |= a[w] & ~b[w];
   return stray == 0;
 }
 
 /// True iff a == b.
-inline bool EqualWords(const uint64_t* a, const uint64_t* b, size_t words) {
+template <size_t W>
+inline bool EqualWords(const uint64_t* a, const uint64_t* b) {
   uint64_t diff = 0;
-  for (size_t w = 0; w < words; ++w) diff |= a[w] ^ b[w];
+  for (size_t w = 0; w < W; ++w) diff |= a[w] ^ b[w];
   return diff == 0;
 }
 
 /// Lemma 3.4 against every witness: true iff key ⊆ witnesses[k] for some
-/// k, where `witnesses` is a flat array of `num` stride-`words` rows.
+/// k, where `witnesses` is a flat array of `num` stride-W rows.
+template <size_t W>
 inline bool AnyWitnessContains(const uint64_t* key, const uint64_t* witnesses,
-                               size_t num, size_t words) {
+                               size_t num) {
   for (size_t k = 0; k < num; ++k) {
-    if (IsSubsetWords(key, witnesses + k * words, words)) return true;
+    if (IsSubsetWords<W>(key, witnesses + k * W)) return true;
   }
   return false;
 }
 
-/// Lemma 3.4 against every witness, single-word path: true iff key ⊆ some
-/// negative signature word.
-inline bool CertainNegativeWord(uint64_t key,
-                                const std::vector<uint64_t>& negs) {
-  for (uint64_t neg : negs) {
-    if ((key & ~neg) == 0) return true;
+/// The one width switch: runs body(std::integral_constant<size_t, W>) for
+/// the active word count W = 1..4 and aborts on any other width. Every
+/// predicate lives in a four-word JoinPredicate (|Ω| ≤ 256, DESIGN.md
+/// §12.1), so a wider state is a caller bug, as in the kernel backends'
+/// switches. The switch, the lambdas handed to it and the bodies they call
+/// are all forced inline, so each body lands in its case of the caller
+/// with its arguments in registers. Common universes run at W = 1, where
+/// a call per label or per candidate is measurable (BM_EntropyK/1).
+template <typename Body>
+__attribute__((always_inline)) inline decltype(auto) WithWidth(
+    size_t words, Body&& body) {
+  switch (words) {
+    case 1:
+      return body(std::integral_constant<size_t, 1>{});
+    case 2:
+      return body(std::integral_constant<size_t, 2>{});
+    case 3:
+      return body(std::integral_constant<size_t, 3>{});
+    case 4:
+      return body(std::integral_constant<size_t, 4>{});
   }
-  return false;
+  JINFER_CHECK(false, "state over %zu words: InferenceState covers 1..4",
+               words);
 }
 
 }  // namespace
@@ -59,17 +77,38 @@ inline bool CertainNegativeWord(uint64_t key,
 InferenceState::InferenceState(const SignatureIndex& index)
     : index_(&index),
       states_(index.num_classes(), TupleState::kInformative),
-      labeled_(index.num_classes(), false),
       pos_predicate_(index.omega().Full()),
       active_words_(JoinPredicate::WordsFor(index.omega().size())) {
-  Reclassify();
+  // The empty sample in one pass: with T(S+) = Ω, Lemma 3.3 makes a class
+  // certain-positive iff its signature is Ω, and with no witness Lemma 3.4
+  // certifies nothing. Every other class is informative with key
+  // Ω ∩ T(c) = T(c).
+  const size_t W = active_words_;
+  informative_.reserve(index.num_classes());
+  inf_sigs_.reserve(index.num_classes() * W);
+  inf_counts_.reserve(index.num_classes());
+  for (ClassId c = 0; c < index.num_classes(); ++c) {
+    const SignatureClass& sc = index.cls(c);
+    if (sc.signature == pos_predicate_) {
+      states_[c] = TupleState::kCertainPositive;
+      continue;
+    }
+    informative_.push_back(c);
+    informative_weight_ += sc.count;
+    for (size_t w = 0; w < W; ++w) inf_sigs_.push_back(sc.signature.word(w));
+    inf_counts_.push_back(sc.count);
+  }
+  inf_keys_ = inf_sigs_;
 }
 
 util::Status InferenceState::ApplyLabel(ClassId cls, Label label) {
   JINFER_CHECK(cls < index_->num_classes(), "class %u out of range", cls);
   const JoinPredicate& sig = index_->cls(cls).signature;
 
-  if (labeled_[cls]) {
+  // Algorithm 1 lines 6–7 read the maintained classification: every label
+  // keeps states_ equal to Lemmas 3.3/3.4 over the whole sample.
+  const TupleState current = states_[cls];
+  if (current == TupleState::kLabeled) {
     for (const auto& ex : sample_) {
       if (ex.cls == cls && ex.label != label) {
         return util::Status::InconsistentSample(
@@ -79,13 +118,13 @@ util::Status InferenceState::ApplyLabel(ClassId cls, Label label) {
     }
     return util::Status::OK();  // Duplicate example: a sample is a set.
   }
-  if (label == Label::kPositive && CertainNegative(sig)) {
+  if (label == Label::kPositive && current == TupleState::kCertainNegative) {
     return util::Status::InconsistentSample(
         "positive label contradicts the sample: no consistent predicate "
         "selects the tuple with signature " +
         index_->omega().Format(sig));
   }
-  if (label == Label::kNegative && CertainPositive(sig)) {
+  if (label == Label::kNegative && current == TupleState::kCertainPositive) {
     return util::Status::InconsistentSample(
         "negative label contradicts the sample: every consistent predicate "
         "selects the tuple with signature " +
@@ -101,8 +140,9 @@ void InferenceState::ApplyLabelScoped(ClassId cls, Label label) {
   ApplyLabelIncremental(cls, label, /*record=*/true);
 }
 
-void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
-                                           bool record) {
+template <size_t W>
+__attribute__((always_inline)) inline void InferenceState::ApplyLabelW(
+    ClassId cls, Label label, bool record) {
   const SignatureClass& labeled_class = index_->cls(cls);
   const JoinPredicate& sig_t = labeled_class.signature;
 
@@ -112,7 +152,6 @@ void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
                                        informative_weight_});
   }
   sample_.push_back(ClassExample{cls, label});
-  labeled_[cls] = true;
 
   const bool was_informative = states_[cls] == TupleState::kInformative;
   if (record) delta_transitions_.emplace_back(cls, states_[cls]);
@@ -123,112 +162,59 @@ void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
   // only shrink), so the sweeps below visit informative classes only and
   // compact the survivors in place, preserving the sorted order. Forward
   // copies are safe: the write cursor never passes the read cursor.
-  const size_t W = active_words_;
+  uint64_t sigw[W];
+  for (size_t w = 0; w < W; ++w) sigw[w] = sig_t.word(w);
   const size_t n = informative_.size();
   size_t write = 0;
-  if (W == 1) {
-    // Single-word specialization (|Ω| ≤ 64): the compiler keeps the key,
-    // signature and count words in registers with no inner word loop.
-    const uint64_t sig0 = sig_t.word(0);
-    if (label == Label::kPositive) {
-      pos_predicate_ &= sig_t;
-      has_positive_ = true;
-      const uint64_t new_pos0 = pos_predicate_.word(0);
-      for (size_t i = 0; i < n; ++i) {
-        ClassId c = informative_[i];
-        if (c == cls) continue;
-        uint64_t key = inf_keys_[i] & sig0;
-        TupleState next = TupleState::kInformative;
-        if (key == new_pos0) {
-          next = TupleState::kCertainPositive;  // Lemma 3.3.
-        } else if (CertainNegativeWord(key, neg_words_)) {
-          next = TupleState::kCertainNegative;  // Lemma 3.4, every witness.
-        }
-        if (next == TupleState::kInformative) {
-          informative_[write] = c;
-          inf_keys_[write] = key;
-          inf_sigs_[write] = inf_sigs_[i];
-          inf_counts_[write] = inf_counts_[i];
-          ++write;
-        } else {
-          if (record) delta_transitions_.emplace_back(c, states_[c]);
-          states_[c] = next;
-          informative_weight_ -= inf_counts_[i];
-        }
+  if (label == Label::kPositive) {
+    pos_predicate_ &= sig_t;
+    has_positive_ = true;
+    uint64_t posw[W];
+    for (size_t w = 0; w < W; ++w) posw[w] = pos_predicate_.word(w);
+    const size_t num_negs = neg_words_.size() / W;
+    for (size_t i = 0; i < n; ++i) {
+      ClassId c = informative_[i];
+      if (c == cls) continue;
+      uint64_t key2[W];
+      And2Words<W>(key2, &inf_keys_[i * W], sigw);
+      TupleState next = TupleState::kInformative;
+      if (EqualWords<W>(key2, posw)) {
+        next = TupleState::kCertainPositive;  // Lemma 3.3: T(S+) ⊆ T(c).
+      } else if (AnyWitnessContains<W>(key2, neg_words_.data(), num_negs)) {
+        // Lemma 3.4 against every witness: shrinking T(S+) weakens its
+        // premise, so old witnesses can newly apply.
+        next = TupleState::kCertainNegative;
       }
-    } else {
-      negative_signatures_.push_back(sig_t);
-      neg_words_.push_back(sig0);
-      for (size_t i = 0; i < n; ++i) {
-        ClassId c = informative_[i];
-        if (c == cls) continue;
-        if ((inf_keys_[i] & ~sig0) == 0) {  // Lemma 3.4, new witness only.
-          if (record) delta_transitions_.emplace_back(c, states_[c]);
-          states_[c] = TupleState::kCertainNegative;
-          informative_weight_ -= inf_counts_[i];
-        } else {
-          informative_[write] = c;
-          inf_keys_[write] = inf_keys_[i];
-          inf_sigs_[write] = inf_sigs_[i];
-          inf_counts_[write] = inf_counts_[i];
-          ++write;
-        }
+      if (next == TupleState::kInformative) {
+        informative_[write] = c;
+        std::copy_n(key2, W, &inf_keys_[write * W]);
+        std::copy_n(&inf_sigs_[i * W], W, &inf_sigs_[write * W]);
+        inf_counts_[write] = inf_counts_[i];
+        ++write;
+      } else {
+        if (record) delta_transitions_.emplace_back(c, states_[c]);
+        states_[c] = next;
+        informative_weight_ -= inf_counts_[i];
       }
     }
   } else {
-    uint64_t sigw[JoinPredicate::kWords];
-    for (size_t w = 0; w < W; ++w) sigw[w] = sig_t.word(w);
-    if (label == Label::kPositive) {
-      pos_predicate_ &= sig_t;
-      has_positive_ = true;
-      uint64_t posw[JoinPredicate::kWords];
-      for (size_t w = 0; w < W; ++w) posw[w] = pos_predicate_.word(w);
-      const size_t num_negs = negative_signatures_.size();
-      for (size_t i = 0; i < n; ++i) {
-        ClassId c = informative_[i];
-        if (c == cls) continue;
-        uint64_t key2[JoinPredicate::kWords];
-        And2Words(key2, &inf_keys_[i * W], sigw, W);
-        TupleState next = TupleState::kInformative;
-        if (EqualWords(key2, posw, W)) {
-          next = TupleState::kCertainPositive;  // Lemma 3.3: T(S+) ⊆ T(c).
-        } else if (AnyWitnessContains(key2, neg_words_.data(), num_negs, W)) {
-          // Lemma 3.4 against every witness: shrinking T(S+) weakens its
-          // premise, so old witnesses can newly apply.
-          next = TupleState::kCertainNegative;
-        }
-        if (next == TupleState::kInformative) {
-          informative_[write] = c;
-          std::copy_n(key2, W, &inf_keys_[write * W]);
-          std::copy_n(&inf_sigs_[i * W], W, &inf_sigs_[write * W]);
-          inf_counts_[write] = inf_counts_[i];
-          ++write;
-        } else {
-          if (record) delta_transitions_.emplace_back(c, states_[c]);
-          states_[c] = next;
-          informative_weight_ -= inf_counts_[i];
-        }
-      }
-    } else {
-      negative_signatures_.push_back(sig_t);
-      neg_words_.insert(neg_words_.end(), sigw, sigw + W);
-      for (size_t i = 0; i < n; ++i) {
-        ClassId c = informative_[i];
-        if (c == cls) continue;
-        // T(S+) is unchanged; only the new witness T(t) can newly certify
-        // a still-informative class negative (Lemma 3.4 — the old
-        // witnesses already failed for it).
-        if (IsSubsetWords(&inf_keys_[i * W], sigw, W)) {
-          if (record) delta_transitions_.emplace_back(c, states_[c]);
-          states_[c] = TupleState::kCertainNegative;
-          informative_weight_ -= inf_counts_[i];
-        } else {
-          informative_[write] = c;
-          std::copy_n(&inf_keys_[i * W], W, &inf_keys_[write * W]);
-          std::copy_n(&inf_sigs_[i * W], W, &inf_sigs_[write * W]);
-          inf_counts_[write] = inf_counts_[i];
-          ++write;
-        }
+    neg_words_.insert(neg_words_.end(), sigw, sigw + W);
+    for (size_t i = 0; i < n; ++i) {
+      ClassId c = informative_[i];
+      if (c == cls) continue;
+      // T(S+) is unchanged; only the new witness T(t) can newly certify
+      // a still-informative class negative (Lemma 3.4 — the old
+      // witnesses already failed for it).
+      if (IsSubsetWords<W>(&inf_keys_[i * W], sigw)) {
+        if (record) delta_transitions_.emplace_back(c, states_[c]);
+        states_[c] = TupleState::kCertainNegative;
+        informative_weight_ -= inf_counts_[i];
+      } else {
+        informative_[write] = c;
+        std::copy_n(&inf_keys_[i * W], W, &inf_keys_[write * W]);
+        std::copy_n(&inf_sigs_[i * W], W, &inf_sigs_[write * W]);
+        inf_counts_[write] = inf_counts_[i];
+        ++write;
       }
     }
   }
@@ -238,7 +224,8 @@ void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
   inf_counts_.resize(write);
 }
 
-void InferenceState::UndoLabel() {
+template <size_t W>
+__attribute__((always_inline)) inline void InferenceState::UndoLabelW() {
   JINFER_CHECK(!delta_frames_.empty(), "UndoLabel without a scoped label");
   const DeltaFrame frame = delta_frames_.back();
   delta_frames_.pop_back();
@@ -247,14 +234,11 @@ void InferenceState::UndoLabel() {
                    sample_.back().label == frame.label,
                "delta stack out of sync with the sample");
   sample_.pop_back();
-  labeled_[frame.cls] = false;
-  const size_t W = active_words_;
   const bool undo_positive = frame.label == Label::kPositive;
   if (undo_positive) {
     pos_predicate_ = frame.old_pos;
     has_positive_ = frame.old_has_positive;
   } else {
-    negative_signatures_.pop_back();
     neg_words_.resize(neg_words_.size() - W);
   }
   informative_weight_ = frame.old_weight;
@@ -279,7 +263,7 @@ void InferenceState::UndoLabel() {
   // re-entrant is already in place and untouched. Re-entrant rows are
   // refilled from the class table, with keys recomputed as pos ∩ sig —
   // exact for a negative undo, provisional for a positive one (see below).
-  uint64_t posw[JoinPredicate::kWords];
+  uint64_t posw[W];
   for (size_t w = 0; w < W; ++w) posw[w] = pos_predicate_.word(w);
   const size_t survivors = informative_.size();
   informative_.resize(survivors + undo_scratch_.size());
@@ -317,161 +301,66 @@ void InferenceState::UndoLabel() {
   // over the packed signatures. A negative undo never changes keys.
   if (undo_positive) {
     for (size_t i = 0; i < informative_.size(); ++i) {
-      And2Words(&inf_keys_[i * W], posw, &inf_sigs_[i * W], W);
+      And2Words<W>(&inf_keys_[i * W], posw, &inf_sigs_[i * W]);
     }
   }
 }
 
-void InferenceState::RebuildPackedInformative() {
-  const size_t W = active_words_;
-  const size_t n = informative_.size();
-  inf_keys_.resize(n * W);
-  inf_sigs_.resize(n * W);
-  inf_counts_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const SignatureClass& sc = index_->cls(informative_[i]);
-    for (size_t w = 0; w < W; ++w) {
-      const uint64_t sig = sc.signature.word(w);
-      inf_sigs_[i * W + w] = sig;
-      inf_keys_[i * W + w] = pos_predicate_.word(w) & sig;
-    }
-    inf_counts_[i] = sc.count;
-  }
-  neg_words_.clear();
-  for (const JoinPredicate& neg : negative_signatures_) {
-    for (size_t w = 0; w < W; ++w) neg_words_.push_back(neg.word(w));
-  }
-}
-
-void InferenceState::Reclassify() {
-  informative_weight_ = 0;
-  informative_.clear();
-  for (ClassId c = 0; c < index_->num_classes(); ++c) {
-    const SignatureClass& sc = index_->cls(c);
-    TupleState st;
-    if (labeled_[c]) {
-      st = TupleState::kLabeled;
-    } else if (CertainPositive(sc.signature)) {
-      st = TupleState::kCertainPositive;
-    } else if (CertainNegative(sc.signature)) {
-      st = TupleState::kCertainNegative;
-    } else {
-      st = TupleState::kInformative;
-      informative_.push_back(c);
-      informative_weight_ += sc.count;
-    }
-    states_[c] = st;
-  }
-  RebuildPackedInformative();
-}
-
-uint64_t InferenceState::CountNewlyUninformative(ClassId cls,
-                                                 Label label) const {
-  JINFER_CHECK(IsInformative(cls), "class %u is not informative", cls);
+template <size_t W>
+__attribute__((always_inline)) inline std::pair<uint64_t, uint64_t>
+InferenceState::CountBothW(ClassId cls) const {
   const SignatureClass& labeled_class = index_->cls(cls);
   // The remaining members of the labeled tuple's own class always become
   // uninformative; the labeled tuple itself is excluded (Figure 5).
-  uint64_t newly = labeled_class.count - 1;
-  const size_t W = active_words_;
+  uint64_t newly_pos = labeled_class.count - 1;
+  uint64_t newly_neg = labeled_class.count - 1;
+  // A positive label shrinks T(S+) to P′ = T(S+) ∩ T(t): classes above P′
+  // become certain+ (Lemma 3.3) and Cert− is re-evaluated against P′ over
+  // every witness (Lemma 3.4). A negative label leaves T(S+) alone, so only
+  // the new witness T(t) can certify a class negative.
+  uint64_t sigw[W];
+  uint64_t pos2[W];
+  for (size_t w = 0; w < W; ++w) {
+    sigw[w] = labeled_class.signature.word(w);
+    pos2[w] = pos_predicate_.word(w) & sigw[w];
+  }
+  const size_t num_negs = neg_words_.size() / W;
   const size_t n = informative_.size();
-
-  if (W == 1) {
-    const uint64_t sig0 = labeled_class.signature.word(0);
-    if (label == Label::kPositive) {
-      const uint64_t pos2 = pos_predicate_.word(0) & sig0;
-      for (size_t i = 0; i < n; ++i) {
-        if (informative_[i] == cls) continue;
-        uint64_t key = inf_keys_[i] & sig0;
-        if (key == pos2 ||  // P′ ⊆ T(c), else Lemma 3.4.
-            CertainNegativeWord(key, neg_words_)) {
-          newly += inf_counts_[i];
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (informative_[i] == cls) continue;
-        if ((inf_keys_[i] & ~sig0) == 0) newly += inf_counts_[i];
-      }
-    }
-    return newly;
-  }
-
-  uint64_t sigw[JoinPredicate::kWords];
-  for (size_t w = 0; w < W; ++w) sigw[w] = labeled_class.signature.word(w);
-  if (label == Label::kPositive) {
-    // T(S+) shrinks to P′ = T(S+) ∩ T(t): classes above P′ become certain+
-    // (Lemma 3.3) and the Cert− test must be re-evaluated against P′
-    // (Lemma 3.4), since shrinking T(S+) weakens its premise.
-    uint64_t pos2[JoinPredicate::kWords];
-    for (size_t w = 0; w < W; ++w) pos2[w] = pos_predicate_.word(w) & sigw[w];
-    const size_t num_negs = negative_signatures_.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (informative_[i] == cls) continue;
-      uint64_t key2[JoinPredicate::kWords];
-      And2Words(key2, &inf_keys_[i * W], sigw, W);
-      if (EqualWords(key2, pos2, W) ||  // P′ ⊆ T(c).
-          AnyWitnessContains(key2, neg_words_.data(), num_negs, W)) {
-        newly += inf_counts_[i];
-      }
-    }
-  } else {
-    // T(S+) is unchanged; only the new negative witness T(t) can newly
-    // certify classes negative (existing witnesses already failed for every
-    // currently-informative class).
-    for (size_t i = 0; i < n; ++i) {
-      if (informative_[i] == cls) continue;
-      if (IsSubsetWords(&inf_keys_[i * W], sigw, W)) {
-        newly += inf_counts_[i];
-      }
+  for (size_t i = 0; i < n; ++i) {
+    if (informative_[i] == cls) continue;
+    const uint64_t* key = &inf_keys_[i * W];
+    const uint64_t cnt = inf_counts_[i];
+    if (IsSubsetWords<W>(key, sigw)) newly_neg += cnt;
+    uint64_t key2[W];
+    And2Words<W>(key2, key, sigw);
+    if (EqualWords<W>(key2, pos2) ||
+        AnyWitnessContains<W>(key2, neg_words_.data(), num_negs)) {
+      newly_pos += cnt;
     }
   }
-  return newly;
+  return {newly_pos, newly_neg};
+}
+
+void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
+                                           bool record) {
+  WithWidth(active_words_, [&](auto width) __attribute__((always_inline)) {
+    ApplyLabelW<decltype(width)::value>(cls, label, record);
+  });
+}
+
+void InferenceState::UndoLabel() {
+  WithWidth(active_words_, [&](auto width) __attribute__((always_inline)) {
+    UndoLabelW<decltype(width)::value>();
+  });
 }
 
 std::pair<uint64_t, uint64_t> InferenceState::CountNewlyUninformativeBoth(
     ClassId cls) const {
   JINFER_CHECK(IsInformative(cls), "class %u is not informative", cls);
-  const SignatureClass& labeled_class = index_->cls(cls);
-  uint64_t newly_pos = labeled_class.count - 1;
-  uint64_t newly_neg = labeled_class.count - 1;
-  const size_t W = active_words_;
-  const size_t n = informative_.size();
-
-  if (W == 1) {
-    const uint64_t sig0 = labeled_class.signature.word(0);
-    const uint64_t pos2 = pos_predicate_.word(0) & sig0;
-    for (size_t i = 0; i < n; ++i) {
-      if (informative_[i] == cls) continue;
-      const uint64_t k = inf_keys_[i];
-      const uint64_t cnt = inf_counts_[i];
-      if ((k & ~sig0) == 0) newly_neg += cnt;  // k ⊆ T(t).
-      const uint64_t key2 = k & sig0;
-      if (key2 == pos2 || CertainNegativeWord(key2, neg_words_)) {
-        newly_pos += cnt;
-      }
-    }
-    return {newly_pos, newly_neg};
-  }
-
-  uint64_t sigw[JoinPredicate::kWords];
-  uint64_t pos2[JoinPredicate::kWords];
-  for (size_t w = 0; w < W; ++w) {
-    sigw[w] = labeled_class.signature.word(w);
-    pos2[w] = pos_predicate_.word(w) & sigw[w];
-  }
-  const size_t num_negs = negative_signatures_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (informative_[i] == cls) continue;
-    const uint64_t cnt = inf_counts_[i];
-    if (IsSubsetWords(&inf_keys_[i * W], sigw, W)) newly_neg += cnt;
-    uint64_t key2[JoinPredicate::kWords];
-    And2Words(key2, &inf_keys_[i * W], sigw, W);
-    if (EqualWords(key2, pos2, W) ||
-        AnyWitnessContains(key2, neg_words_.data(), num_negs, W)) {
-      newly_pos += cnt;
-    }
-  }
-  return {newly_pos, newly_neg};
+  return WithWidth(active_words_,
+                   [&](auto width) __attribute__((always_inline)) {
+                     return CountBothW<decltype(width)::value>(cls);
+                   });
 }
 
 void InferenceState::CountNewlyUninformativeAll(
@@ -496,7 +385,7 @@ void InferenceState::CountNewlyUninformativeAll(
   args.sigs = inf_sigs_.data();
   args.cnts = inf_counts_.data();
   args.negs = neg_words_.data();
-  args.num_negs = negative_signatures_.size();
+  args.num_negs = neg_words_.size() / active_words_;
   args.words = active_words_;
   args.n = n;
   util::simd::SweepUCounts(args, u_pos.data(), u_neg.data());

@@ -16,8 +16,12 @@
 //   negative label:  O(|informative|) word ops — one subset test against
 //                    the new witness per informative class (existing
 //                    witnesses already failed for them);
-//   positive label:  O(|informative| · (1 + |S−|)) word ops;
-// versus O(#classes · |S−|) for a from-scratch reclassification.
+//   positive label:  O(|informative| · (1 + |S−|)) word ops.
+// This incremental sweep is the only place the lemmas are evaluated: the
+// constructor classifies the empty sample directly (Cert+ iff T(t) = Ω),
+// and ApplyLabel's consistency check reads the maintained classification.
+// Apply, undo and the u± pair each have one body, templated on the active
+// word count W = 1..4 and picked by one width switch.
 //
 // For the lookahead strategies' simulation tree, ApplyLabelScoped/UndoLabel
 // push and pop (ClassId, old TupleState) records on an internal delta stack:
@@ -30,7 +34,9 @@
 #define JINFER_CORE_INFERENCE_STATE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/sample.h"
@@ -99,16 +105,13 @@ class InferenceState {
 
   bool HasPositiveExample() const { return has_positive_; }
 
-  /// u_α(t): the number of tuples (weighted) that would newly become
-  /// uninformative if class `cls` were labeled `label`, excluding the
-  /// labeled tuple itself — the paper's u± quantities feeding entropy
-  /// (§4.4). `cls` must be informative. Read-only; O(|informative|) for a
-  /// negative label, O(|informative| · |S−|) for a positive one.
-  uint64_t CountNewlyUninformative(ClassId cls, Label label) const;
-
-  /// Both u+(t) and u−(t) in a single sweep over the informative list —
-  /// the two counts share every per-class load, and the entropy leaves
-  /// always need both. Returns {u+, u−}.
+  /// u+(t) and u−(t): the number of tuples (weighted) that would newly
+  /// become uninformative if class `cls` were labeled positive or
+  /// negative, excluding the labeled tuple itself — the paper's u±
+  /// quantities feeding entropy (§4.4). One read-only sweep over the
+  /// informative list computes both, since they share every per-class
+  /// load: O(|informative| · (1 + |S−|)) word ops. `cls` must be
+  /// informative. Returns {u+, u−}.
   std::pair<uint64_t, uint64_t> CountNewlyUninformativeBoth(
       ClassId cls) const;
 
@@ -152,32 +155,25 @@ class InferenceState {
     uint64_t old_weight;
   };
 
-  /// Recomputes states_, informative_, keys_ and the counters from scratch.
-  /// Only needed at construction; labels are applied incrementally after.
-  void Reclassify();
-
   /// Incremental application shared by ApplyLabel and ApplyLabelScoped.
   /// When `record` is true an undo frame is pushed onto the delta stack.
   void ApplyLabelIncremental(ClassId cls, Label label, bool record);
 
-  bool CertainPositive(const JoinPredicate& sig) const {
-    return pos_predicate_.IsSubsetOf(sig);
-  }
-  bool CertainNegative(const JoinPredicate& sig) const {
-    JoinPredicate key = pos_predicate_ & sig;
-    for (const JoinPredicate& neg : negative_signatures_) {
-      if (key.IsSubsetOf(neg)) return true;
-    }
-    return false;
-  }
+  // The bodies of ApplyLabelIncremental, UndoLabel and
+  // CountNewlyUninformativeBoth, with the active word count fixed at
+  // compile time. inference_state.cc's one width switch picks W = 1..4.
+  template <size_t W>
+  void ApplyLabelW(ClassId cls, Label label, bool record);
+  template <size_t W>
+  void UndoLabelW();
+  template <size_t W>
+  std::pair<uint64_t, uint64_t> CountBothW(ClassId cls) const;
 
   const SignatureIndex* index_;
   Sample sample_;
-  std::vector<TupleState> states_;
-  std::vector<bool> labeled_;
-  JoinPredicate pos_predicate_;  // T(S+), starts at Ω.
+  std::vector<TupleState> states_;  // kLabeled iff the class is in sample_.
+  JoinPredicate pos_predicate_;     // T(S+), starts at Ω.
   bool has_positive_ = false;
-  std::vector<JoinPredicate> negative_signatures_;  // {T(t) | t ∈ S−}
   uint64_t informative_weight_ = 0;
 
   /// Currently-informative classes, sorted by ClassId. The per-label sweeps
@@ -192,25 +188,21 @@ class InferenceState {
   // W = active_words_: for the i-th informative class, words [i·W, i·W+W)
   // of inf_keys_ hold its key T(S+) ∩ T(c), the same slice of inf_sigs_
   // holds its signature T(c), and inf_counts_[i] its tuple count, all in
-  // informative_ order. neg_words_ packs the W-word signature of every
-  // negative witness the same way. The per-label sweeps, the u± counts and
+  // informative_ order. neg_words_ is the only store of the negative
+  // witnesses {T(t) | t ∈ S−}: W words each, in labeling order, so
+  // |S−| = neg_words_.size() / W. The per-label sweeps, the u± counts and
   // the batch candidate sweep stream these flat uint64_t arrays with plain
   // word loops instead of chasing 32-byte bitsets and 64-byte
-  // SignatureClass records — the sweeps are memory-bound, and at
-  // W == 1 this cuts the touched bytes per class from ~96 to 24. The
-  // Cert+ test is key == T(S+) (Lemma 3.3 via keys); Cert− is
-  // key ⊆ some witness (Lemma 3.4). Signatures ride along so a positive
-  // undo can recompute every key with one flat pos ∩ sig pass and the
-  // batch sweep can read candidate signatures contiguously.
+  // SignatureClass records — the sweeps are memory-bound, and at one word
+  // this cuts the touched bytes per class from ~96 to 24. The Cert+ test
+  // is key == T(S+) (Lemma 3.3 via keys); Cert− is key ⊆ some witness
+  // (Lemma 3.4). Signatures ride along so a positive undo can recompute
+  // every key with one flat pos ∩ sig pass and the batch sweep can read
+  // candidate signatures contiguously.
   std::vector<uint64_t> inf_keys_;
   std::vector<uint64_t> inf_sigs_;
   std::vector<uint64_t> inf_counts_;
   std::vector<uint64_t> neg_words_;
-
-  /// Refills the packed arrays from the informative list and the sample
-  /// (exact for any state: keys are always pos ∩ sig). Construction-time
-  /// only; labels maintain the arrays incrementally.
-  void RebuildPackedInformative();
 
   // Delta stack for ApplyLabelScoped/UndoLabel: transition records shared
   // across frames so repeated simulate/undo cycles stop allocating.

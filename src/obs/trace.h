@@ -43,13 +43,14 @@ enum class SpanKind : uint8_t {
   kAnswerApply = 7,    ///< Session::Answer (ApplyLabel).
   kFrameDecode = 8,    ///< Connection frame assembly + checksum.
   kFrameQueue = 9,     ///< Work-queue wait, dispatch → worker pickup.
-  kFrameExecute = 10,  ///< Worker frame handler (detail = frame type).
+  kFrameExecute = 10,  ///< Frame handler, on a worker or inline on the
+                       ///< event thread (detail = frame type).
 };
 
 const char* SpanKindName(SpanKind kind);
 
 /// One timed operation. trace_id groups spans belonging to one session
-/// (the hosted-session id server-side; 0 = unattributed).
+/// (the session's wire id server-side; 0 = unattributed).
 struct SpanRecord {
   uint64_t trace_id = 0;
   uint64_t start_nanos = 0;

@@ -78,11 +78,10 @@ TEST(EntropyFigure5Test, AllTwelveCounts) {
   for (size_t r = 0; r < 4; ++r) {
     for (size_t p = 0; p < 3; ++p, ++k) {
       ClassId cls = testing::ClassOf(index, r, p);
-      EXPECT_EQ(state.CountNewlyUninformative(cls, Label::kPositive),
-                expected[k].first)
+      const auto [u_pos, u_neg] = state.CountNewlyUninformativeBoth(cls);
+      EXPECT_EQ(u_pos, expected[k].first)
           << "(t" << r + 1 << ",t" << p + 1 << "') u+";
-      EXPECT_EQ(state.CountNewlyUninformative(cls, Label::kNegative),
-                expected[k].second)
+      EXPECT_EQ(u_neg, expected[k].second)
           << "(t" << r + 1 << ",t" << p + 1 << "') u-";
     }
   }

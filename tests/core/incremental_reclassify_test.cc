@@ -81,10 +81,9 @@ Entropy ReferenceEntropyRec(uint64_t root_weight, const InferenceState& state,
                             ClassId cls, int remaining, uint64_t depth) {
   if (remaining == 1) {
     uint64_t removed = root_weight - state.InformativeTupleWeight();
-    uint64_t up = removed +
-                  state.CountNewlyUninformative(cls, Label::kPositive) - depth;
-    uint64_t un = removed +
-                  state.CountNewlyUninformative(cls, Label::kNegative) - depth;
+    const auto [u_pos, u_neg] = state.CountNewlyUninformativeBoth(cls);
+    uint64_t up = removed + u_pos - depth;
+    uint64_t un = removed + u_neg - depth;
     return Entropy::OfCounts(up, un);
   }
   Entropy per_label[2];

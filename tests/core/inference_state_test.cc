@@ -135,8 +135,9 @@ TEST(InferenceStateTest, CountNewlyUninformativeMatchesSimulation) {
   ASSERT_TRUE(
       state.ApplyLabel(testing::ClassOf(index, 0, 2), Label::kPositive).ok());
   for (ClassId c : state.InformativeClasses()) {
+    const auto [u_pos, u_neg] = state.CountNewlyUninformativeBoth(c);
     for (Label label : {Label::kPositive, Label::kNegative}) {
-      uint64_t direct = state.CountNewlyUninformative(c, label);
+      uint64_t direct = label == Label::kPositive ? u_pos : u_neg;
       InferenceState sim = state.WithLabel(c, label);
       uint64_t via_weights =
           state.InformativeTupleWeight() - sim.InformativeTupleWeight() - 1;
@@ -199,7 +200,7 @@ TEST(InferenceStateTest, WeightsHonorClassMultiplicity) {
   // Labeling one member of the weight-2 class positive: its sibling tuple
   // becomes uninformative (count 1); the empty class stays informative
   // (T(S+) = {(A,B1)} ⊄ {} and there is no negative witness).
-  EXPECT_EQ(state.CountNewlyUninformative(*cls, Label::kPositive), 1u);
+  EXPECT_EQ(state.CountNewlyUninformativeBoth(*cls).first, 1u);
 }
 
 }  // namespace

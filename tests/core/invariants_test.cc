@@ -66,8 +66,9 @@ TEST_P(TrajectoryInvariantsTest, FullTrajectoryInvariants) {
 
     // I4: u± counts match the weight delta of a simulated label.
     ClassId pick = informative[rng.NextBelow(informative.size())];
+    const auto [u_pos, u_neg] = state.CountNewlyUninformativeBoth(pick);
     for (Label label : {Label::kPositive, Label::kNegative}) {
-      uint64_t u = state.CountNewlyUninformative(pick, label);
+      uint64_t u = label == Label::kPositive ? u_pos : u_neg;
       InferenceState sim = state.WithLabel(pick, label);
       ASSERT_EQ(u, state.InformativeTupleWeight() -
                        sim.InformativeTupleWeight() - 1);
