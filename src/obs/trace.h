@@ -124,9 +124,13 @@ class ScopedSpan {
 
   void set_detail(uint64_t detail) { detail_ = detail; }
 
+  /// Records nothing at destruction: for a probe whose misses another
+  /// span times.
+  void Cancel() { cancelled_ = true; }
+
   ~ScopedSpan() {
 #ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
+    if (cancelled_ || !MetricsEnabled()) return;
     const uint64_t duration = watch_.ElapsedNanos();
     if (histogram_ != nullptr) histogram_->Record(duration);
     FlightRecorder::Global().Record(SpanRecord{
@@ -139,6 +143,7 @@ class ScopedSpan {
   uint64_t trace_id_;
   uint64_t detail_ = 0;
   Histogram* histogram_;
+  bool cancelled_ = false;
   util::Stopwatch watch_;
 };
 

@@ -48,7 +48,8 @@ IndexCache::GetOrBuild(const rel::Relation& r, const rel::Relation& p) {
 }
 
 util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
-    const rel::Relation& r, const rel::Relation& p) {
+    const rel::Relation& r, const rel::Relation& p,
+    const std::optional<InstanceFingerprint>& alias) {
   CacheMetrics& metrics = CacheMetrics::Get();
   obs::ScopedSpan probe_span(obs::SpanKind::kCacheProbe, /*trace_id=*/0,
                              &metrics.probe_nanos);
@@ -68,6 +69,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       counters_.hits.Inc();
+      if (alias.has_value()) AttachAliasLocked(it, *alias);
       std::shared_future<BuildOutcome> future = it->second.future;
       lock.unlock();
       // Blocks iff the resolution is still in flight.
@@ -88,7 +90,11 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     }
     my_id = ++next_id_;
     promise.emplace();
-    entries_.emplace(key, Entry{promise->get_future().share(), my_id, false});
+    it = entries_
+             .emplace(key, Entry{promise->get_future().share(), my_id, false,
+                                 std::nullopt})
+             .first;
+    if (alias.has_value()) AttachAliasLocked(it, *alias);
   }
 
   // Single-flight winner: resolve outside the lock so concurrent requests
@@ -160,7 +166,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
         counters_.backoff_arms.Inc();
       }
       auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.id == my_id) entries_.erase(it);
+      if (it != entries_.end() && it->second.id == my_id) EraseLocked(it);
     }
     // Deliver after the eviction: a caller that misses the erased entry
     // starts a fresh resolution instead of waiting on this failed one.
@@ -217,15 +223,51 @@ void IndexCache::EnforceCapacityLocked(const InstanceFingerprint& key,
     }
   }
   if (victim != entries_.end() && newcomer_freq > victim_freq) {
-    entries_.erase(victim);
+    EraseLocked(victim);
     counters_.evictions.Inc();
   } else {
     auto self = entries_.find(key);
     if (self != entries_.end() && self->second.id == id) {
-      entries_.erase(self);
+      EraseLocked(self);
       counters_.rejected_admissions.Inc();
     }
   }
+}
+
+std::shared_ptr<const core::SignatureIndex> IndexCache::FindResident(
+    const InstanceFingerprint& alias) {
+  obs::ScopedSpan probe_span(obs::SpanKind::kCacheProbe, /*trace_id=*/0,
+                             &CacheMetrics::Get().probe_nanos);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto named = aliases_.find(alias);
+  if (named != aliases_.end()) {
+    const Entry& entry = entries_.at(named->second);
+    if (entry.ready) {
+      counters_.lookups.Inc();
+      counters_.hits.Inc();
+      sketch_.Increment(SketchKey(named->second));
+      // A ready entry holds a delivered success: get() does not wait.
+      return entry.future.get().ValueOrDie();
+    }
+  }
+  probe_span.Cancel();
+  return nullptr;
+}
+
+void IndexCache::AttachAliasLocked(EntryMap::iterator it,
+                                   const InstanceFingerprint& alias) {
+  if (it->second.alias == alias) return;
+  if (it->second.alias.has_value()) aliases_.erase(*it->second.alias);
+  // The alias names the entry that took it last. Were two instances'
+  // digests to collide, the entry that held it before would still erase
+  // it on leaving: an alias can be lost, never left naming no entry.
+  aliases_[alias] = it->first;
+  it->second.alias = alias;
+}
+
+void IndexCache::EraseLocked(EntryMap::iterator it) {
+  if (it->second.alias.has_value()) aliases_.erase(*it->second.alias);
+  entries_.erase(it);
 }
 
 size_t IndexCache::size() const {
@@ -252,6 +294,7 @@ IndexCacheStats IndexCache::stats() const {
 void IndexCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+  aliases_.clear();
 }
 
 }  // namespace runtime

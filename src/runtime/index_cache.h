@@ -28,6 +28,16 @@
 // Eviction is safe at any time: handed-out indexes survive via shared
 // ownership (a mapped index additionally keeps its file mapping alive).
 //
+// Aliases: a caller that knows a cheaper name for an instance than its
+// fingerprint — the server's digest of an upload's raw bytes
+// (store::FingerprintUpload) — passes it to GetOrBuildTiered, which
+// attaches it to the entry; FindResident then answers a later lookup by
+// that name with no relations at hand, no fingerprint and no blocking.
+// An alias lives on the entry it names: each entry holds at most one (a
+// later spelling replaces it), and it leaves with the entry — evicted,
+// refused admission, failed or cleared — so the alias table is bounded
+// by `capacity` and never names an index the cache no longer holds.
+//
 // Failure domains (DESIGN.md §10): a store load that fails *transiently*
 // (kUnavailable — fd pressure, an injected store.load.mmap fault) degrades
 // to a fresh build instead of failing the lookup (counted in
@@ -48,6 +58,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "core/signature_index.h"
@@ -118,9 +129,10 @@ struct IndexCacheOptions {
 };
 
 struct IndexCacheStats {
-  uint64_t lookups = 0;  ///< GetOrBuild calls.
+  uint64_t lookups = 0;  ///< GetOrBuild calls and FindResident hits.
   uint64_t hits = 0;     ///< Memory-tier hits (including blocking on a
-                         ///< resolution already in flight).
+                         ///< resolution already in flight, and every
+                         ///< FindResident hit).
   uint64_t builds = 0;   ///< Full SignatureIndex builds run (succeeded or
                          ///< failed); store loads are counted separately.
   uint64_t failures = 0; ///< Resolutions that ended in an error (evicted).
@@ -173,9 +185,21 @@ class IndexCache {
       const rel::Relation& r, const rel::Relation& p);
 
   /// GetOrBuild plus the tier that satisfied the lookup (what the CLI
-  /// prints and the benches count).
-  util::Result<TieredIndex> GetOrBuildTiered(const rel::Relation& r,
-                                             const rel::Relation& p);
+  /// prints and the benches count). A given `alias` is attached to the
+  /// entry (see the header comment); it leaves with the entry, so it is
+  /// gone again if this resolution fails or is refused residency.
+  util::Result<TieredIndex> GetOrBuildTiered(
+      const rel::Relation& r, const rel::Relation& p,
+      const std::optional<InstanceFingerprint>& alias = std::nullopt);
+
+  /// The resident index `alias` names, or null. Only a completed
+  /// memory-tier entry answers: this never waits on a resolution in
+  /// flight, never loads from the store and never builds. A hit counts
+  /// and is timed as a GetOrBuild memory hit is (one lookup, one hit, the
+  /// admission sketch, the probe span); a miss records nothing, because
+  /// the caller's full lookup that follows does. Thread-safe.
+  std::shared_ptr<const core::SignatureIndex> FindResident(
+      const InstanceFingerprint& alias);
 
   /// Number of resident entries (completed or in-flight resolutions).
   size_t size() const;
@@ -201,12 +225,16 @@ class IndexCache {
   /// The future lets losers of the insert race wait without holding mu_
   /// while the winner resolves; the id lets the winner touch exactly its
   /// own entry afterwards (never a successor inserted after a Clear).
-  /// `ready` marks completed entries — only those are eviction candidates.
+  /// `ready` marks completed entries — only those are eviction candidates
+  /// and only those answer FindResident.
   struct Entry {
     std::shared_future<BuildOutcome> future;
     uint64_t id = 0;
     bool ready = false;
+    std::optional<InstanceFingerprint> alias;  ///< Its aliases_ key.
   };
+  using EntryMap =
+      std::unordered_map<InstanceFingerprint, Entry, FingerprintHash>;
 
   /// 64-bit sketch key for a fingerprint.
   static uint64_t SketchKey(const InstanceFingerprint& f) {
@@ -231,9 +259,20 @@ class IndexCache {
   /// hotter, otherwise drop the newcomer. Caller holds mu_.
   void EnforceCapacityLocked(const InstanceFingerprint& key, uint64_t id);
 
+  /// Points `alias` at entry `it`, replacing the entry's previous alias.
+  /// Caller holds mu_.
+  void AttachAliasLocked(EntryMap::iterator it,
+                         const InstanceFingerprint& alias);
+  /// Erases entry `it` and its alias. Caller holds mu_.
+  void EraseLocked(EntryMap::iterator it);
+
   IndexCacheOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<InstanceFingerprint, Entry, FingerprintHash> entries_;
+  EntryMap entries_;
+  /// Alias → the fingerprint of the entry holding it.
+  std::unordered_map<InstanceFingerprint, InstanceFingerprint,
+                     FingerprintHash>
+      aliases_;
   std::unordered_map<InstanceFingerprint, FailureState, FingerprintHash>
       failures_;
   util::FrequencySketch sketch_;

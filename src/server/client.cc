@@ -71,61 +71,80 @@ util::Result<Client> Client::Connect(const std::string& host, uint16_t port,
   return Client(std::move(sock), options);
 }
 
+util::Status Client::Usable() const {
+  if (sock_.valid()) return util::Status::OK();
+  return util::Status::FailedPrecondition(
+      "the connection failed on an earlier call; reconnect");
+}
+
+util::Status Client::Break(util::Status status) {
+  sock_.Close();
+  question_.reset();
+  return status;
+}
+
 util::Result<Frame> Client::ReadResponse() {
-  uint8_t header_bytes[kFrameHeaderBytes];
-  JINFER_RETURN_NOT_OK(
-      util::ReadExact(sock_, std::span<uint8_t>(header_bytes)));
-  JINFER_ASSIGN_OR_RETURN(
-      FrameHeader header,
-      DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                        options_.max_frame_payload));
-  std::vector<uint8_t> payload(header.payload_bytes);
-  if (!payload.empty()) {
-    JINFER_RETURN_NOT_OK(
-        util::ReadExact(sock_, std::span<uint8_t>(payload)));
+  while (true) {
+    JINFER_ASSIGN_OR_RETURN(const bool ready, in_.Ready());
+    if (ready) return in_.Pop();
+    uint8_t chunk[kReadChunk];
+    JINFER_ASSIGN_OR_RETURN(const size_t n,
+                            util::ReadSome(sock_, std::span<uint8_t>(chunk)));
+    if (n == 0) {
+      return util::Status::IoError("connection closed by the server");
+    }
+    in_.Append(std::span<const uint8_t>(chunk, n));
   }
-  return DecodeFramePayload(header, payload);
 }
 
 util::Result<Frame> Client::RoundTrip(FrameType type,
                                       std::span<const uint8_t> payload) {
+  JINFER_RETURN_NOT_OK(Usable());
   const std::vector<uint8_t> wire = EncodeFrame(type, payload);
-  JINFER_RETURN_NOT_OK(util::WriteAll(sock_, wire));
-  JINFER_ASSIGN_OR_RETURN(Frame response, ReadResponse());
-  if (response.type == FrameType::kError) {
-    JINFER_ASSIGN_OR_RETURN(ErrorBody err, DecodeError(response.payload));
-    return StatusFromWire(err.code, std::move(err.message));
+  if (util::Status sent = util::WriteAll(sock_, wire); !sent.ok()) {
+    return Break(std::move(sent));
+  }
+  util::Result<Frame> response = ReadResponse();
+  if (!response.ok()) return Break(response.status());
+  if (response->type == FrameType::kError) {
+    util::Result<ErrorBody> err = DecodeError(response->payload);
+    if (!err.ok()) return Break(err.status());
+    return StatusFromWire(err->code, std::move(err->message));
   }
   return response;
 }
 
-namespace {
-
-util::Status WrongResponse(FrameType got, FrameType want) {
-  return util::Status::ParseError(
-      util::StrFormat("expected %s response, got %s", FrameTypeName(want),
-                      FrameTypeName(got)));
+template <typename Body>
+util::Result<Body> Client::Exchange(
+    FrameType type, std::span<const uint8_t> payload, FrameType want,
+    util::Result<Body> (*decode)(std::span<const uint8_t>)) {
+  JINFER_ASSIGN_OR_RETURN(Frame response, RoundTrip(type, payload));
+  if (response.type != want) {
+    return Break(util::Status::ParseError(
+        util::StrFormat("expected %s response, got %s", FrameTypeName(want),
+                        FrameTypeName(response.type))));
+  }
+  util::Result<Body> body = decode(response.payload);
+  if (!body.ok()) return Break(body.status());
+  return body;
 }
 
-}  // namespace
-
 util::Result<OpenOkBody> Client::OpenSession(const OpenSessionBody& body) {
-  JINFER_ASSIGN_OR_RETURN(
-      Frame response, RoundTrip(FrameType::kOpenSession, Encode(body)));
-  if (response.type != FrameType::kOpenOk) {
-    return WrongResponse(response.type, FrameType::kOpenOk);
-  }
-  JINFER_ASSIGN_OR_RETURN(OpenOkBody ok, DecodeOpenOk(response.payload));
+  JINFER_ASSIGN_OR_RETURN(OpenOkBody ok,
+                          Exchange(FrameType::kOpenSession, Encode(body),
+                                   FrameType::kOpenOk, &DecodeOpenOk));
   question_ = ok.question;
   return ok;
 }
 
 util::Result<QuestionBody> Client::NextQuestion() {
+  JINFER_RETURN_NOT_OK(Usable());
   if (!question_) return util::Status::FailedPrecondition("no session open");
   return *question_;
 }
 
 util::Result<QuestionBody> Client::Answer(bool positive) {
+  JINFER_RETURN_NOT_OK(Usable());
   if (!question_ || question_->finished) {
     return util::Status::FailedPrecondition(
         "Answer with no pending question");
@@ -133,17 +152,15 @@ util::Result<QuestionBody> Client::Answer(bool positive) {
   AnswerBody req;
   req.session_id = question_->session_id;
   req.label = positive ? 1 : 0;
-  JINFER_ASSIGN_OR_RETURN(Frame response,
-                          RoundTrip(FrameType::kAnswer, Encode(req)));
-  if (response.type != FrameType::kQuestion) {
-    return WrongResponse(response.type, FrameType::kQuestion);
-  }
-  JINFER_ASSIGN_OR_RETURN(QuestionBody next, DecodeQuestion(response.payload));
+  JINFER_ASSIGN_OR_RETURN(QuestionBody next,
+                          Exchange(FrameType::kAnswer, Encode(req),
+                                   FrameType::kQuestion, &DecodeQuestion));
   question_ = next;
   return next;
 }
 
 util::Result<CloseOkBody> Client::CloseSession() {
+  JINFER_RETURN_NOT_OK(Usable());
   if (!question_) return util::Status::FailedPrecondition("no session open");
   CloseOkBody ok;
   if (question_->finished) {
@@ -155,24 +172,17 @@ util::Result<CloseOkBody> Client::CloseSession() {
   } else {
     CloseSessionBody req;
     req.session_id = question_->session_id;
-    JINFER_ASSIGN_OR_RETURN(
-        Frame response, RoundTrip(FrameType::kCloseSession, Encode(req)));
-    if (response.type != FrameType::kCloseOk) {
-      return WrongResponse(response.type, FrameType::kCloseOk);
-    }
-    JINFER_ASSIGN_OR_RETURN(ok, DecodeCloseOk(response.payload));
+    JINFER_ASSIGN_OR_RETURN(ok, Exchange(FrameType::kCloseSession,
+                                         Encode(req), FrameType::kCloseOk,
+                                         &DecodeCloseOk));
   }
   question_.reset();
   return ok;
 }
 
 util::Result<MetricsOkBody> Client::ServerMetrics() {
-  JINFER_ASSIGN_OR_RETURN(
-      Frame response, RoundTrip(FrameType::kMetrics, Encode(MetricsBody{})));
-  if (response.type != FrameType::kMetricsOk) {
-    return WrongResponse(response.type, FrameType::kMetricsOk);
-  }
-  return DecodeMetricsOk(response.payload);
+  return Exchange(FrameType::kMetrics, Encode(MetricsBody{}),
+                  FrameType::kMetricsOk, &DecodeMetricsOk);
 }
 
 }  // namespace server

@@ -19,6 +19,14 @@
 // same way it composes with a local cache fault. RetryLater(status) tells
 // a caller whether the server said "again later" (the RETRY_LATER flag)
 // as opposed to "you did something wrong".
+//
+// A resend on the same Client is safe only after an error the server
+// sent: that request was refused and the stream is in step. Any other
+// failure — a write or read error, an io_timeout expiry (kUnavailable,
+// which RetryLater also accepts), a malformed or unexpected reply —
+// leaves the request's fate unknown and its reply possibly still on the
+// way, so the Client closes its socket and every later call fails at once
+// with FailedPrecondition: reconnect, and open a new session.
 
 #ifndef JINFER_SERVER_CLIENT_H_
 #define JINFER_SERVER_CLIENT_H_
@@ -45,7 +53,7 @@ class Client {
   struct Options {
     /// Whole-call budget for each blocking read/write on the socket; an
     /// expiry surfaces as kUnavailable (transient, like the server's own
-    /// taxonomy). Zero = block forever.
+    /// taxonomy) and closes the connection. Zero = block forever.
     std::chrono::milliseconds io_timeout{10000};
 
     /// Response frames larger than this are a protocol error client-side
@@ -70,9 +78,11 @@ class Client {
   util::Result<QuestionBody> NextQuestion();
 
   /// Labels the pending question; the reply is the next question, which
-  /// the client now holds. An error (kInconsistentSample, a RETRY_LATER
-  /// shed) leaves the question pending. With no pending question it fails
-  /// locally with FailedPrecondition and sends nothing.
+  /// the client now holds. An error frame from the server
+  /// (kInconsistentSample, a RETRY_LATER shed) leaves the question
+  /// pending, and the answer may be resent; any other failure closes the
+  /// connection (see the header comment). With no pending question it
+  /// fails locally with FailedPrecondition and sends nothing.
   util::Result<QuestionBody> Answer(bool positive);
 
   /// Returns the final predicate + interaction count and forgets the
@@ -98,12 +108,26 @@ class Client {
 
  private:
   Client(util::Socket sock, Options options)
-      : sock_(std::move(sock)), options_(options) {}
+      : sock_(std::move(sock)),
+        options_(options),
+        in_(options.max_frame_payload) {}
 
+  /// FailedPrecondition once an earlier failure closed the socket.
+  util::Status Usable() const;
+  /// Closes the socket and forgets the session after a transport or
+  /// framing failure, so no late reply is ever read as the answer to a
+  /// later request; returns `status`.
+  util::Status Break(util::Status status);
   util::Result<Frame> ReadResponse();
+  /// RoundTrip, then the reply decoded as a `want` frame's body.
+  template <typename Body>
+  util::Result<Body> Exchange(
+      FrameType type, std::span<const uint8_t> payload, FrameType want,
+      util::Result<Body> (*decode)(std::span<const uint8_t>));
 
   util::Socket sock_;
   Options options_;
+  FrameAssembler in_;
   /// The open session's current question; empty when no session is open.
   std::optional<QuestionBody> question_;
 };

@@ -1,7 +1,6 @@
 #include "server/connection.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -12,68 +11,45 @@
 namespace jinfer {
 namespace server {
 
-namespace {
-
-// Read chunk: large enough that one OpenSession (CSV upload) needs few
-// syscalls, small enough that a stack of idle connections stays cheap.
-constexpr size_t kReadChunk = 64 * 1024;
-
-}  // namespace
-
 util::Result<Connection::ReadEvent> Connection::OnReadable() {
   JINFER_RETURN_NOT_OK(util::FailpointHit("server.conn.read"));
   while (true) {
     // Assemble from what is already buffered before reading more.
-    if (!pending_header_.has_value() && in_.size() >= kFrameHeaderBytes) {
-      JINFER_ASSIGN_OR_RETURN(
-          pending_header_,
-          DecodeFrameHeader(std::span<const uint8_t>(in_.data(),
-                                                     kFrameHeaderBytes),
-                            limits_.max_frame_payload));
-    }
-    if (pending_header_.has_value()) {
-      const size_t need = kFrameHeaderBytes + pending_header_->payload_bytes;
-      if (in_.size() >= need) {
-        static obs::Histogram& decode_nanos =
-            obs::Registry::Global().histogram(obs::kServerFrameDecodeNanos);
-        obs::ScopedSpan decode_span(obs::SpanKind::kFrameDecode, trace_id(),
-                                    &decode_nanos);
-        decode_span.set_detail(pending_header_->payload_bytes);
-        JINFER_RETURN_NOT_OK(util::FailpointHit("server.frame.decode"));
-        JINFER_ASSIGN_OR_RETURN(
-            Frame frame,
-            DecodeFramePayload(
-                *pending_header_,
-                std::span<const uint8_t>(in_.data() + kFrameHeaderBytes,
-                                         pending_header_->payload_bytes)));
-        in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(need));
-        pending_header_.reset();
-        // The read deadline restarts per frame: cleared at a boundary,
-        // re-armed when pipelined bytes of the next frame already sit here.
-        // It pauses while a frame is in flight; OnWorkDone restarts it.
-        frame_start_ =
-            in_.empty() ? Clock::time_point{} : Clock::now();
-        last_activity_ = Clock::now();
-        ReadEvent ev;
-        ev.kind = ReadEvent::kFrame;
-        ev.frame = std::move(frame);
-        return ev;
+    JINFER_ASSIGN_OR_RETURN(const bool ready, in_.Ready());
+    if (ready) {
+      static obs::Histogram& decode_nanos =
+          obs::Registry::Global().histogram(obs::kServerFrameDecodeNanos);
+      obs::ScopedSpan decode_span(obs::SpanKind::kFrameDecode, trace_id(),
+                                  &decode_nanos);
+      JINFER_RETURN_NOT_OK(util::FailpointHit("server.frame.decode"));
+      JINFER_ASSIGN_OR_RETURN(Frame frame, in_.Pop());
+      decode_span.set_detail(frame.payload.size());
+      // The read deadline restarts per frame: cleared at a boundary,
+      // re-armed when pipelined bytes of the next frame already sit here.
+      // It pauses while a frame is in flight; OnWorkDone restarts it.
+      if (in_.empty()) {
+        in_.Trim(kReadChunk);
+        frame_start_ = Clock::time_point{};
+      } else {
+        frame_start_ = Clock::now();
       }
+      last_activity_ = Clock::now();
+      ReadEvent ev;
+      ev.kind = ReadEvent::kFrame;
+      ev.frame = std::move(frame);
+      return ev;
     }
 
-    // Need more bytes. Read one chunk; EAGAIN means report no progress.
-    const size_t old = in_.size();
-    in_.resize(old + kReadChunk);
-    auto n = util::ReadSome(
-        sock_, std::span<uint8_t>(in_.data() + old, kReadChunk));
+    // Need more bytes. Read one chunk onto the stack (no zero-fill) and
+    // keep only what arrived; EAGAIN means report no progress.
+    uint8_t chunk[kReadChunk];
+    auto n = util::ReadSome(sock_, std::span<uint8_t>(chunk));
     if (!n.ok()) {
-      in_.resize(old);
       if (n.status().code() == util::StatusCode::kUnavailable) {
         return ReadEvent{};  // Would block — poll will call us back.
       }
       return n.status();  // kIoError: broken socket.
     }
-    in_.resize(old + *n);
     if (*n == 0) {
       // EOF. At a frame boundary it is an orderly close; inside a frame it
       // is a truncation the peer must hear about (the malformed-frame
@@ -85,6 +61,7 @@ util::Result<Connection::ReadEvent> Connection::OnReadable() {
       }
       return util::Status::ParseError("connection closed mid-frame");
     }
+    in_.Append(std::span<const uint8_t>(chunk, *n));
     if (frame_start_ == Clock::time_point{}) frame_start_ = Clock::now();
   }
 }

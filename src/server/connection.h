@@ -1,12 +1,12 @@
 // Connection: the per-socket state machine of the serving front end
 // (DESIGN.md §11.2).
 //
-// A connection assembles frames from a nonblocking socket, hands exactly
-// one frame at a time to its handler — run in place on the event thread
-// when its cost is bounded, on the worker pool otherwise (server.cc,
-// RunsInline) — and drains response bytes back out, all driven by the
-// server's poll loop, whose thread is the only one that touches this
-// object. It is also the only owner of its session: the session leaves
+// A connection assembles frames from a nonblocking socket (FrameAssembler,
+// whose buffer holds about the frames in it), hands exactly one frame at a
+// time to its handler — run in place on the event thread when its cost is
+// bounded, on the worker pool otherwise (server.cc, RunsInline) — and
+// drains response bytes back out, all driven by the server's poll loop,
+// whose thread is the only one that touches this object. It is also the only owner of its session: the session leaves
 // with a dispatched frame (BeginWork) and comes back with its completion
 // (OnWorkDone) on either route, and it dies with the connection, which
 // releases its IndexCache pin. The lifecycle hardening lives here:
@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -68,6 +67,7 @@ class Connection {
       : sock_(std::move(sock)),
         generation_(generation),
         limits_(limits),
+        in_(limits.max_frame_payload),
         last_activity_(Clock::now()) {}
 
   struct ReadEvent {
@@ -124,6 +124,9 @@ class Connection {
 
   /// Bytes of a next frame already read; poll will not report them again.
   bool has_buffered_input() const { return !in_.empty(); }
+  /// Bytes of input buffer held: about the frames buffered, at most one
+  /// read chunk once they drain.
+  size_t input_capacity() const { return in_.capacity(); }
 
   /// After this, the connection flushes its buffer and is then closed by
   /// the server (no further reads are processed).
@@ -143,9 +146,8 @@ class Connection {
   uint64_t generation_;
   ConnectionLimits limits_;
 
-  // Inbound: header bytes, then payload bytes, then a decoded frame.
-  std::vector<uint8_t> in_;
-  std::optional<FrameHeader> pending_header_;
+  // Inbound: bytes read and not yet popped as frames.
+  FrameAssembler in_;
   Clock::time_point frame_start_{};  ///< Set while a frame is partial.
 
   // Outbound: one flat buffer with a drain cursor; compacted when empty.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/check.h"
 #include "util/checksum.h"
 #include "util/string_util.h"
 
@@ -115,6 +116,61 @@ util::Result<Frame> DecodeFramePayload(const FrameHeader& header,
   frame.type = static_cast<FrameType>(header.type);
   frame.payload.assign(payload.begin(), payload.end());
   return frame;
+}
+
+void FrameAssembler::Append(std::span<const uint8_t> bytes) {
+  if (bytes.empty()) return;
+  const size_t live = end_ - begin_;
+  if (capacity_ - end_ < bytes.size()) {
+    if (capacity_ - live >= bytes.size()) {
+      // Enough room once the consumed prefix goes: slide the rest down.
+      std::memmove(buf_.get(), buf_.get() + begin_, live);
+    } else {
+      const size_t grown = std::max(live + bytes.size(), 2 * capacity_);
+      auto bigger = std::make_unique_for_overwrite<uint8_t[]>(grown);
+      if (live > 0) std::memcpy(bigger.get(), buf_.get() + begin_, live);
+      buf_ = std::move(bigger);
+      capacity_ = grown;
+    }
+    begin_ = 0;
+    end_ = live;
+  }
+  std::memcpy(buf_.get() + end_, bytes.data(), bytes.size());
+  end_ += bytes.size();
+}
+
+util::Result<bool> FrameAssembler::Ready() {
+  const size_t live = end_ - begin_;
+  if (!header_.has_value()) {
+    if (live < kFrameHeaderBytes) return false;
+    JINFER_ASSIGN_OR_RETURN(
+        header_, DecodeFrameHeader(std::span<const uint8_t>(
+                                       buf_.get() + begin_, kFrameHeaderBytes),
+                                   max_payload_));
+  }
+  return live >= kFrameHeaderBytes + header_->payload_bytes;
+}
+
+util::Result<Frame> FrameAssembler::Pop() {
+  JINFER_CHECK(header_.has_value() &&
+                   end_ - begin_ >= kFrameHeaderBytes + header_->payload_bytes,
+               "FrameAssembler::Pop without a complete frame");
+  const size_t bytes = kFrameHeaderBytes + header_->payload_bytes;
+  JINFER_ASSIGN_OR_RETURN(
+      Frame frame,
+      DecodeFramePayload(*header_, std::span<const uint8_t>(
+                                       buf_.get() + begin_ + kFrameHeaderBytes,
+                                       header_->payload_bytes)));
+  header_.reset();
+  begin_ += bytes;
+  if (begin_ == end_) begin_ = end_ = 0;
+  return frame;
+}
+
+void FrameAssembler::Trim(size_t keep) {
+  if (!empty() || capacity_ <= keep) return;
+  buf_.reset();
+  capacity_ = 0;
 }
 
 util::Status WireReader::Need(size_t n) const {

@@ -30,6 +30,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,6 +111,49 @@ util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes,
 /// returns the assembled frame (payload copied out of `payload`).
 util::Result<Frame> DecodeFramePayload(const FrameHeader& header,
                                        std::span<const uint8_t> payload);
+
+/// Bytes one socket read asks for, at either end: an upload needs few
+/// syscalls, and the chunk fits on the reader's stack.
+inline constexpr size_t kReadChunk = 64 * 1024;
+
+/// Reassembles frames from a byte stream: the one frame reader of both
+/// ends of a connection (server::Connection, server::Client). Bytes go in
+/// with Append. Ready validates the next header as soon as its 24 bytes
+/// are buffered, so a poison length prefix is refused before any of its
+/// payload is, and says whether the whole frame is here; Pop checks the
+/// payload's checksum and hands the frame out. The buffer grows without
+/// zero-fill and holds only what was appended, so its capacity follows
+/// the frames buffered, not the size of the reads that fed it.
+class FrameAssembler {
+ public:
+  explicit FrameAssembler(uint32_t max_payload = kMaxFramePayload)
+      : max_payload_(max_payload) {}
+
+  void Append(std::span<const uint8_t> bytes);
+
+  /// True once a complete frame is buffered. ParseError for a malformed
+  /// header (DecodeFrameHeader's errors).
+  util::Result<bool> Ready();
+
+  /// Removes and returns the frame Ready reported; call only after Ready
+  /// returned true. ParseError on a checksum mismatch.
+  util::Result<Frame> Pop();
+
+  bool empty() const { return begin_ == end_; }
+  size_t capacity() const { return capacity_; }
+
+  /// Frees the buffer when it is empty and holds more than `keep` bytes
+  /// of capacity, so one large frame does not pin its size for life.
+  void Trim(size_t keep);
+
+ private:
+  uint32_t max_payload_;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;  ///< Unconsumed bytes are [begin_, end_).
+  size_t end_ = 0;
+  std::optional<FrameHeader> header_;  ///< The next frame's, validated.
+};
 
 // ---------------------------------------------------------------------------
 // Payload primitives

@@ -6,7 +6,9 @@
 // interaction costs one round trip: OpenSession names the instance (the
 // client uploads both relations as CSV text — the server fingerprints
 // them, so repeated opens of the same data share one index through the
-// tiered IndexCache) and its OpenOk carries the first question; Answer
+// tiered IndexCache, and it recognises a byte-identical repeat upload by
+// a digest of its bytes, which skips the parse and the fingerprint) and
+// its OpenOk carries the first question; Answer
 // applies one label and is answered with the next question. A question is
 // the strategy's pick as a class id plus its representative row numbers in
 // R and P, or, once the inference is done, a finished question carrying

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/csv.h"
+#include "store/fingerprint.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -61,23 +62,36 @@ util::Status CheckOwned(const util::Result<Body>& body,
   return util::Status::OK();
 }
 
-/// The routing rule: whether a `type` frame on a connection holding
-/// `session` runs on the event thread. Only frames whose cost is bounded
-/// by a pass over the classes do: a close, and an answer or question of a
-/// strategy that picks in one pass (BU, TD, RND) — an answer's reply
-/// carries the next pick, so it costs one ApplyLabel plus that pass. A
-/// frame with no session to act on is a cheap reject. Opens (CSV parse,
-/// fingerprint, maybe a build, the first pick), metrics scrapes and the
-/// answers and questions of lookahead, EG and OPT go to the workers, so
-/// one expensive frame never stalls the other connections (DESIGN.md
-/// §11.2).
-bool RunsInline(FrameType type, const runtime::Session* session) {
+/// The routing rule: whether a frame of `type` runs on the event thread.
+/// `strategy` is the one its pick would run: the connection's session's
+/// for an answer or question (null with no session), the requested one
+/// for an open. `resident` says an open is a repeat upload whose index the
+/// cache holds in memory; Dispatch learns it only for an open of at most
+/// one read chunk, on a connection with no session, while the server is
+/// not draining (ProbeOpen). Only frames whose cost is bounded by a pass
+/// over the classes run inline:
+///  - a close;
+///  - an answer or question of a strategy that picks in one pass (BU, TD,
+///    RND): an answer's reply carries the next pick, so it costs one
+///    ApplyLabel plus that pass; with no session to act on it is a cheap
+///    reject;
+///  - a repeat open of such a strategy: a cache probe by digest, the
+///    session's construction and its first pick — no CSV parse, no
+///    fingerprint, no build.
+/// Every other open (CSV parse, fingerprint, maybe a build, the first
+/// pick), metrics scrapes and the answers and questions of lookahead, EG
+/// and OPT go to the workers, so one expensive frame never stalls the
+/// other connections (DESIGN.md §11.2).
+bool RunsInline(FrameType type, const core::Strategy* strategy,
+                bool resident) {
   switch (type) {
     case FrameType::kCloseSession:
       return true;
     case FrameType::kAnswer:
     case FrameType::kNextQuestion:
-      return session == nullptr || session->strategy().one_pass();
+      return strategy == nullptr || strategy->one_pass();
+    case FrameType::kOpenSession:
+      return resident && strategy->one_pass();
     default:
       return false;
   }
@@ -425,9 +439,16 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
   work.fd = conn.sock().fd();
   work.generation = conn.generation();
   work.frame = std::move(frame);
-  if (RunsInline(work.frame.type, conn.session())) {
+  const core::Strategy* strategy =
+      conn.session() != nullptr ? &conn.session()->strategy() : nullptr;
+  if (open && conn.session() == nullptr) {
+    ProbeOpen(work);
+    strategy = work.strategy.get();
+  }
+  if (RunsInline(work.frame.type, strategy, work.resident != nullptr)) {
     // Run it here and start the reply's write in this poll round: no
-    // queue, no wake, no hand-back.
+    // queue, no wake, no hand-back. An inline open holds no admission
+    // slot: it counts as opened before the next frame is read.
     work.session = conn.BeginWork();
     return Deliver(HandleFrame(std::move(work))) != nullptr;
   }
@@ -453,6 +474,33 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
   if (open) ++opens_in_flight_;
   work_cv_.notify_one();
   return true;
+}
+
+void Server::ProbeOpen(Work& work) {
+  // The digest costs about what the frame's checksum did: ~45 µs at
+  // 64 KiB, but ~23 ms for a 32 MiB upload (4-vCPU KVM guest), which
+  // would stall every other tenant. Larger opens go to a worker
+  // undigested.
+  if (work.frame.payload.size() > kReadChunk) return;
+  auto body = DecodeOpenSession(std::span<const uint8_t>(work.frame.payload));
+  if (!body.ok()) return;  // The worker rejects it.
+  work.upload = store::FingerprintUpload(body->r_name, body->r_csv,
+                                         body->p_name, body->p_csv,
+                                         body->compress != 0);
+  // A draining server refuses opens; the worker says so.
+  if (draining_.load(std::memory_order_relaxed)) return;
+  auto kind = core::StrategyKindFromName(body->strategy);
+  if (!kind.ok()) return;
+  std::unique_ptr<core::Strategy> strategy =
+      core::MakeStrategy(*kind, body->seed);
+  // Probe only an open that residency would route inline. A searching
+  // open's worker makes the lookup, which must count once.
+  if (!RunsInline(FrameType::kOpenSession, strategy.get(),
+                  /*resident=*/true)) {
+    return;
+  }
+  work.resident = cache_.FindResident(*work.upload);
+  if (work.resident != nullptr) work.strategy = std::move(strategy);
 }
 
 void Server::HandleWritable(Connection& conn) {
@@ -572,7 +620,9 @@ void Server::WorkerLoop() {
       queued.kind = obs::SpanKind::kFrameQueue;
       obs::FlightRecorder::Global().Record(queued);
     }
+    const bool open = work.frame.type == FrameType::kOpenSession;
     Completion done = HandleFrame(std::move(work));
+    done.open = open;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(done));
@@ -585,7 +635,6 @@ Server::Completion Server::HandleFrame(Work work) {
   Completion c;
   c.fd = work.fd;
   c.generation = work.generation;
-  c.open = work.frame.type == FrameType::kOpenSession;
   c.session = std::move(work.session);
   const Frame& frame = work.frame;
   obs::ScopedSpan execute_span(
@@ -595,7 +644,7 @@ Server::Completion Server::HandleFrame(Work work) {
   execute_span.set_detail(static_cast<uint64_t>(frame.type));
   switch (frame.type) {
     case FrameType::kOpenSession:
-      HandleOpenSession(frame, c);
+      HandleOpenSession(work, c);
       break;
     case FrameType::kNextQuestion:
       HandleNextQuestion(frame, c);
@@ -619,8 +668,15 @@ Server::Completion Server::HandleFrame(Work work) {
   return c;
 }
 
-void Server::HandleOpenSession(const Frame& frame, Completion& c) {
-  auto body = DecodeOpenSession(std::span<const uint8_t>(frame.payload));
+void Server::HandleOpenSession(Work& work, Completion& c) {
+  if (work.resident != nullptr) {
+    // A repeat upload, found resident by ProbeOpen: nothing to parse,
+    // fingerprint or build.
+    return StartSession(std::move(work.resident), runtime::IndexTier::kMemory,
+                        std::move(work.strategy), c);
+  }
+  auto body =
+      DecodeOpenSession(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) return RejectFrame(c, body.status());
   if (c.session != nullptr) {
     c.bytes = ErrorFrame(util::Status::FailedPrecondition(
@@ -662,20 +718,30 @@ void Server::HandleOpenSession(const Frame& frame, Completion& c) {
     return;
   }
 
-  auto tiered = cache_.GetOrBuildTiered(*r, *p);
+  // The upload's digest becomes the index's alias, so the next
+  // byte-identical upload opens inline.
+  auto tiered = cache_.GetOrBuildTiered(*r, *p, work.upload);
   if (!tiered.ok()) {
     // A transient cache fault is "try again later", not "you did
     // something wrong".
     c.bytes = ErrorFrame(tiered.status(), RetryFlagFor(tiered.status()));
     return;
   }
+  StartSession(std::move(tiered->index), tiered->tier,
+               core::MakeStrategy(*kind, body->seed), c);
+}
+
+void Server::StartSession(std::shared_ptr<const core::SignatureIndex> index,
+                          runtime::IndexTier tier,
+                          std::unique_ptr<core::Strategy> strategy,
+                          Completion& c) {
   OpenOkBody ok;
   ok.session_id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  ok.num_classes = tiered->index->num_classes();
-  ok.num_tuples = tiered->index->num_tuples();
-  ok.index_tier = static_cast<uint8_t>(tiered->tier);
-  c.session = std::make_unique<runtime::Session>(
-      std::move(tiered->index), core::MakeStrategy(*kind, body->seed));
+  ok.num_classes = index->num_classes();
+  ok.num_tuples = index->num_tuples();
+  ok.index_tier = static_cast<uint8_t>(tier);
+  c.session = std::make_unique<runtime::Session>(std::move(index),
+                                                 std::move(strategy));
   // The wire id is also the trace id, so a flight dump can be filtered to
   // this tenant.
   c.session->set_trace_id(ok.session_id);

@@ -4,12 +4,15 @@
 // and each Connection owns its one runtime::Session. Every reply that
 // follows an open or an answer carries the session's next question, so an
 // interaction costs one round trip; the reply that says "finished" ends
-// the session. Frames of bounded cost — closes, and the answers and
-// questions of a strategy that picks in one pass over the classes (BU,
-// TD, RND) — run on the event thread, which starts writing the reply in
-// the same poll round. Opens, metrics scrapes and the answers and
-// questions of lookahead, EG and OPT go to a small worker pool;
-// RunsInline (server.cc) is the one routing rule. A worker frame carries
+// the session. Frames of bounded cost — closes, the answers and questions
+// of a strategy that picks in one pass over the classes (BU, TD, RND),
+// and the opens of such a strategy that repeat an upload byte for byte
+// while its index is resident (recognised by a digest of the upload's
+// bytes, an IndexCache alias: no parse, no fingerprint) — run on the
+// event thread, which starts writing the reply in the same poll round.
+// Other opens, metrics scrapes and the answers and questions of
+// lookahead, EG and OPT go to a small worker pool; RunsInline (server.cc)
+// is the one routing rule. A worker frame carries
 // its connection's session to the worker and its completion carries it
 // back, so one thread at a time touches a session and it needs no lock of
 // its own. The event thread never runs unbounded inference and the
@@ -50,11 +53,14 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "core/signature_index.h"
+#include "core/strategy.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "runtime/index_cache.h"
@@ -74,8 +80,9 @@ struct ServerOptions {
   uint16_t port = 0;  ///< 0 = ephemeral; read the real one via port().
 
   /// Threads for the frames the event thread does not run itself: opens
-  /// (CSV parse, fingerprint, index build, first pick), metrics scrapes,
-  /// and the answers and questions of lookahead, EG and OPT. >= 1.
+  /// (CSV parse, fingerprint, index build, first pick) other than one-pass
+  /// repeats of a resident upload, metrics scrapes, and the answers and
+  /// questions of lookahead, EG and OPT. >= 1.
   int workers = 2;
 
   /// Accepted connections beyond this are not accepted (the listener is
@@ -168,6 +175,14 @@ class Server {
                                                 ///< one is open.
     uint64_t enqueue_nanos = 0;  ///< When the event thread queued it (obs:
                                  ///< the frame-queue wait span).
+    // What ProbeOpen learned of an open before routing it.
+    /// The upload's digest; the worker attaches it to the index it
+    /// resolves, so the next byte-identical upload opens inline.
+    std::optional<store::InstanceFingerprint> upload;
+    /// A repeat upload's resident index, and the requested strategy: the
+    /// open runs inline on them.
+    std::shared_ptr<const core::SignatureIndex> resident;
+    std::unique_ptr<core::Strategy> strategy;
   };
 
   /// A handled frame's answer, delivered on the event thread (the only
@@ -178,8 +193,8 @@ class Server {
     uint64_t generation = 0;
     std::vector<uint8_t> bytes;  ///< Encoded response frame.
     bool close_after = false;    ///< Close once the response is flushed.
-    bool open = false;           ///< Answers an open: frees its admission
-                                 ///< slot.
+    bool open = false;           ///< Answers a queued open: frees its
+                                 ///< admission slot.
     /// The session going back to the connection: the one that went out,
     /// a new one after an open, null once the session ended (a close, or
     /// a reply that says finished). Dropped (counted aborted) if the
@@ -211,6 +226,11 @@ class Server {
   /// when admission or the work queue sheds it. False when the answer
   /// closed the connection.
   bool Dispatch(Connection& conn, Frame frame);
+  /// For an open of at most one read chunk on a connection with no
+  /// session: decodes and digests the upload into `work`, and, when the
+  /// open would run inline once resident and the server is not draining,
+  /// looks the digest up in the cache (IndexCache::FindResident).
+  void ProbeOpen(Work& work);
 
   /// Sessions opened and not yet ended (the three counters' difference).
   uint64_t SessionsOpen() const;
@@ -219,7 +239,7 @@ class Server {
   // HandleFrame times the frame-execute span; each handler fills `c`,
   // which already holds the connection's session.
   Completion HandleFrame(Work work);
-  void HandleOpenSession(const Frame& frame, Completion& c);
+  void HandleOpenSession(Work& work, Completion& c);
   void HandleNextQuestion(const Frame& frame, Completion& c);
   void HandleAnswer(const Frame& frame, Completion& c);
   void HandleCloseSession(const Frame& frame, Completion& c);
@@ -233,6 +253,11 @@ class Server {
   /// Ends the session `c` holds, for a close or a finishing reply alike:
   /// the connection gets none back, and it counts as closed.
   void EndSession(Completion& c);
+  /// Opens a session on `index` for both open routes: counts it opened
+  /// and answers with an OpenOk carrying the first question.
+  void StartSession(std::shared_ptr<const core::SignatureIndex> index,
+                    runtime::IndexTier tier,
+                    std::unique_ptr<core::Strategy> strategy, Completion& c);
 
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
                                          uint8_t flags);

@@ -104,5 +104,23 @@ InstanceFingerprint FingerprintInstance(const rel::Relation& r,
   return h.Finish();
 }
 
+InstanceFingerprint FingerprintUpload(std::string_view r_name,
+                                      std::string_view r_csv,
+                                      std::string_view p_name,
+                                      std::string_view p_csv,
+                                      bool compress) {
+  // An instance digest opens with a relation name's length; no name is
+  // this long, so the two domains never share a byte stream.
+  constexpr uint64_t kUploadDomain = 0x64616f6c7075ULL;  // "upload" on LE.
+  Hasher128 h;
+  h.Absorb(kUploadDomain);
+  h.AbsorbString(r_name);
+  h.AbsorbString(r_csv);
+  h.AbsorbString(p_name);
+  h.AbsorbString(p_csv);
+  h.Absorb(compress ? 1 : 0);
+  return h.Finish();
+}
+
 }  // namespace store
 }  // namespace jinfer

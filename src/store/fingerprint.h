@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "relational/relation.h"
 
@@ -51,6 +52,19 @@ struct InstanceFingerprint {
 /// deliberately excluded: it never changes the built index.
 InstanceFingerprint FingerprintInstance(const rel::Relation& r,
                                         const rel::Relation& p, bool compress);
+
+/// Digests an instance as a client uploads it — relation names and CSV
+/// text exactly as they came off the wire, plus the compression flag —
+/// with the same hasher behind a domain tag, so it never equals an
+/// instance fingerprint. Byte-identical uploads share one digest; the
+/// server recognises a repeat upload by it (runtime::IndexCache aliases)
+/// and skips the parse and the fingerprint. It is as strong an identity
+/// as the fingerprint: the parse is a pure function of these fields.
+/// Strategy and seed are not part of the instance and are left out.
+InstanceFingerprint FingerprintUpload(std::string_view r_name,
+                                      std::string_view r_csv,
+                                      std::string_view p_name,
+                                      std::string_view p_csv, bool compress);
 
 }  // namespace store
 }  // namespace jinfer

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
+#include "relational/csv.h"
+#include "store/fingerprint.h"
 #include "store/index_store.h"
 #include "testing/paper_fixtures.h"
 #include "util/failpoint.h"
@@ -419,6 +423,225 @@ TEST_F(IndexCacheChaosTest, ClearRacingInFlightResolutionsNeverWedges) {
   util::Failpoints::Reset();
   auto after = cache.GetOrBuild(r, p);
   ASSERT_TRUE(after.ok());
+}
+
+// --- Aliases: an upload's digest names its resident index -------------
+
+/// A distinct alias per tag, as store::FingerprintUpload would make one.
+InstanceFingerprint Alias(uint64_t tag) { return {tag, ~tag}; }
+
+uint64_t ProbesRecorded() {
+  return obs::Registry::Global()
+      .histogram(obs::kCacheProbeNanos)
+      .Snapshot()
+      .count;
+}
+
+TEST(FingerprintTest, UploadDigestIsSensitiveToEveryField) {
+  const InstanceFingerprint base =
+      store::FingerprintUpload("R", "A\n1\n", "P", "B\n1\n", true);
+  EXPECT_EQ(base,
+            store::FingerprintUpload("R", "A\n1\n", "P", "B\n1\n", true));
+  EXPECT_NE(base,
+            store::FingerprintUpload("S", "A\n1\n", "P", "B\n1\n", true));
+  EXPECT_NE(base,
+            store::FingerprintUpload("R", "A\n2\n", "P", "B\n1\n", true));
+  EXPECT_NE(base,
+            store::FingerprintUpload("R", "A\n1\n", "Q", "B\n1\n", true));
+  EXPECT_NE(base,
+            store::FingerprintUpload("R", "A\n1\n", "P", "B\n1\n\n", true));
+  EXPECT_NE(base,
+            store::FingerprintUpload("R", "A\n1\n", "P", "B\n1\n", false));
+  // Field boundaries are part of the digest: moving a byte across one
+  // changes it.
+  EXPECT_NE(base,
+            store::FingerprintUpload("RA", "\n1\n", "P", "B\n1\n", true));
+  // The upload domain is tagged apart from instance fingerprints.
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  EXPECT_NE(store::FingerprintUpload(r.schema().relation_name(),
+                                     rel::WriteRelationCsv(r),
+                                     p.schema().relation_name(),
+                                     rel::WriteRelationCsv(p), true),
+            FingerprintInstance(r, p, true));
+}
+
+TEST(IndexCacheTest, AliasFindsTheResidentIndex) {
+  IndexCache cache;
+  auto built = cache.GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1));
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built->tier, IndexTier::kBuilt);
+  EXPECT_EQ(cache.FindResident(Alias(1)), built->index);
+  EXPECT_EQ(cache.FindResident(Alias(2)), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(IndexCacheTest, OnlyAnAliasHitCountsAndIsTimed) {
+  IndexCache cache;
+  ASSERT_TRUE(cache
+                  .GetOrBuildTiered(testing::Example21R(),
+                                    testing::Example21P(), Alias(1))
+                  .ok());
+  const IndexCacheStats before = cache.stats();
+  const uint64_t probes_before = ProbesRecorded();
+  EXPECT_EQ(cache.FindResident(Alias(2)), nullptr);
+  EXPECT_EQ(cache.stats().lookups, before.lookups);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(ProbesRecorded(), probes_before);
+
+  ASSERT_NE(cache.FindResident(Alias(1)), nullptr);
+  EXPECT_EQ(cache.stats().lookups, before.lookups + 1);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(ProbesRecorded(), probes_before + 1);
+  EXPECT_EQ(cache.stats().builds, before.builds);
+}
+
+TEST(IndexCacheTest, AliasHitsFeedTheAdmissionSketch) {
+  // One slot. A newcomer looked up twice beats a resident looked up once
+  // (NewlyHotInstanceEventuallyEvictsTheColdOne); two alias hits on the
+  // resident keep it hotter, so the newcomer is refused both times.
+  IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+  ASSERT_TRUE(cache
+                  .GetOrBuildTiered(testing::Example21R(),
+                                    testing::Example21P(), Alias(1))
+                  .ok());
+  ASSERT_TRUE(cache.GetOrBuild(AltR(), testing::Example21P()).ok());
+  ASSERT_NE(cache.FindResident(Alias(1)), nullptr);
+  ASSERT_NE(cache.FindResident(Alias(1)), nullptr);
+  ASSERT_TRUE(cache.GetOrBuild(AltR(), testing::Example21P()).ok());
+  EXPECT_EQ(cache.stats().rejected_admissions, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_NE(cache.FindResident(Alias(1)), nullptr);
+}
+
+TEST_F(IndexCacheChaosTest, FindResidentNeverWaitsOnAResolutionInFlight) {
+  ASSERT_TRUE(util::Failpoints::Arm("cache.build", "sleep:300").ok());
+  IndexCache cache;
+  std::thread resolver([&] {
+    EXPECT_TRUE(cache
+                    .GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1))
+                    .ok());
+  });
+  while (cache.size() == 0) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(cache.FindResident(Alias(1)), nullptr);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(150));
+  resolver.join();
+  EXPECT_NE(cache.FindResident(Alias(1)), nullptr);
+  EXPECT_EQ(cache.stats().lookups, 2u);  // The resolution and the hit.
+}
+
+TEST(IndexCacheTest, FindResidentNeverLoadsFromTheStore) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("jinfer_cache_alias_test_" + std::to_string(::getpid())))
+          .string();
+  auto opened = store::IndexStore::Open(dir);
+  ASSERT_TRUE(opened.ok());
+  auto shared_store =
+      std::make_shared<store::IndexStore>(std::move(opened).ValueOrDie());
+  {
+    IndexCache cache(IndexCacheOptions{{}, kDefaultIndexCacheCapacity,
+                                       shared_store});
+    ASSERT_TRUE(cache
+                    .GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1))
+                    .ok());
+    EXPECT_EQ(cache.stats().store_writes, 1u);
+  }
+  // A restarted cache over the same store: the index is on disk, not
+  // resident, so its alias answers nothing and nothing is loaded.
+  IndexCache cache(
+      IndexCacheOptions{{}, kDefaultIndexCacheCapacity, shared_store});
+  EXPECT_EQ(cache.FindResident(Alias(1)), nullptr);
+  const IndexCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.mapped_loads, 0u);
+  EXPECT_EQ(stats.builds, 0u);
+  EXPECT_EQ(stats.lookups, 0u);
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(IndexCacheTest, AliasLeavesWithItsEntry) {
+  // Evicted: with one slot, a newcomer looked up twice displaces the
+  // resident, alias and all.
+  {
+    IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+    ASSERT_TRUE(cache
+                    .GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1))
+                    .ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(cache
+                      .GetOrBuildTiered(AltR(), testing::Example21P(),
+                                        Alias(2))
+                      .ok());
+    }
+    ASSERT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.FindResident(Alias(1)), nullptr);
+    EXPECT_NE(cache.FindResident(Alias(2)), nullptr);
+  }
+  // Refused admission: a one-lookup newcomer against an equally cold
+  // resident is returned to its caller but not kept, nor is its alias.
+  {
+    IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+    ASSERT_TRUE(
+        cache.GetOrBuild(testing::Example21R(), testing::Example21P()).ok());
+    ASSERT_TRUE(
+        cache.GetOrBuildTiered(AltR(), testing::Example21P(), Alias(2)).ok());
+    ASSERT_EQ(cache.stats().rejected_admissions, 1u);
+    EXPECT_EQ(cache.FindResident(Alias(2)), nullptr);
+  }
+  // Failed: the error is not cached, and neither is the alias.
+  {
+    IndexCache cache;
+    auto empty = rel::Relation::Make("E", {"A"}, {});
+    ASSERT_TRUE(empty.ok());
+    EXPECT_FALSE(
+        cache.GetOrBuildTiered(*empty, testing::Example21P(), Alias(3)).ok());
+    EXPECT_EQ(cache.FindResident(Alias(3)), nullptr);
+    EXPECT_EQ(cache.size(), 0u);
+  }
+  // Cleared.
+  {
+    IndexCache cache;
+    ASSERT_TRUE(cache
+                    .GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1))
+                    .ok());
+    cache.Clear();
+    EXPECT_EQ(cache.FindResident(Alias(1)), nullptr);
+    // The next resolution attaches it afresh.
+    ASSERT_TRUE(cache
+                    .GetOrBuildTiered(testing::Example21R(),
+                                      testing::Example21P(), Alias(1))
+                    .ok());
+    EXPECT_NE(cache.FindResident(Alias(1)), nullptr);
+  }
+}
+
+TEST(IndexCacheTest, LaterAliasReplacesTheFirst) {
+  // Each entry holds one alias: a second spelling of the same instance
+  // (here, found by a memory hit) takes its place.
+  IndexCache cache;
+  ASSERT_TRUE(cache
+                  .GetOrBuildTiered(testing::Example21R(),
+                                    testing::Example21P(), Alias(1))
+                  .ok());
+  auto hit = cache.GetOrBuildTiered(testing::Example21R(),
+                                    testing::Example21P(), Alias(2));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->tier, IndexTier::kMemory);
+  EXPECT_EQ(cache.FindResident(Alias(1)), nullptr);
+  EXPECT_EQ(cache.FindResident(Alias(2)), hit->index);
+  // A lookup without an alias leaves the entry's alias alone.
+  ASSERT_TRUE(
+      cache.GetOrBuild(testing::Example21R(), testing::Example21P()).ok());
+  EXPECT_NE(cache.FindResident(Alias(2)), nullptr);
 }
 
 TEST(IndexCacheTest, ClearDropsEntriesButHandoutsSurvive) {

@@ -196,6 +196,90 @@ TEST(FrameCodecTest, RejectsPayloadLengthMismatch) {
   EXPECT_EQ(frame.status().code(), util::StatusCode::kParseError);
 }
 
+// --- FrameAssembler: frames out of a byte stream ---------------------------
+
+TEST(FrameAssemblerTest, PopsFramesFedInAnyChunking) {
+  // Frames of every size, back to back, fed in random chunks (one byte to
+  // a few frames' worth): each pops once complete, intact and in order.
+  std::mt19937_64 rng(11);
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> stream;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{23}, size_t{24},
+                   size_t{4096}, size_t{70000}, size_t{5}}) {
+    payloads.push_back(RandomPayload(rng, n));
+    const std::vector<uint8_t> wire =
+        EncodeFrame(FrameType::kQuestion, payloads.back());
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  for (size_t max_chunk : {size_t{1}, size_t{7}, size_t{1000},
+                           size_t{200000}}) {
+    FrameAssembler in;
+    size_t popped = 0;
+    for (size_t at = 0; at < stream.size();) {
+      const size_t n = std::min(stream.size() - at, 1 + rng() % max_chunk);
+      in.Append(std::span<const uint8_t>(stream.data() + at, n));
+      at += n;
+      while (true) {
+        auto ready = in.Ready();
+        ASSERT_TRUE(ready.ok()) << ready.status().ToString();
+        if (!*ready) break;
+        auto frame = in.Pop();
+        ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+        ASSERT_LT(popped, payloads.size());
+        EXPECT_EQ(frame->type, FrameType::kQuestion);
+        EXPECT_EQ(frame->payload, payloads[popped]);
+        ++popped;
+      }
+    }
+    EXPECT_EQ(popped, payloads.size()) << "chunks of up to " << max_chunk;
+    EXPECT_TRUE(in.empty());
+  }
+}
+
+TEST(FrameAssemblerTest, RejectsAPoisonHeaderBeforeItsPayload) {
+  // The header is validated as soon as its 24 bytes are here: the
+  // assembler never waits for, or buffers toward, a claimed payload.
+  auto wire = EncodeFrame(FrameType::kOpenSession, {});
+  FrameHeader header = HeaderOf(wire);
+  header.payload_bytes = 0xfffffff0u;
+  wire = WithHeader(header, wire);
+  FrameAssembler in;
+  in.Append(std::span<const uint8_t>(wire.data(), kFrameHeaderBytes - 1));
+  auto partial = in.Ready();
+  ASSERT_TRUE(partial.ok());
+  EXPECT_FALSE(*partial);
+  in.Append(std::span<const uint8_t>(wire.data() + kFrameHeaderBytes - 1, 1));
+  auto ready = in.Ready();
+  ASSERT_FALSE(ready.ok());
+  EXPECT_NE(ready.status().ToString().find("oversized"), std::string::npos);
+  EXPECT_LE(in.capacity(), 2 * kFrameHeaderBytes);
+}
+
+TEST(FrameAssemblerTest, RejectsAChecksumMismatchAndTrimsWhenDrained) {
+  auto wire = EncodeFrame(FrameType::kAnswer, std::vector<uint8_t>{1, 2, 3});
+  wire[kFrameHeaderBytes] ^= 0x01;
+  FrameAssembler bad;
+  bad.Append(wire);
+  auto ready = bad.Ready();
+  ASSERT_TRUE(ready.ok() && *ready);
+  auto frame = bad.Pop();
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.status().ToString().find("checksum"), std::string::npos);
+
+  // Trim hands back a large buffer only once it is drained.
+  FrameAssembler in;
+  const std::vector<uint8_t> large =
+      EncodeFrame(FrameType::kAnswer, std::vector<uint8_t>(100000, 9));
+  in.Append(large);
+  in.Trim(kReadChunk);
+  EXPECT_GE(in.capacity(), large.size());  // Still holds the frame.
+  auto ok = in.Ready();
+  ASSERT_TRUE(ok.ok() && *ok);
+  ASSERT_TRUE(in.Pop().ok());
+  in.Trim(kReadChunk);
+  EXPECT_EQ(in.capacity(), 0u);
+}
+
 // --- WireReader bounds and exactness ---------------------------------------
 
 TEST(WireReaderTest, RejectsTruncatedScalars) {

@@ -32,6 +32,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "relational/csv.h"
+#include "runtime/index_cache.h"
 #include "runtime/session.h"
 #include "server/client.h"
 #include "server/frame.h"
@@ -274,9 +275,11 @@ TEST(ServerTest, OneFramePerInteractionAndOnlySearchingStepsQueue) {
   // interaction, whose reply carries the next. The finishing reply ends
   // the session, so the close sends nothing. Every frame is executed once;
   // only a frame that goes to a worker also waits in the queue. BU, TD and
-  // RND pick in one pass, so their answers run on the event thread;
-  // lookahead, EG and OPT answers compute a searching pick and queue like
-  // the open.
+  // RND pick in one pass, so their answers run on the event thread, and so
+  // do their opens once the upload is resident: every session here
+  // uploads the same instance, so only the first open queues. Lookahead,
+  // EG and OPT answers compute a searching pick and queue like their
+  // opens.
   auto server = StartServer(ServerOptions{});
   const Instance inst = Example21();
   auto index = core::SignatureIndex::Build(inst.r, inst.p);
@@ -309,8 +312,9 @@ TEST(ServerTest, OneFramePerInteractionAndOnlySearchingStepsQueue) {
     const bool one_pass = kind == core::StrategyKind::kRandom ||
                           kind == core::StrategyKind::kBottomUp ||
                           kind == core::StrategyKind::kTopDown;
+    const bool first_open = kind == core::StrategyKind::kRandom;
     EXPECT_EQ(queue.Snapshot().count - queued_before,
-              1 + (one_pass ? 0 : interactions));
+              one_pass ? (first_open ? 1 : 0) : 1 + interactions);
     EXPECT_EQ(execute.Snapshot().count - executed_before, frames);
   }
 }
@@ -383,6 +387,192 @@ TEST(ServerTest, SlowWorkerQuestionDoesNotBlockInlineTenants) {
   ASSERT_TRUE(slow_open->ok()) << slow_open->status().ToString();
   ASSERT_EQ((*slow_open)->question.finished, 0u);
   EXPECT_EQ((*slow_open)->question.class_id, *local_pick);
+}
+
+// --- Repeat uploads ---------------------------------------------------------
+
+/// Frames that have waited in the work queue, process-wide.
+uint64_t QueuedFrames() {
+  return obs::Registry::Global()
+      .histogram(obs::kServerFrameQueueNanos)
+      .Snapshot()
+      .count;
+}
+
+/// A second instance with Example 2.1's shape.
+Instance AltExample() {
+  auto r = rel::Relation::Make("R0", {"A1", "A2"},
+                               {{7, 8}, {8, 9}, {9, 7}, {7, 9}});
+  JINFER_CHECK(r.ok(), "alt fixture");
+  return {std::move(r).ValueOrDie(), testing::Example21P()};
+}
+
+TEST(ServerTest, RepeatUploadOpensInlineOnlyForOnePassStrategies) {
+  // The first open of an upload goes to a worker whatever its strategy:
+  // it parses, fingerprints and resolves the instance, and leaves the
+  // upload's digest on the index as its alias. A byte-identical repeat of
+  // a BU, TD or RND open runs on the event thread from that alias: it
+  // never queues, hits the cache once, builds nothing, and its transcript
+  // still equals the in-process run. A repeat lookahead, EG or OPT open
+  // queues, because its first pick searches.
+  const Instance inst = Example21();
+  auto index = core::SignatureIndex::Build(inst.r, inst.p);
+  ASSERT_TRUE(index.ok());
+  const core::JoinPredicate goal =
+      testing::Pred(index->omega(), {{0, 0}, {1, 1}});
+  for (core::StrategyKind kind :
+       {core::StrategyKind::kBottomUp, core::StrategyKind::kTopDown,
+        core::StrategyKind::kRandom, core::StrategyKind::kLookahead1,
+        core::StrategyKind::kLookahead2, core::StrategyKind::kLookahead3,
+        core::StrategyKind::kExpectedGain, core::StrategyKind::kOptimal}) {
+    SCOPED_TRACE(core::StrategyKindName(kind));
+    const bool one_pass = kind == core::StrategyKind::kRandom ||
+                          kind == core::StrategyKind::kBottomUp ||
+                          kind == core::StrategyKind::kTopDown;
+    auto server = StartServer(ServerOptions{});  // A cold cache each.
+    for (bool repeat : {false, true}) {
+      SCOPED_TRACE(repeat ? "repeat open" : "first open");
+      const StatsOkBody before = server->Stats();
+      const uint64_t queued_before = QueuedFrames();
+      Client client = ConnectTo(*server);
+      size_t interactions = 0;
+      ExpectRemoteMatchesLocal(client, inst, kind, /*seed=*/5, goal,
+                               &interactions);
+      const StatsOkBody after = server->Stats();
+      const uint64_t open_queued = repeat && one_pass ? 0 : 1;
+      EXPECT_EQ(QueuedFrames() - queued_before,
+                open_queued + (one_pass ? 0 : interactions));
+      EXPECT_EQ(after.cache_builds - before.cache_builds, repeat ? 0u : 1u);
+      EXPECT_EQ(after.cache_hits - before.cache_hits, repeat ? 1u : 0u);
+    }
+  }
+}
+
+TEST(ServerTest, UploadsOverOneReadChunkAlwaysQueue) {
+  // The event thread digests only opens of at most one read chunk, so a
+  // larger upload goes to a worker every time. It still shares the index
+  // its first open resolved, by fingerprint.
+  const std::string pad(20000, 'x');
+  std::string r_csv = "A1,A2\n";
+  std::string p_csv = "B1,B2\n";
+  for (int i = 0; i < 4; ++i) {
+    r_csv += pad + std::to_string(i % 2) + "," + std::to_string(i) + "\n";
+    p_csv += pad + std::to_string(i % 3) + "," + std::to_string(i % 2) + "\n";
+  }
+  auto r = rel::ReadRelationCsvText(r_csv, "R");
+  auto p = rel::ReadRelationCsvText(p_csv, "P");
+  ASSERT_TRUE(r.ok() && p.ok());
+  const Instance big{std::move(r).ValueOrDie(), std::move(p).ValueOrDie()};
+  const OpenSessionBody body = OpenBodyFor(big, "TD", 0);
+  ASSERT_GT(Encode(body).size(), kReadChunk);
+  auto index = core::SignatureIndex::Build(big.r, big.p);
+  ASSERT_TRUE(index.ok());
+  const core::JoinPredicate goal = testing::Pred(index->omega(), {{0, 0}});
+
+  auto server = StartServer(ServerOptions{});
+  for (bool repeat : {false, true}) {
+    SCOPED_TRACE(repeat ? "repeat open" : "first open");
+    const StatsOkBody before = server->Stats();
+    const uint64_t queued_before = QueuedFrames();
+    Client client = ConnectTo(*server);
+    ExpectRemoteMatchesLocal(client, big, core::StrategyKind::kTopDown, 0,
+                             goal);
+    EXPECT_EQ(QueuedFrames() - queued_before, 1u);  // The open; TD answers
+                                                    // run inline.
+    EXPECT_EQ(server->Stats().cache_builds - before.cache_builds,
+              repeat ? 0u : 1u);
+  }
+}
+
+TEST(ServerTest, RepeatUploadReopensThroughAWorkerOnceEvicted) {
+  // An alias leaves the cache with its index. With room for one index, a
+  // second instance opened until it is admitted evicts the first; the
+  // first upload's repeat then finds no alias and reopens correctly
+  // through a worker, which resolves its index again.
+  ServerOptions options;
+  options.runtime.cache_options.capacity = 1;
+  auto server = StartServer(options);
+  const Instance first = Example21();
+  auto index = core::SignatureIndex::Build(first.r, first.p);
+  ASSERT_TRUE(index.ok());
+  const core::JoinPredicate goal =
+      testing::Pred(index->omega(), {{0, 0}, {1, 1}});
+
+  Client client = ConnectTo(*server);
+  ExpectRemoteMatchesLocal(client, first, core::StrategyKind::kTopDown, 0,
+                           goal);
+  bool admitted = false;
+  for (int i = 0; i < 4 && !admitted; ++i) {
+    auto open = client.OpenSession(OpenBodyFor(AltExample(), "TD", 0));
+    ASSERT_TRUE(open.ok()) << open.status().ToString();
+    admitted = open->index_tier ==
+               static_cast<uint8_t>(runtime::IndexTier::kMemory);
+    ASSERT_TRUE(client.CloseSession().ok());
+  }
+  ASSERT_TRUE(admitted) << "the second instance never displaced the first";
+
+  const StatsOkBody before = server->Stats();
+  const uint64_t queued_before = QueuedFrames();
+  ExpectRemoteMatchesLocal(client, first, core::StrategyKind::kTopDown, 0,
+                           goal);
+  EXPECT_EQ(QueuedFrames() - queued_before, 1u);
+  EXPECT_EQ(server->Stats().cache_builds - before.cache_builds, 1u);
+}
+
+TEST(ServerTest, InlineOpenHoldsItsAdmissionSlot) {
+  // An inline open is admitted at dispatch like any open and counts as
+  // opened at once: with one slot, a second connection's open is shed
+  // while it runs, and gets the slot once it closes.
+  ServerOptions options;
+  options.runtime.max_sessions = 1;
+  auto server = StartServer(options);
+  const OpenSessionBody body = OpenBodyFor(Example21(), "TD", 0);
+  Client first = ConnectTo(*server);
+  ASSERT_TRUE(first.OpenSession(body).ok());  // Resolved on a worker.
+  ASSERT_TRUE(first.CloseSession().ok());
+
+  const uint64_t queued_before = QueuedFrames();
+  ASSERT_TRUE(first.OpenSession(body).ok());
+  EXPECT_EQ(server->Stats().sessions_open, 1u);
+  Client second = ConnectTo(*server);
+  auto shed = second.OpenSession(body);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), util::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(RetryLater(shed.status()));
+  ASSERT_TRUE(first.CloseSession().ok());
+  auto retried = second.OpenSession(body);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_TRUE(second.CloseSession().ok());
+  EXPECT_EQ(QueuedFrames(), queued_before);  // Both opens ran inline.
+
+  const StatsOkBody stats = server->Stats();
+  EXPECT_EQ(stats.sessions_shed, 1u);
+  EXPECT_EQ(stats.sessions_opened, 3u);
+  EXPECT_EQ(stats.sessions_completed, 3u);
+  EXPECT_EQ(stats.sessions_open, 0u);
+}
+
+TEST(ServerTest, RepeatOpenDuringDrainIsRefusedRetryLater) {
+  // A draining server refuses every open with a retryable Unavailable; a
+  // resident upload is not opened inline past that refusal.
+  auto server = StartServer(ServerOptions{});
+  const OpenSessionBody body = OpenBodyFor(Example21(), "TD", 0);
+  Client client = ConnectTo(*server);
+  ASSERT_TRUE(client.OpenSession(body).ok());
+  ASSERT_TRUE(client.CloseSession().ok());
+
+  server->RequestDrain();
+  // The drain has begun once the listener refuses connections.
+  ASSERT_TRUE(WaitFor(
+      [&] { return !util::ConnectTcp("127.0.0.1", server->port()).ok(); }));
+  auto refused = client.OpenSession(body);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kUnavailable);
+  EXPECT_TRUE(RetryLater(refused.status()));
+
+  { Client goner = std::move(client); }
+  EXPECT_TRUE(server->Wait().ok());
+  EXPECT_EQ(server->Stats().sessions_opened, 1u);
 }
 
 // --- Sessions that end inside a reply --------------------------------------
