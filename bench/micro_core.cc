@@ -700,29 +700,11 @@ BENCHMARK(BM_FailpointArmedUntripped);
 // --- obs layer (DESIGN.md §13) ------------------------------------------
 //
 // The cost contract every instrumented hot path relies on, priced the same
-// way the failpoint pair above prices chaos hooks. Disarmed: a histogram
-// record with the kill switch off is one relaxed load of the enable flag
-// and nothing else (a JINFER_NO_METRICS build removes even that — the call
-// compiles to void); counters ignore the switch, so the disarmed path is
-// priced on the one kind it still gates. Counter inc: one relaxed
+// way the failpoint pair above prices chaos hooks. Counter inc: one relaxed
 // fetch_add on this thread's cache-line-padded shard — the ≤5 ns bar each
 // Inc call site is budgeted against; the Threads(8) variant shows the
 // shards keep concurrent writers contention-free. Histogram record: two
 // fetch_adds (bucket + sum) behind one bit_width.
-
-void BM_MetricsDisarmed(benchmark::State& state) {
-  static obs::Histogram& histogram =
-      obs::Registry::Global().histogram("jinfer_bench_disarmed_nanos");
-  if (state.thread_index() == 0) obs::SetMetricsEnabled(false);
-  uint64_t v = 1;
-  for (auto _ : state) {
-    histogram.Record(v);
-    v = (v + 1237) & 0xFFFFF;
-    benchmark::DoNotOptimize(&histogram);
-  }
-  if (state.thread_index() == 0) obs::SetMetricsEnabled(true);
-}
-BENCHMARK(BM_MetricsDisarmed);
 
 void BM_MetricsCounterInc(benchmark::State& state) {
   static obs::Counter& counter =

@@ -11,11 +11,18 @@
 // the interaction (simulated oracles, tests). The step-driven equivalent
 // — question and answer as separate calls, for users who answer on their
 // own schedule — is runtime::Session, which reproduces this loop
-// bit-for-bit (property-tested in tests/runtime/session_test.cc).
+// bit-for-bit (property-tested in tests/runtime/session_test.cc). Both
+// pick through PickNext below.
+//
+// The paper notes the user may stop early and accept the current T(S+).
+// That is the step API's job: a caller stops asking and reads
+// Session::CurrentPredicate() (interactive_cli's --deadline-ms and Ctrl-C
+// do exactly that).
 
 #ifndef JINFER_CORE_INFERENCE_H_
 #define JINFER_CORE_INFERENCE_H_
 
+#include <optional>
 #include <vector>
 
 #include "core/inference_state.h"
@@ -27,11 +34,6 @@ namespace jinfer {
 namespace core {
 
 struct InferenceOptions {
-  /// Stop after this many interactions even if informative tuples remain;
-  /// 0 means run to the halt condition Γ. (The paper notes the user may
-  /// stop early and accept the current T(S+).)
-  size_t max_interactions = 0;
-
   /// Record the per-interaction trace in the result.
   bool record_trace = true;
 };
@@ -47,9 +49,14 @@ struct InferenceResult {
   JoinPredicate predicate;  ///< T(S+) at halt.
   size_t num_interactions = 0;
   double seconds = 0;  ///< Wall time excluding oracle think-time.
-  bool halted_early = false;  ///< True iff max_interactions cut the session.
   std::vector<InteractionRecord> trace;
 };
+
+/// Algorithm 1's pick: the strategy's next class, or nullopt once the halt
+/// condition Γ holds. Aborts when the strategy gives up while informative
+/// tuples remain, or re-presents an already-labeled class.
+std::optional<ClassId> PickNext(Strategy& strategy,
+                                const InferenceState& state);
 
 /// Runs Algorithm 1. Fails with InconsistentSample when the oracle's labels
 /// admit no consistent predicate.

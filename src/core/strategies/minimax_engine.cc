@@ -50,9 +50,6 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   m.tt_probes.Inc(after.tt_probes - before.tt_probes);
   m.tt_hits.Inc(after.tt_hits - before.tt_hits);
   m.tt_stores.Inc(after.tt_stores - before.tt_stores);
-  // Counters always record; the sample and the span obey the switches.
-#ifndef JINFER_NO_METRICS
-  if (!obs::MetricsEnabled()) return;
   const uint64_t duration_nanos = watch.ElapsedNanos();
   m.search_nanos.Record(duration_nanos);
   obs::SpanRecord record;
@@ -62,15 +59,12 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   record.detail = nodes;
   record.kind = obs::SpanKind::kMinimaxSearch;
   obs::FlightRecorder::Global().Record(record);
-#else
-  (void)watch;
-#endif
 }
 
 }  // namespace
 
-ZobristTable::ZobristTable(size_t num_classes, uint64_t seed) {
-  util::Rng rng(seed);
+ZobristTable::ZobristTable(size_t num_classes) {
+  util::Rng rng(kSeed);
   keys_.resize(num_classes * 2);
   for (uint64_t& key : keys_) key = rng.Next();
 }
@@ -232,10 +226,15 @@ void SharedTranspositionTable::Clear() {
 
 namespace {
 
+/// Upper bound on the log2 transposition-table capacity in entries:
+/// 2^18 * 16 B = 4 MiB.
+constexpr size_t kMaxTtLog2Entries = 18;
+
 /// Shared-table size: roughly one capacity bit per class (the bounded
-/// search visits far fewer states than 3^n), clamped to [2^12, 2^cap].
-size_t SharedTableLog2(size_t num_classes, size_t cap) {
-  return std::min(cap, std::max<size_t>(12, num_classes));
+/// search visits far fewer states than 3^n), clamped to
+/// [2^12, 2^kMaxTtLog2Entries], so small solves stay cheap.
+size_t SharedTableLog2(size_t num_classes) {
+  return std::min(kMaxTtLog2Entries, std::max<size_t>(12, num_classes));
 }
 
 }  // namespace
@@ -244,9 +243,8 @@ MinimaxEngine::MinimaxEngine(const SignatureIndex& index,
                              const MinimaxOptions& options)
     : index_(&index),
       options_(options),
-      zobrist_(index.num_classes(), options.zobrist_seed),
-      shared_tt_(
-          SharedTableLog2(index.num_classes(), options.tt_log2_entries)) {}
+      zobrist_(index.num_classes()),
+      shared_tt_(SharedTableLog2(index.num_classes())) {}
 
 size_t MinimaxEngine::ResolvedWorkers(size_t num_candidates) const {
   size_t threads = util::ResolveThreadCount(options_.threads);
@@ -484,7 +482,7 @@ size_t MinimaxEngine::WorstCase(Strategy& strategy) {
   // strategy-specific and must never mix with the minimax workers'
   // entries. The play is single-threaded (the root fans out over two
   // labels, not over candidates), so the growing serial table fits.
-  TranspositionTable tt(options_.tt_log2_entries);
+  TranspositionTable tt(kMaxTtLog2Entries);
   MinimaxCounters counters;
   InferenceState scratch(*index_);
   ++counters.scratch_rebuilds;

@@ -69,15 +69,15 @@ namespace jinfer {
 namespace core {
 
 /// Per-(class, label) random keys for incremental sample-set hashing.
-/// Deterministic in (num_classes, seed), so hashes agree across workers,
-/// runs and platforms.
+/// Deterministic in num_classes (the key stream has a fixed seed), so
+/// hashes agree across workers, runs and platforms.
 class ZobristTable {
  public:
-  static constexpr uint64_t kDefaultSeed = 0x9e3779b97f4a7c15ULL;
+  static constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
   /// Base hash of the empty sample (any fixed nonzero constant).
   static constexpr uint64_t kEmptyHash = 0x51ed270b9f0c5a1dULL;
 
-  explicit ZobristTable(size_t num_classes, uint64_t seed = kDefaultSeed);
+  explicit ZobristTable(size_t num_classes);
 
   uint64_t Key(ClassId cls, Label label) const {
     return keys_[cls * 2 + (label == Label::kPositive ? 1 : 0)];
@@ -184,11 +184,6 @@ struct MinimaxOptions {
   /// Root-split workers: >= 1 explicit, 0 = one per hardware thread.
   /// Results are identical for every setting.
   int threads = 1;
-  /// Upper bound on the log2 transposition-table capacity in entries; the
-  /// actual size is chosen from the instance's class count (roughly one
-  /// capacity bit per class), so small solves stay cheap.
-  size_t tt_log2_entries = 18;  // Cap: 2^18 * 16 B = 4 MiB.
-  uint64_t zobrist_seed = ZobristTable::kDefaultSeed;
 };
 
 /// Aggregated search counters (summed over workers and deepening rounds

@@ -55,9 +55,6 @@ inline constexpr char kCacheBuildNanos[] = "jinfer_cache_build_nanos";
 inline constexpr char kManagerCompletedTotal[] =
     "jinfer_manager_completed_total";
 inline constexpr char kManagerFailedTotal[] = "jinfer_manager_failed_total";
-inline constexpr char kManagerShedTotal[] = "jinfer_manager_shed_total";
-inline constexpr char kManagerDeadlineExceededTotal[] =
-    "jinfer_manager_deadline_exceeded_total";
 inline constexpr char kManagerFactoryRetriesTotal[] =
     "jinfer_manager_factory_retries_total";
 inline constexpr char kManagerSliceFaultsTotal[] =

@@ -8,15 +8,6 @@
 namespace jinfer {
 namespace obs {
 
-namespace internal {
-std::atomic<uint32_t> g_metrics_enabled{1};
-}  // namespace internal
-
-void SetMetricsEnabled(bool enabled) {
-  internal::g_metrics_enabled.store(enabled ? 1 : 0,
-                                    std::memory_order_relaxed);
-}
-
 uint64_t HistogramSnapshot::BucketLower(size_t b) {
   if (b == 0) return 0;
   return uint64_t{1} << (b - 1);

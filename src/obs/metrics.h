@@ -17,11 +17,9 @@
 //     line (BM_MetricsCounterInc, single-digit nanoseconds).
 //   - Reads (Value / Snapshot) sum the shards — O(shards), paid by stats()
 //     and the exposition path, never by the instrumented code.
-//   - Counters and gauges always record: they back stats(), which must
-//     read the same in every build. Histograms and spans sit behind the
-//     runtime kill switch (one relaxed load, BM_MetricsDisarmed) and
-//     compile to nothing under JINFER_NO_METRICS; call sites need no
-//     #ifdefs.
+//   - Every metric always records. Counters and gauges back stats();
+//     histograms and spans feed the layer budget that the exposition and
+//     the benches both read.
 //
 // Histograms bucket by position of the highest set bit: bucket 0 holds
 // exactly the value 0, bucket b >= 1 holds [2^(b-1), 2^b - 1], 65 buckets
@@ -51,21 +49,6 @@
 
 namespace jinfer {
 namespace obs {
-
-/// Runtime kill switch for histograms and spans, default on. One relaxed
-/// load on every sample path — flipping it off reduces a histogram record
-/// or span to that load (the "disarmed" state the bench suite prices).
-/// Counters and gauges ignore it.
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
-
-namespace internal {
-extern std::atomic<uint32_t> g_metrics_enabled;
-}  // namespace internal
-
-inline bool MetricsEnabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed) != 0;
-}
 
 /// Shard count per metric: a small power of two. More shards than typical
 /// worker counts buys contention-freedom; padding bounds the footprint at
@@ -169,19 +152,13 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(uint64_t v) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
     Shard& s = shards_[ThisThreadShard()];
     s.buckets[HistogramBucket(v)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot out;
-#ifndef JINFER_NO_METRICS
     for (const Shard& s : shards_) {
       for (size_t b = 0; b < kHistogramBuckets; ++b) {
         out.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
@@ -189,7 +166,6 @@ class Histogram {
       out.sum += s.sum.load(std::memory_order_relaxed);
     }
     for (uint64_t n : out.buckets) out.count += n;
-#endif
     return out;
   }
 
@@ -199,13 +175,11 @@ class Histogram {
   inline void Merge(class LocalHistogram& local);
 
  private:
-#ifndef JINFER_NO_METRICS
   struct alignas(64) Shard {
     std::atomic<uint64_t> buckets[kHistogramBuckets]{};
     std::atomic<uint64_t> sum{0};
   };
   Shard shards_[kMetricShards];
-#endif
 };
 
 /// Unsynchronized histogram accumulator for a single-owner hot loop.
@@ -234,69 +208,47 @@ class LocalHistogram {
   }
 
   void Record(uint64_t v) {
-#ifndef JINFER_NO_METRICS
     const size_t b = HistogramBucket(v);
     ++counts_[b];
     sum_ += v;
     ++count_;
     if (b < lo_) lo_ = b;
     if (b > hi_) hi_ = b;
-#else
-    (void)v;
-#endif
   }
 
-  uint64_t count() const {
-#ifndef JINFER_NO_METRICS
-    return count_;
-#else
-    return 0;
-#endif
-  }
+  uint64_t count() const { return count_; }
 
   void Reset() {
-#ifndef JINFER_NO_METRICS
     if (count_ == 0) return;
     for (size_t b = lo_; b <= hi_; ++b) counts_[b] = 0;
     sum_ = 0;
     count_ = 0;
     lo_ = kHistogramBuckets;
     hi_ = 0;
-#endif
   }
 
  private:
   friend class Histogram;
 
   void Steal(LocalHistogram& other) {
-#ifndef JINFER_NO_METRICS
     counts_ = other.counts_;
     sum_ = other.sum_;
     count_ = other.count_;
     lo_ = other.lo_;
     hi_ = other.hi_;
     other.Reset();
-#else
-    (void)other;
-#endif
   }
 
-#ifndef JINFER_NO_METRICS
   std::array<uint64_t, kHistogramBuckets> counts_{};
   uint64_t sum_ = 0;
   uint64_t count_ = 0;
   /// Touched-bucket range, so Reset and Merge walk a few entries, not 65.
   size_t lo_ = kHistogramBuckets;
   size_t hi_ = 0;
-#endif
 };
 
 inline void Histogram::Merge(LocalHistogram& local) {
-#ifndef JINFER_NO_METRICS
-  if (local.count_ == 0 || !MetricsEnabled()) {
-    local.Reset();
-    return;
-  }
+  if (local.count_ == 0) return;
   Shard& s = shards_[ThisThreadShard()];
   for (size_t b = local.lo_; b <= local.hi_; ++b) {
     if (local.counts_[b] != 0) {
@@ -305,9 +257,6 @@ inline void Histogram::Merge(LocalHistogram& local) {
   }
   s.sum.fetch_add(local.sum_, std::memory_order_relaxed);
   local.Reset();
-#else
-  (void)local;
-#endif
 }
 
 enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };

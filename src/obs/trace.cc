@@ -37,8 +37,6 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 void FlightRecorder::Record(const SpanRecord& record) {
-#ifndef JINFER_NO_METRICS
-  if (!MetricsEnabled()) return;
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
   // Odd sequence = write in progress: a reader that sees it skips the
@@ -55,14 +53,10 @@ void FlightRecorder::Record(const SpanRecord& record) {
       std::memory_order_relaxed);
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
   if (ticket >= slots_.size()) drop_counter_->Inc();
-#else
-  (void)record;
-#endif
 }
 
 std::vector<SpanRecord> FlightRecorder::Snapshot(uint64_t trace_id) const {
   std::vector<SpanRecord> out;
-#ifndef JINFER_NO_METRICS
   const uint64_t head = head_.load(std::memory_order_acquire);
   const uint64_t cap = slots_.size();
   const uint64_t first = head > cap ? head - cap : 0;
@@ -83,9 +77,6 @@ std::vector<SpanRecord> FlightRecorder::Snapshot(uint64_t trace_id) const {
     if (trace_id != 0 && r.trace_id != trace_id) continue;
     out.push_back(r);
   }
-#else
-  (void)trace_id;
-#endif
   return out;
 }
 

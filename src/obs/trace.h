@@ -71,8 +71,7 @@ class FlightRecorder {
   /// The process-wide recorder all production spans land in.
   static FlightRecorder& Global();
 
-  /// Wait-free append. A no-op when metrics are disabled (the kill switch
-  /// histograms obey) or under JINFER_NO_METRICS.
+  /// Wait-free append.
   void Record(const SpanRecord& record);
 
   /// The retained records in ticket (= chronological claim) order, oldest
@@ -129,13 +128,11 @@ class ScopedSpan {
   void Cancel() { cancelled_ = true; }
 
   ~ScopedSpan() {
-#ifndef JINFER_NO_METRICS
-    if (cancelled_ || !MetricsEnabled()) return;
+    if (cancelled_) return;
     const uint64_t duration = watch_.ElapsedNanos();
     if (histogram_ != nullptr) histogram_->Record(duration);
     FlightRecorder::Global().Record(SpanRecord{
         trace_id_, watch_.StartNanos(), duration, detail_, kind_});
-#endif
   }
 
  private:

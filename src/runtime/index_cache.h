@@ -169,11 +169,6 @@ class IndexCache {
       : options_(std::move(options)),
         sketch_(options_.capacity == 0 ? 1024 : 16 * options_.capacity) {}
 
-  /// PR 3 constructor shape: build options only, defaults elsewhere.
-  explicit IndexCache(core::SignatureIndexOptions build_options)
-      : IndexCache(IndexCacheOptions{build_options, kDefaultIndexCacheCapacity,
-                                     nullptr}) {}
-
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
 

@@ -77,12 +77,10 @@ LocalLatency& AnswerLatency() {
 /// limited to sessions still in flight (≤ kInteractionFlushEvery samples
 /// per thread per histogram).
 void FlushInteractionLatencies() {
-#ifndef JINFER_NO_METRICS
   LocalLatency& question = QuestionLatency();
   question.shared.Merge(question.local);
   LocalLatency& answer = AnswerLatency();
   answer.shared.Merge(answer.local);
-#endif
 }
 
 /// One timed interaction half: thread-local histogram sample (merged
@@ -91,8 +89,6 @@ void FlushInteractionLatencies() {
 void RecordInteraction(obs::SpanKind kind, LocalLatency& latency,
                        uint64_t trace_id, const util::Stopwatch& watch,
                        uint64_t duration_nanos, uint64_t detail) {
-#ifndef JINFER_NO_METRICS
-  if (!obs::MetricsEnabled()) return;
   latency.local.Record(duration_nanos);
   if (latency.local.count() >= kInteractionFlushEvery) {
     latency.shared.Merge(latency.local);
@@ -105,14 +101,6 @@ void RecordInteraction(obs::SpanKind kind, LocalLatency& latency,
   record.detail = detail;
   record.kind = kind;
   obs::FlightRecorder::Global().Record(record);
-#else
-  (void)kind;
-  (void)latency;
-  (void)trace_id;
-  (void)watch;
-  (void)duration_nanos;
-  (void)detail;
-#endif
 }
 
 }  // namespace
@@ -143,27 +131,8 @@ std::optional<core::ClassId> Session::NextQuestion() {
   if (pending_) return pending_;
 
   util::Stopwatch watch;
-  if (options_.max_interactions > 0 &&
-      num_interactions_ >= options_.max_interactions) {
-    halted_early_ = state_.NumInformativeClasses() > 0;
-    finished_ = true;
-  } else {
-    std::optional<core::ClassId> next = strategy_->SelectNext(state_);
-    if (!next) {
-      // Halt condition Γ: the strategy may only give up when no informative
-      // tuple remains.
-      JINFER_CHECK(state_.NumInformativeClasses() == 0,
-                   "strategy %s returned no tuple with %zu informative "
-                   "classes remaining",
-                   strategy_->name(), state_.NumInformativeClasses());
-      finished_ = true;
-    } else {
-      JINFER_CHECK(state_.state(*next) != core::TupleState::kLabeled,
-                   "strategy %s re-presented the already-labeled class %u",
-                   strategy_->name(), *next);
-      pending_ = next;
-    }
-  }
+  pending_ = core::PickNext(*strategy_, state_);
+  finished_ = !pending_;
   const uint64_t duration_nanos = watch.ElapsedNanos();
   seconds_ += static_cast<double>(duration_nanos) * 1e-9;
   RecordInteraction(obs::SpanKind::kQuestionCompute, QuestionLatency(),
@@ -201,7 +170,6 @@ core::InferenceResult Session::Result() const {
   result.predicate = state_.InferredPredicate();
   result.num_interactions = num_interactions_;
   result.seconds = seconds_;
-  result.halted_early = halted_early_;
   result.trace = trace_;
   return result;
 }

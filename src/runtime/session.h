@@ -8,7 +8,7 @@
 // boundary:
 //
 //   NextQuestion()  — the strategy's pick, or nullopt once the session is
-//                     finished (halt condition Γ, or the interaction cap).
+//                     finished (halt condition Γ).
 //                     Idempotent: repeated calls return the same pending
 //                     class without consulting the strategy again, so a
 //                     caller may re-render a question freely.
@@ -71,8 +71,7 @@ class Session {
   /// untouched) when the label contradicts the sample.
   util::Status Answer(core::Label label);
 
-  /// True once NextQuestion has returned nullopt: either Γ holds or the
-  /// interaction cap was reached.
+  /// True once NextQuestion has returned nullopt, i.e. Γ holds.
   bool Finished() const { return finished_; }
 
   size_t num_interactions() const { return num_interactions_; }
@@ -107,7 +106,6 @@ class Session {
   core::InferenceState state_;
   std::optional<core::ClassId> pending_;
   bool finished_ = false;
-  bool halted_early_ = false;
   size_t num_interactions_ = 0;
   uint64_t trace_id_ = 0;
   double seconds_ = 0;

@@ -8,12 +8,9 @@
 #include <thread>
 #include <utility>
 
-#include "obs/trace.h"
 #include "util/check.h"
-#include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
-#include "util/string_util.h"
 
 namespace jinfer {
 namespace runtime {
@@ -23,10 +20,7 @@ namespace {
 /// Shared scheduler state: a ready queue of job indices plus the count of
 /// jobs not yet finished. A job index is in exactly one place at a time —
 /// the queue, a worker's hands, or retired — so no per-job locking is
-/// needed; the queue mutex is the only synchronization point. The bound in
-/// Options::max_queue is enforced at admission (RunAll entry), never here:
-/// a requeue of a claimed job always succeeds, so bounded queues cannot
-/// deadlock the pool.
+/// needed; the queue mutex is the only synchronization point.
 struct Scheduler {
   std::mutex mu;
   std::condition_variable cv;
@@ -71,74 +65,20 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
   const size_t n = jobs.size();
   if (n == 0) return {};
 
-  const util::Deadline run_deadline = util::Deadline::After(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          options_.run_deadline));
-
   // Slot i holds job i's session once created and its result once retired.
   std::vector<std::optional<Session>> sessions(n);
   std::vector<std::optional<util::Result<core::InferenceResult>>> slots(n);
-  // Per-job deadline (set at first claim) and factory-retry backoff state.
-  std::vector<util::Deadline> job_deadlines(n, util::Deadline::Infinite());
-  // char, not bool: vector<bool> packs bits, and per-job flags owned by
-  // different workers must not share a byte (TSan-clean by construction).
-  std::vector<char> started(n, 0);
   std::vector<std::optional<util::Backoff>> factory_backoff(n);
 
-  // Admission control: a batch larger than the bound sheds the excess
-  // immediately — an explicit kResourceExhausted beats an unbounded queue
-  // silently absorbing load the pool cannot keep up with. Shedding is
-  // deterministic (the tail of the batch) so callers can rely on which
-  // jobs ran.
-  size_t admitted = n;
-  if (options_.max_queue > 0 && n > options_.max_queue) {
-    admitted = options_.max_queue;
-    for (size_t i = admitted; i < n; ++i) {
-      slots[i] = util::Result<core::InferenceResult>(
-          util::Status::ResourceExhausted(util::StrFormat(
-              "job %zu shed: ready queue bounded at %zu, %zu submitted",
-              i, options_.max_queue, n)));
-    }
-    counters_.shed.Inc(n - admitted);
-    counters_.failed.Inc(n - admitted);
-  }
-
   Scheduler scheduler;
-  scheduler.remaining = admitted;
-  for (size_t i = 0; i < admitted; ++i) scheduler.ready.push_back(i);
+  scheduler.remaining = n;
+  for (size_t i = 0; i < n; ++i) scheduler.ready.push_back(i);
 
   const size_t steps_per_slice = options_.steps_per_slice;
   auto worker = [&] {
     while (std::optional<size_t> claimed = scheduler.Claim()) {
       const size_t i = *claimed;
       SessionJob& job = jobs[i];
-
-      if (!started[i]) {
-        started[i] = 1;
-        job_deadlines[i] = util::Deadline::After(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                options_.job_deadline));
-      }
-
-      // Cooperative cancellation at the slice boundary: the check runs
-      // before any step, so a cancelled job loses whole slices, never a
-      // half-applied interaction — surviving transcripts stay exact.
-      if (run_deadline.expired() || job_deadlines[i].expired()) {
-        slots[i] = util::Result<core::InferenceResult>(
-            util::Status::DeadlineExceeded(util::StrFormat(
-                "job %zu cancelled at slice boundary: %s deadline expired",
-                i, run_deadline.expired() ? "run" : "job")));
-        sessions[i].reset();
-        counters_.deadline_exceeded.Inc();
-        counters_.failed.Inc();
-        // The dump names the span that ate the budget — the diagnosis a
-        // deadline page needs first (DESIGN.md §13.2).
-        obs::EmitFlightDump(util::StrFormat(
-            "job %zu cancelled: %s deadline expired", i,
-            run_deadline.expired() ? "run" : "job"));
-        scheduler.Retire();
-        continue;
-      }
 
       // Injected scheduling fault: the slice never starts, the job goes
       // back in the queue untouched. Chaos schedules on manager.step thus
@@ -166,8 +106,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
                   options_.factory_retry.max_attempts;
           if (transient && attempts_left) {
             // Back off on this worker (bounded by the policy cap), then
-            // requeue: the job deadline, checked above, bounds unlimited
-            // policies.
+            // requeue.
             std::this_thread::sleep_for(factory_backoff[i]->Next());
             counters_.factory_retries.Inc();
             scheduler.Requeue(i);
@@ -213,8 +152,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
   };
 
   const size_t workers =
-      std::min(util::ResolveThreadCount(options_.threads),
-               std::max<size_t>(admitted, 1));
+      std::min(util::ResolveThreadCount(options_.threads), n);
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
@@ -234,11 +172,8 @@ SessionManager::Stats SessionManager::stats() const {
   Stats out;
   out.completed = counters_.completed.Value();
   out.failed = counters_.failed.Value();
-  out.shed = counters_.shed.Value();
-  out.deadline_exceeded = counters_.deadline_exceeded.Value();
   out.factory_retries = counters_.factory_retries.Value();
   out.slice_faults = counters_.slice_faults.Value();
-  out.degraded_serves = cache_.stats().degraded_builds;
   return out;
 }
 

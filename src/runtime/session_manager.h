@@ -18,15 +18,6 @@
 // tested in tests/runtime/session_manager_test.cc.
 //
 // Failure domains (DESIGN.md §10): the manager degrades, it never wedges.
-//   - Admission control: with max_queue > 0, a RunAll batch larger than the
-//     bound sheds the excess jobs immediately with kResourceExhausted —
-//     admitted jobs are unaffected, and requeues of claimed jobs never
-//     count against the bound (so the bound cannot deadlock the pool).
-//   - Deadlines: per-job (measured from the job's first claim, factory
-//     included) and whole-run (from RunAll entry), both checked
-//     cooperatively at slice boundaries — an expired job is cancelled with
-//     kDeadlineExceeded before its next step, never mid-interaction, so a
-//     surviving job's transcript is untouched by a neighbor's cancellation.
 //   - Transient factory failures (a store/cache hiccup, an injected fault)
 //     are retried per factory_retry — the worker backs off and requeues the
 //     job rather than failing it; permanent factory errors fail it at once.
@@ -38,7 +29,6 @@
 #ifndef JINFER_RUNTIME_SESSION_MANAGER_H_
 #define JINFER_RUNTIME_SESSION_MANAGER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,26 +78,10 @@ class SessionManager {
     /// into PR 3's unbounded never-evicting behavior.
     IndexCacheOptions cache_options;
 
-    /// Bound on jobs admitted per RunAll batch; 0 = unbounded (admit
-    /// everything, the PR 3 behavior). Jobs beyond the bound are shed with
-    /// kResourceExhausted without running — load-shedding is explicit and
-    /// immediate, never a silent queue that grows without limit.
-    size_t max_queue = 0;
-
-    /// Budget per job, measured from its first claim (the factory counts);
-    /// zero = none. Enforced at slice boundaries: an expired job fails
-    /// with kDeadlineExceeded at its next claim, its remaining slots freed.
-    std::chrono::milliseconds job_deadline{0};
-
-    /// Budget for the whole RunAll call, from entry; zero = none. When it
-    /// expires, every not-yet-finished job is cancelled (kDeadlineExceeded)
-    /// as workers reach it — cooperative, no thread is interrupted.
-    std::chrono::milliseconds run_deadline{0};
-
     /// Retry policy for *transient* session-factory failures (the cache's
     /// fail-fast backoff window, an injected fault). max_attempts <= 0
-    /// retries until the job deadline says otherwise — the right setting
-    /// under chaos schedules where every fault is transient by contract.
+    /// retries until the factory succeeds — the right setting under chaos
+    /// schedules where every fault is transient by contract.
     util::RetryPolicy factory_retry;
   };
 
@@ -115,13 +89,8 @@ class SessionManager {
   struct Stats {
     uint64_t completed = 0;  ///< Jobs that finished with a result.
     uint64_t failed = 0;     ///< Jobs that ended in an error (any kind).
-    uint64_t shed = 0;       ///< Jobs rejected by admission control.
-    uint64_t deadline_exceeded = 0;  ///< Jobs cancelled at a slice boundary.
     uint64_t factory_retries = 0;  ///< Transient factory failures requeued.
     uint64_t slice_faults = 0;  ///< manager.step trips (slice requeued).
-    uint64_t degraded_serves = 0;  ///< Cache builds run because the store
-                                   ///< tier failed transiently (snapshot of
-                                   ///< cache().stats().degraded_builds).
   };
 
   SessionManager() : SessionManager(Options{}) {}
@@ -148,8 +117,6 @@ class SessionManager {
   struct Counters {
     obs::OwnedCounter completed{obs::kManagerCompletedTotal};
     obs::OwnedCounter failed{obs::kManagerFailedTotal};
-    obs::OwnedCounter shed{obs::kManagerShedTotal};
-    obs::OwnedCounter deadline_exceeded{obs::kManagerDeadlineExceededTotal};
     obs::OwnedCounter factory_retries{obs::kManagerFactoryRetriesTotal};
     obs::OwnedCounter slice_faults{obs::kManagerSliceFaultsTotal};
   };

@@ -97,35 +97,33 @@ util::Result<bool> Connection::OnWritable() {
   return true;
 }
 
+std::array<Connection::Deadline, 3> Connection::Deadlines() const {
+  const auto armed = [](bool on, Clock::time_point start,
+                        std::chrono::milliseconds budget) {
+    return on && budget.count() > 0 ? start + budget
+                                    : Clock::time_point::max();
+  };
+  return {{
+      {armed(!busy_ && frame_start_ != Clock::time_point{}, frame_start_,
+             limits_.read_deadline),
+       "read deadline exceeded"},
+      {armed(wants_write(), write_start_, limits_.write_deadline),
+       "write deadline exceeded"},
+      {armed(!busy_, last_activity_, limits_.idle_timeout),
+       "idle timeout exceeded"},
+  }};
+}
+
 Connection::Clock::time_point Connection::NextDeadline() const {
   auto earliest = Clock::time_point::max();
-  if (!busy_ && frame_start_ != Clock::time_point{} &&
-      limits_.read_deadline.count() > 0) {
-    earliest = std::min(earliest, frame_start_ + limits_.read_deadline);
-  }
-  if (wants_write() && limits_.write_deadline.count() > 0) {
-    earliest = std::min(earliest, write_start_ + limits_.write_deadline);
-  }
-  if (!busy_ && limits_.idle_timeout.count() > 0) {
-    earliest = std::min(earliest, last_activity_ + limits_.idle_timeout);
-  }
+  for (const Deadline& d : Deadlines()) earliest = std::min(earliest, d.at);
   return earliest;
 }
 
 const char* Connection::ExpiredReason() const {
   const auto now = Clock::now();
-  if (!busy_ && frame_start_ != Clock::time_point{} &&
-      limits_.read_deadline.count() > 0 &&
-      now >= frame_start_ + limits_.read_deadline) {
-    return "read deadline exceeded";
-  }
-  if (wants_write() && limits_.write_deadline.count() > 0 &&
-      now >= write_start_ + limits_.write_deadline) {
-    return "write deadline exceeded";
-  }
-  if (!busy_ && limits_.idle_timeout.count() > 0 &&
-      now >= last_activity_ + limits_.idle_timeout) {
-    return "idle timeout exceeded";
+  for (const Deadline& d : Deadlines()) {
+    if (now >= d.at) return d.reason;
   }
   return nullptr;
 }

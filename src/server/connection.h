@@ -36,6 +36,7 @@
 #ifndef JINFER_SERVER_CONNECTION_H_
 #define JINFER_SERVER_CONNECTION_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -142,6 +143,17 @@ class Connection {
   uint64_t trace_id() const { return session_ ? session_->trace_id() : 0; }
 
  private:
+  /// One of the three deadlines: when it fires (time_point::max() while
+  /// it is not armed) and the reason ExpiredReason reports for it.
+  struct Deadline {
+    Clock::time_point at;
+    const char* reason;
+  };
+
+  /// The read, write and idle deadlines, in the order ExpiredReason
+  /// checks them. The one statement of when each is armed.
+  std::array<Deadline, 3> Deadlines() const;
+
   util::Socket sock_;
   uint64_t generation_;
   ConnectionLimits limits_;

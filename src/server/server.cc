@@ -740,8 +740,12 @@ void Server::StartSession(std::shared_ptr<const core::SignatureIndex> index,
   ok.num_classes = index->num_classes();
   ok.num_tuples = index->num_tuples();
   ok.index_tier = static_cast<uint8_t>(tier);
-  c.session = std::make_unique<runtime::Session>(std::move(index),
-                                                 std::move(strategy));
+  // The server never reads a session's Result(): every interaction's
+  // question and answer already crossed the wire, so a transcript kept
+  // here would only grow with the session.
+  c.session = std::make_unique<runtime::Session>(
+      std::move(index), std::move(strategy),
+      runtime::SessionOptions{.record_trace = false});
   // The wire id is also the trace id, so a flight dump can be filtered to
   // this tenant.
   c.session->set_trace_id(ok.session_id);

@@ -25,6 +25,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Applied around each Put publication and each Load mapping; only
+/// kUnavailable outcomes are retried (see util/retry.h).
+constexpr util::RetryPolicy kIoRetry{};
+
 /// The store's latency histograms, process-wide (DESIGN.md §13.1).
 struct StoreMetrics {
   obs::Histogram& load_nanos;
@@ -83,8 +87,7 @@ util::Status WriteFileDurably(const std::string& path,
 
 }  // namespace
 
-util::Result<IndexStore> IndexStore::Open(std::string dir,
-                                          IndexStoreOptions options) {
+util::Result<IndexStore> IndexStore::Open(std::string dir) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -104,7 +107,7 @@ util::Result<IndexStore> IndexStore::Open(std::string dir,
         "store directory %s is not writable: %s", dir.c_str(),
         std::strerror(errno)));
   }
-  return IndexStore(std::move(dir), options);
+  return IndexStore(std::move(dir));
 }
 
 std::string IndexStore::PathFor(const InstanceFingerprint& fingerprint) const {
@@ -137,7 +140,7 @@ util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
   // load. Only permanent validation failures condemn the file.
   uint64_t retries = 0;
   util::Result<MappedIndex> mapped = util::RetryCall(
-      options_.retry,
+      kIoRetry,
       [&]() -> util::Result<MappedIndex> {
         util::Status injected = util::FailpointHit("store.load.mmap");
         if (!injected.ok()) return injected;
@@ -193,7 +196,7 @@ util::Status IndexStore::Put(const core::SignatureIndex& index,
   // redone (re-renaming identical bytes is harmless — content-addressed).
   uint64_t retries = 0;
   util::Status published =
-      util::RetryCall(options_.retry, [&] { return PublishOnce(bytes, path); },
+      util::RetryCall(kIoRetry, [&] { return PublishOnce(bytes, path); },
                       &retries);
   counters_->put_retries.Inc(retries);
   if (!published.ok()) return published;

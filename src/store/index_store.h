@@ -29,8 +29,8 @@
 // classified transient-vs-permanent (util::IoStatusFromErrno) and carries a
 // failpoint for chaos testing — store.put.fsync, store.put.rename,
 // store.put.dirsync, store.load.mmap. Transient failures (kUnavailable)
-// are retried in place with capped exponential backoff
-// (IndexStoreOptions::retry); only *permanent* validation failures
+// are retried in place with capped exponential backoff (a default
+// util::RetryPolicy); only *permanent* validation failures
 // quarantine a file — a load that merely ran out of fds must not throw
 // good bytes away.
 
@@ -48,7 +48,6 @@
 #include "store/fingerprint.h"
 #include "store/mapped_index.h"
 #include "util/result.h"
-#include "util/retry.h"
 #include "util/status.h"
 
 namespace jinfer {
@@ -67,18 +66,11 @@ struct IndexStoreStats {
                               ///< fault.
 };
 
-struct IndexStoreOptions {
-  /// Applied around each Put publication and each Load mapping; only
-  /// kUnavailable outcomes are retried (see util/retry.h).
-  util::RetryPolicy retry;
-};
-
 class IndexStore {
  public:
   /// Opens (creating if needed) the store rooted at `dir`. Fails with
   /// IoError when the directory cannot be created or is not writable.
-  static util::Result<IndexStore> Open(std::string dir,
-                                       IndexStoreOptions options = {});
+  static util::Result<IndexStore> Open(std::string dir);
 
   IndexStore(IndexStore&&) = default;
   IndexStore& operator=(IndexStore&&) = default;
@@ -110,8 +102,7 @@ class IndexStore {
   IndexStoreStats stats() const;
 
  private:
-  IndexStore(std::string dir, IndexStoreOptions options)
-      : dir_(std::move(dir)), options_(options) {}
+  explicit IndexStore(std::string dir) : dir_(std::move(dir)) {}
 
   /// One write-temp → fsync → rename → dirsync publication attempt; the
   /// unit Put retries on transient failure (always onto a fresh temp name,
@@ -137,7 +128,6 @@ class IndexStore {
   };
 
   std::string dir_;
-  IndexStoreOptions options_;
   // Behind a pointer so IndexStore stays movable: cells are attached to
   // the registry by address.
   std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();

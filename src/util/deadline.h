@@ -1,6 +1,7 @@
 // Deadline: a point on the steady clock that cooperative code checks at
-// its natural yield points (slice boundaries in the SessionManager, the
-// question loop in interactive_cli) — see DESIGN.md §10.
+// its natural yield points. Its caller is interactive_cli's question
+// loop, which stops at the next question boundary once the --deadline-ms
+// budget is spent and keeps the hypothesis so far.
 //
 // Deadlines are propagated by value and never block anything themselves;
 // enforcement is wherever the holder chooses to check expired(). The

@@ -40,8 +40,8 @@ inline bool IsTransient(const Status& status) {
 
 struct RetryPolicy {
   /// Total tries including the first; <= 0 means unlimited (the caller is
-  /// expected to bound the loop some other way — a deadline, a failpoint
-  /// schedule that exhausts, an operator).
+  /// expected to bound the loop some other way — a failpoint schedule
+  /// that exhausts, an operator).
   int max_attempts = 3;
 
   std::chrono::microseconds base_backoff{1000};

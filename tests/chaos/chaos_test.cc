@@ -12,7 +12,6 @@
 //      evicted; no caller blocks forever on a poisoned entry.
 //   3. The store never exposes a partial file: every published .jidx
 //      validates, and no temp files survive a faulted Put.
-//   4. Deadlines are enforced within one slice of their expiry.
 
 #include <atomic>
 #include <chrono>
@@ -258,86 +257,6 @@ TEST(ChaosTest, NoPartialFilesUnderPutFaults) {
   fs::remove_all(dir, ec);
 }
 
-/// Oracle with a fixed per-label delay — the clock the deadline test runs
-/// against.
-class SlowOracle : public core::Oracle {
- public:
-  SlowOracle(core::JoinPredicate goal, std::chrono::milliseconds delay)
-      : inner_(goal), delay_(delay) {}
-
-  core::Label LabelClass(const core::SignatureIndex& index,
-                         core::ClassId cls) override {
-    std::this_thread::sleep_for(delay_);
-    return inner_.LabelClass(index, cls);
-  }
-
- private:
-  core::GoalOracle inner_;
-  std::chrono::milliseconds delay_;
-};
-
-// Property 4: with one-step slices, a job whose deadline expires is
-// cancelled at the next slice boundary — total run time is bounded by
-// deadline + one slice (+ scheduling slack), nowhere near the time a full
-// run would take.
-TEST(ChaosTest, DeadlinesEnforcedWithinOneSlice) {
-  auto inst = workload::GenerateSynthetic({3, 3, 30, 6}, 321);
-  ASSERT_TRUE(inst.ok());
-  auto index = core::SignatureIndex::Build(inst->r, inst->p);
-  ASSERT_TRUE(index.ok());
-
-  // A spec that needs >= 8 interactions: a full run costs >= 8 slices.
-  const std::vector<Spec> specs = MakeSpecs(*index);
-  const Spec* long_spec = nullptr;
-  size_t long_interactions = 0;
-  for (const Spec& spec : specs) {
-    Session session(*index, core::MakeStrategy(spec.kind, spec.seed));
-    core::GoalOracle oracle(spec.goal);
-    size_t interactions = 0;
-    while (std::optional<core::ClassId> question = session.NextQuestion()) {
-      ASSERT_TRUE(session.Answer(oracle.LabelClass(*index, *question)).ok());
-      ++interactions;
-    }
-    if (interactions > long_interactions) {
-      long_interactions = interactions;
-      long_spec = &spec;
-    }
-  }
-  ASSERT_NE(long_spec, nullptr);
-  if (long_interactions < 8) {
-    GTEST_SKIP() << "no spec long enough to discriminate cancellation";
-  }
-
-  constexpr auto kSliceDelay = std::chrono::milliseconds(60);
-  constexpr auto kDeadline = std::chrono::milliseconds(150);
-
-  std::vector<SessionJob> jobs;
-  SessionJob job;
-  job.make = [&index, long_spec] {
-    return util::Result<Session>(Session(
-        *index, core::MakeStrategy(long_spec->kind, long_spec->seed)));
-  };
-  job.oracle = std::make_unique<SlowOracle>(long_spec->goal, kSliceDelay);
-  jobs.push_back(std::move(job));
-
-  SessionManager::Options options;
-  options.threads = 1;
-  options.steps_per_slice = 1;
-  options.job_deadline = kDeadline;
-  SessionManager manager(options);
-  const auto start = std::chrono::steady_clock::now();
-  auto results = manager.RunAll(std::move(jobs));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_TRUE(results[0].status().IsDeadlineExceeded());
-  EXPECT_EQ(manager.stats().deadline_exceeded, 1u);
-  // A full run is >= 8 * 60ms = 480ms of oracle time alone; cancellation
-  // within one slice of the 150ms deadline stays clearly under that.
-  EXPECT_LT(elapsed, std::chrono::milliseconds(400));
-}
-
 // Property 1 for the packed word-kernel sweeps at scale: a multi-word
 // (|Omega| = 72, 900-class) L1S session and the 18-class OPT minimax
 // session, run through the manager under slice faults at 1 and 4 threads,
@@ -405,46 +324,6 @@ TEST(ChaosTest, LargeOmegaTranscriptsSurviveFaults) {
       ExpectSameResult(baseline[i], *results[i], i);
     }
   }
-}
-
-// Load-shedding composes with faults: an oversubscribed batch under an
-// ambient fault schedule sheds its tail deterministically and still
-// completes or cleanly fails every admitted job — the pool never deadlocks.
-TEST(ChaosTest, BoundedQueueNeverDeadlocksUnderFaults) {
-  ASSERT_TRUE(util::Failpoints::Arm("manager.step", "prob:0.2:31").ok());
-  auto inst = workload::GenerateSynthetic({2, 2, 20, 5}, 77);
-  ASSERT_TRUE(inst.ok());
-  auto index = core::SignatureIndex::Build(inst->r, inst->p);
-  ASSERT_TRUE(index.ok());
-
-  std::vector<SessionJob> jobs;
-  for (int i = 0; i < 16; ++i) {
-    SessionJob job;
-    job.make = [&index] {
-      return util::Result<Session>(Session(
-          *index, core::MakeStrategy(core::StrategyKind::kBottomUp,
-                                     static_cast<uint64_t>(1))));
-    };
-    job.oracle = std::make_unique<core::GoalOracle>(
-        core::JoinPredicate::Singleton(0));
-    jobs.push_back(std::move(job));
-  }
-
-  SessionManager::Options options;
-  options.threads = 4;
-  options.steps_per_slice = 1;
-  options.max_queue = 6;
-  SessionManager manager(options);
-  auto results = manager.RunAll(std::move(jobs));
-  ASSERT_EQ(results.size(), 16u);
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(results[i].ok()) << "admitted job " << i;
-  }
-  for (size_t i = 6; i < 16; ++i) {
-    ASSERT_FALSE(results[i].ok());
-    EXPECT_TRUE(results[i].status().IsResourceExhausted());
-  }
-  EXPECT_EQ(manager.stats().shed, 10u);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ TEST(InferenceEngineTest, TraceRecordsEveryInteraction) {
   auto result = RunInference(index, *bu, oracle);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->trace.size(), result->num_interactions);
-  EXPECT_FALSE(result->halted_early);
   // The informative weight shrinks monotonically along the trace.
   for (size_t i = 1; i < result->trace.size(); ++i) {
     EXPECT_LT(result->trace[i].informative_before,
@@ -35,18 +34,6 @@ TEST(InferenceEngineTest, TraceCanBeDisabled) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->trace.empty());
   EXPECT_GT(result->num_interactions, 0u);
-}
-
-TEST(InferenceEngineTest, MaxInteractionsHaltsEarly) {
-  SignatureIndex index = testing::Example21Index();
-  auto bu = MakeStrategy(StrategyKind::kBottomUp);
-  GoalOracle oracle{index.omega().Full()};  // BU worst case: 12 labels.
-  InferenceOptions options;
-  options.max_interactions = 2;
-  auto result = RunInference(index, *bu, oracle, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_interactions, 2u);
-  EXPECT_TRUE(result->halted_early);
 }
 
 TEST(InferenceEngineTest, ReturnsOmegaWhenUserRejectsEverything) {

@@ -21,12 +21,7 @@ namespace jinfer {
 namespace obs {
 namespace {
 
-/// Tests that flip the kill switch must restore it — the suites share one
-/// process and every later recording depends on the default-on state.
-class MetricsTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetMetricsEnabled(true); }
-};
+class MetricsTest : public ::testing::Test {};
 
 /// `name`'s series in a snapshot of `registry`, checking that it is the
 /// only one: owners never split a name into labelled series.
@@ -157,33 +152,6 @@ TEST_F(MetricsTest, HistogramSumsConcurrentRecordsExactly) {
   EXPECT_EQ(snap.count, kThreads * kPerThread);
   // Sum of t+1 for t in [0, 8) times kPerThread.
   EXPECT_EQ(snap.sum, kPerThread * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8));
-}
-
-TEST_F(MetricsTest, KillSwitchDropsHistogramSamplesButNotCountsOrLevels) {
-  // Counters and gauges back every subsystem's stats(), which must read
-  // the same whether or not anyone is scraping; only the histogram
-  // samples (and spans) are optional.
-  Registry registry;
-  Counter counter;
-  Gauge gauge;
-  OwnedCounter owned_counter("test_switch_total", registry);
-  OwnedGauge owned_gauge("test_switch_level", registry);
-  Histogram histogram;
-  SetMetricsEnabled(false);
-  EXPECT_FALSE(MetricsEnabled());
-  counter.Inc();
-  gauge.Set(5);
-  owned_counter.Inc(2);
-  owned_gauge.Add(3);
-  histogram.Record(123);
-  SetMetricsEnabled(true);
-  EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(gauge.Value(), 5);
-  EXPECT_EQ(owned_counter.Value(), 2u);
-  EXPECT_EQ(owned_gauge.Value(), 3);
-  EXPECT_EQ(Series(registry, "test_switch_total").counter, 2u);
-  EXPECT_EQ(Series(registry, "test_switch_level").gauge, 3);
-  EXPECT_EQ(histogram.Snapshot().count, 0u);
 }
 
 TEST_F(MetricsTest, OwnersKeepTheirOwnValuesAndSnapshotSumsThem) {
@@ -318,19 +286,6 @@ TEST_F(MetricsTest, LocalHistogramMoveResetsSourceSoFlushIsNoOp) {
   const HistogramSnapshot snap = shared.Snapshot();
   EXPECT_EQ(snap.count, 2u);
   EXPECT_EQ(snap.sum, 49u);
-}
-
-TEST_F(MetricsTest, LocalHistogramMergeWhileDisabledDiscardsBatch) {
-  // The kill switch drops batched samples too — a re-enable must not
-  // resurrect measurements taken while disabled.
-  Histogram shared;
-  LocalHistogram local;
-  local.Record(5);
-  SetMetricsEnabled(false);
-  shared.Merge(local);
-  SetMetricsEnabled(true);
-  EXPECT_EQ(local.count(), 0u);
-  EXPECT_EQ(shared.Snapshot().count, 0u);
 }
 
 TEST_F(MetricsTest, RegistryReturnsSameObjectForSameName) {

@@ -116,15 +116,6 @@ TEST(TraceTest, ConcurrentRecordersNeverYieldTornRecords) {
   }
 }
 
-TEST(TraceTest, DisabledRecordIsANoOp) {
-  FlightRecorder recorder(8);
-  SetMetricsEnabled(false);
-  recorder.Record(MakeSpan(1, 100));
-  SetMetricsEnabled(true);
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_TRUE(recorder.Snapshot().empty());
-}
-
 TEST(TraceTest, RenderFlightDumpNamesTheSlowestSpan) {
   std::vector<SpanRecord> spans = {
       MakeSpan(3, 1000, SpanKind::kCacheProbe),

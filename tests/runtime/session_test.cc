@@ -19,7 +19,6 @@ void ExpectSameResult(const core::InferenceResult& a,
                       const core::InferenceResult& b) {
   EXPECT_EQ(a.predicate, b.predicate);
   EXPECT_EQ(a.num_interactions, b.num_interactions);
-  EXPECT_EQ(a.halted_early, b.halted_early);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace[i].cls, b.trace[i].cls) << "interaction " << i;
@@ -115,21 +114,6 @@ TEST(SessionTest, AnswerWithoutPendingQuestionFails) {
   util::Status status = session.Answer(core::Label::kPositive);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(session.num_interactions(), 0u);
-}
-
-TEST(SessionTest, MaxInteractionsHaltsEarly) {
-  core::SignatureIndex index = testing::Example21Index();
-  SessionOptions options;
-  options.max_interactions = 1;
-  Session session(index, core::MakeStrategy(core::StrategyKind::kBottomUp),
-                  options);
-  core::GoalOracle oracle(testing::Pred(index.omega(), {{0, 0}, {1, 1}}));
-  core::InferenceResult result = DriveToCompletion(session, oracle);
-
-  EXPECT_EQ(result.num_interactions, 1u);
-  EXPECT_TRUE(result.halted_early);
-  EXPECT_TRUE(session.Finished());
-  EXPECT_FALSE(session.NextQuestion().has_value());  // Stays finished.
 }
 
 // A parked session resumes exactly where it stopped: interleaving the

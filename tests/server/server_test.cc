@@ -5,10 +5,9 @@
 // the fused replies (one frame per interaction; a finishing reply ends
 // the session), frame routing (which frames run on the event thread, and
 // that a slow worker frame stalls no inline tenant) and the lifecycle
-// hardening:
-// admission shedding, work-queue shedding, idle reaping, cross-tenant
-// isolation, malformed-frame handling, and graceful drain (DESIGN.md
-// §11.2, §11.3).
+// hardening: admission shedding, work-queue shedding, read and write
+// deadlines, idle reaping, cross-tenant isolation, malformed-frame
+// handling, and graceful drain (DESIGN.md §11.2, §11.3).
 
 #include "server/server.h"
 
@@ -858,6 +857,66 @@ TEST(ServerTest, IdleConnectionsAreReapedAndSessionsAborted) {
   // Client-side, the socket is dead: the next round trip fails. (The held
   // question is still readable; an answer goes to the wire.)
   EXPECT_FALSE(client.Answer(true).ok());
+}
+
+// --- Read and write deadlines -----------------------------------------------
+
+TEST(ServerTest, ReadDeadlineClosesAHalfSentFrame) {
+  // Half a frame header, then silence: the read deadline fires, and the
+  // client hears why before the close.
+  ServerOptions options;
+  options.limits.read_deadline = milliseconds(100);
+  auto server = StartServer(options);
+  util::Socket sock = RawConnect(*server);
+  const std::vector<uint8_t> frame = Pipelined({FrameType::kMetrics}, {});
+  ASSERT_TRUE(util::WriteAll(sock, std::span<const uint8_t>(frame).first(
+                                       kFrameHeaderBytes / 2))
+                  .ok());
+
+  auto reply = ReadFrame(sock);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_STREQ(FrameTypeName(reply->type), FrameTypeName(FrameType::kError));
+  auto err = DecodeError(reply->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code,
+            static_cast<uint32_t>(util::StatusCode::kDeadlineExceeded));
+  EXPECT_EQ(err->message, "read deadline exceeded");
+  EXPECT_TRUE(err->flags & kErrorFlagWillClose)
+      << "error should announce the close";
+
+  // Then EOF (kIoError), not a read timeout (kUnavailable).
+  uint8_t byte;
+  const util::Status eof = util::ReadExact(sock, std::span<uint8_t>(&byte, 1));
+  EXPECT_EQ(eof.code(), util::StatusCode::kIoError) << eof.ToString();
+  EXPECT_EQ(server->Stats().deadline_closes, 1u);
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_open == 0; }));
+}
+
+TEST(ServerTest, WriteDeadlineClosesAClientThatNeverReads) {
+  // Pipelined requests whose replies are never read fill both kernel
+  // socket buffers, and the rest of the replies pend in the connection's
+  // own buffer. The buffer cap is raised out of reach, so the write
+  // deadline, not the cap, closes the connection.
+  ServerOptions options;
+  options.limits.write_deadline = milliseconds(200);
+  options.limits.write_buffer_cap = size_t{256} << 20;
+  auto server = StartServer(options);
+  util::Socket sock = RawConnect(*server);
+
+  // One read reply prices the rest: 16 MiB of replies is several times
+  // what the two kernel buffers hold.
+  ASSERT_TRUE(util::WriteAll(sock, Pipelined({FrameType::kMetrics}, {})).ok());
+  auto first = ReadFrame(sock);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const size_t requests = (size_t{16} << 20) / first->payload.size() + 1;
+  ASSERT_TRUE(util::WriteAll(sock, Pipelined(std::vector<FrameType>(
+                                                 requests, FrameType::kMetrics),
+                                             {}))
+                  .ok());
+
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().deadline_closes == 1; }));
+  EXPECT_TRUE(WaitFor([&] { return server->Stats().connections_open == 0; }));
+  EXPECT_EQ(server->Stats().deadline_closes, 1u);
 }
 
 // --- Protocol errors over a raw socket --------------------------------------
