@@ -50,15 +50,9 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   m.tt_probes.Inc(after.tt_probes - before.tt_probes);
   m.tt_hits.Inc(after.tt_hits - before.tt_hits);
   m.tt_stores.Inc(after.tt_stores - before.tt_stores);
-  const uint64_t duration_nanos = watch.ElapsedNanos();
-  m.search_nanos.Record(duration_nanos);
-  obs::SpanRecord record;
-  record.trace_id = 0;
-  record.start_nanos = watch.StartNanos();
-  record.duration_nanos = duration_nanos;
-  record.detail = nodes;
-  record.kind = obs::SpanKind::kMinimaxSearch;
-  obs::FlightRecorder::Global().Record(record);
+  obs::RecordSpan(obs::SpanKind::kMinimaxSearch, /*trace_id=*/0,
+                  watch.StartNanos(), watch.ElapsedNanos(), nodes,
+                  &m.search_nanos);
 }
 
 }  // namespace

@@ -117,7 +117,6 @@ inline constexpr char kKernelBackendInfo[] = "jinfer_kernel_backend_info";
 // --- trace: the flight recorder's own health (obs/trace.cc) --------------
 inline constexpr char kTraceSpansDroppedTotal[] =
     "jinfer_trace_spans_dropped_total";
-inline constexpr char kTraceDumpsTotal[] = "jinfer_trace_dumps_total";
 
 }  // namespace obs
 }  // namespace jinfer

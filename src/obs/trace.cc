@@ -1,11 +1,8 @@
 #include "obs/trace.h"
 
 #include <bit>
-#include <cstdio>
-#include <mutex>
 
 #include "obs/metric_names.h"
-#include "util/string_util.h"
 
 namespace jinfer {
 namespace obs {
@@ -90,69 +87,12 @@ uint64_t FlightRecorder::dropped() const {
   return head > cap ? head - cap : 0;
 }
 
-std::string RenderFlightDump(const std::string& reason,
-                             const std::vector<SpanRecord>& spans) {
-  std::string out = util::StrFormat("flight recorder dump: %s (%zu spans)\n",
-                                    reason.c_str(), spans.size());
-  const SpanRecord* slowest = nullptr;
-  for (const SpanRecord& s : spans) {
-    if (slowest == nullptr || s.duration_nanos > slowest->duration_nanos) {
-      slowest = &s;
-    }
-  }
-  if (slowest != nullptr) {
-    out += util::StrFormat(
-        "slowest span: %s trace=%llu duration=%.3f ms detail=%llu\n",
-        SpanKindName(slowest->kind),
-        static_cast<unsigned long long>(slowest->trace_id),
-        static_cast<double>(slowest->duration_nanos) * 1e-6,
-        static_cast<unsigned long long>(slowest->detail));
-  }
-  for (const SpanRecord& s : spans) {
-    out += util::StrFormat(
-        "  %-16s trace=%llu start=%llu duration_ns=%llu detail=%llu\n",
-        SpanKindName(s.kind), static_cast<unsigned long long>(s.trace_id),
-        static_cast<unsigned long long>(s.start_nanos),
-        static_cast<unsigned long long>(s.duration_nanos),
-        static_cast<unsigned long long>(s.detail));
-  }
-  return out;
-}
-
-namespace {
-
-std::mutex& LastDumpMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::string& LastDumpStorage() {
-  static std::string* dump = new std::string();  // Leaked.
-  return *dump;
-}
-
-}  // namespace
-
-void EmitFlightDump(const std::string& reason, uint64_t trace_id) {
-  std::vector<SpanRecord> spans =
-      FlightRecorder::Global().Snapshot(trace_id);
-  std::string rendered = RenderFlightDump(reason, spans);
-  Registry::Global().counter(kTraceDumpsTotal).Inc();
-  // One stderr line, not the whole table: the dump is for the operator to
-  // pull (LastFlightDump, --metrics-dump), the line is the breadcrumb.
-  const size_t newline = rendered.find('\n');
-  std::fprintf(stderr, "[jinfer-obs] %.*s\n",
-               static_cast<int>(newline == std::string::npos
-                                    ? rendered.size()
-                                    : newline),
-               rendered.c_str());
-  std::lock_guard<std::mutex> lock(LastDumpMutex());
-  LastDumpStorage() = std::move(rendered);
-}
-
-std::string LastFlightDump() {
-  std::lock_guard<std::mutex> lock(LastDumpMutex());
-  return LastDumpStorage();
+void RecordSpan(SpanKind kind, uint64_t trace_id, uint64_t start_nanos,
+                uint64_t duration_nanos, uint64_t detail,
+                Histogram* histogram) {
+  if (histogram != nullptr) histogram->Record(duration_nanos);
+  FlightRecorder::Global().Record(
+      SpanRecord{trace_id, start_nanos, duration_nanos, detail, kind});
 }
 
 }  // namespace obs

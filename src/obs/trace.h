@@ -4,10 +4,9 @@
 // load, question compute, minimax search, frame decode/queue/execute);
 // the ring keeps the most recent few thousand and silently overwrites the
 // rest, so the recording cost is bounded and constant no matter how long
-// the process runs. Dumps happen on demand (interactive_cli
-// --metrics-dump) and on error/deadline paths (EmitFlightDump), where the
-// last seconds of spans are exactly the forensics "why was this slow?"
-// needs.
+// the process runs. Readers take a Snapshot: perfbench's traced run builds
+// its per-layer budget from the spans, and the tests check what was
+// recorded. No serving path reads the ring.
 //
 // Concurrency: Record is wait-free — one relaxed fetch_add claims a
 // ticket, then five relaxed atomic stores fill the slot, bracketed by a
@@ -23,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -32,7 +30,8 @@
 namespace jinfer {
 namespace obs {
 
-/// What a span timed. Values are wire-stable (they appear in dumps).
+/// What a span timed. Values are stable: readers outside the library
+/// (perfbench's traced run) switch on them.
 enum class SpanKind : uint8_t {
   kIndexBuild = 1,     ///< SignatureIndex::Build inside the cache.
   kCacheProbe = 2,     ///< IndexCache::GetOrBuildTiered, whole call.
@@ -107,11 +106,17 @@ class FlightRecorder {
   Counter* drop_counter_;  ///< jinfer_trace_spans_dropped_total.
 };
 
-/// RAII span: times construction → destruction on the steady clock
-/// (Stopwatch's devirtualized default — spans are the hottest timing
-/// call sites in the process), then records into the global flight
-/// recorder and (optionally) a latency histogram — one timing read
-/// shared by both sinks.
+/// Records a finished span: a sample in `histogram` when one is given,
+/// then a record in the global flight recorder. The one place a span's
+/// record is filled, for ScopedSpan and for the sites that time from
+/// readings they already hold (session interactions, minimax searches,
+/// the frame-queue wait).
+void RecordSpan(SpanKind kind, uint64_t trace_id, uint64_t start_nanos,
+                uint64_t duration_nanos, uint64_t detail,
+                Histogram* histogram = nullptr);
+
+/// RAII span: times construction → destruction with a Stopwatch, then
+/// records through RecordSpan — one timing read shared by both sinks.
 class ScopedSpan {
  public:
   ScopedSpan(SpanKind kind, uint64_t trace_id,
@@ -129,10 +134,8 @@ class ScopedSpan {
 
   ~ScopedSpan() {
     if (cancelled_) return;
-    const uint64_t duration = watch_.ElapsedNanos();
-    if (histogram_ != nullptr) histogram_->Record(duration);
-    FlightRecorder::Global().Record(SpanRecord{
-        trace_id_, watch_.StartNanos(), duration, detail_, kind_});
+    RecordSpan(kind_, trace_id_, watch_.StartNanos(), watch_.ElapsedNanos(),
+               detail_, histogram_);
   }
 
  private:
@@ -143,22 +146,6 @@ class ScopedSpan {
   bool cancelled_ = false;
   util::Stopwatch watch_;
 };
-
-/// Renders `spans` as a human-readable table headed by `reason`, naming
-/// the slowest span explicitly ("slowest span: ...") — the line the
-/// deadline/error paths exist to produce.
-std::string RenderFlightDump(const std::string& reason,
-                             const std::vector<SpanRecord>& spans);
-
-/// Snapshots the global recorder (filtered by trace_id when != 0),
-/// renders it, stores it as the last dump (LastFlightDump) and writes a
-/// one-line summary to stderr. Called on deadline expiries and fatal
-/// serving errors; cheap enough to call on any exceptional path.
-void EmitFlightDump(const std::string& reason, uint64_t trace_id = 0);
-
-/// The most recent EmitFlightDump rendering (empty before the first).
-/// Tests assert the dump names the slow span through this.
-std::string LastFlightDump();
 
 }  // namespace obs
 }  // namespace jinfer

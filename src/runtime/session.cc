@@ -41,8 +41,8 @@ struct SessionMetrics {
 /// micro-instance session runs hundreds of thousands of sub-microsecond
 /// interactions per second, and recording them all both costs a
 /// contended ring write per half (several percent of
-/// BM_ThroughputSessions) and wraps the slow spans a dump actually wants
-/// out of the ring within milliseconds. Anything long enough to explain
+/// BM_ThroughputSessions) and wraps the slow spans a reader wants out of
+/// the ring within milliseconds. Anything long enough to explain
 /// a stall clears 4 us easily; the histograms stay exact either way.
 constexpr uint64_t kInteractionRingFloorNanos = 4096;
 
@@ -63,12 +63,12 @@ struct LocalLatency {
 };
 
 LocalLatency& QuestionLatency() {
-  thread_local LocalLatency latency{SessionMetrics::Get().question_nanos};
+  thread_local LocalLatency latency{SessionMetrics::Get().question_nanos, {}};
   return latency;
 }
 
 LocalLatency& AnswerLatency() {
-  thread_local LocalLatency latency{SessionMetrics::Get().answer_nanos};
+  thread_local LocalLatency latency{SessionMetrics::Get().answer_nanos, {}};
   return latency;
 }
 
@@ -94,13 +94,7 @@ void RecordInteraction(obs::SpanKind kind, LocalLatency& latency,
     latency.shared.Merge(latency.local);
   }
   if (duration_nanos < kInteractionRingFloorNanos) return;
-  obs::SpanRecord record;
-  record.trace_id = trace_id;
-  record.start_nanos = watch.StartNanos();
-  record.duration_nanos = duration_nanos;
-  record.detail = detail;
-  record.kind = kind;
-  obs::FlightRecorder::Global().Record(record);
+  obs::RecordSpan(kind, trace_id, watch.StartNanos(), duration_nanos, detail);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ class Session {
   /// Trace id stamped on this session's observability spans (question
   /// compute, answer apply); 0 = untraced. The server sets the session's
   /// wire id here, so the id a client names is the one a flight-recorder
-  /// dump filters by.
+  /// snapshot filters by.
   void set_trace_id(uint64_t id) { trace_id_ = id; }
   uint64_t trace_id() const { return trace_id_; }
 

@@ -120,8 +120,7 @@ Connection::Clock::time_point Connection::NextDeadline() const {
   return earliest;
 }
 
-const char* Connection::ExpiredReason() const {
-  const auto now = Clock::now();
+const char* Connection::ExpiredReason(Clock::time_point now) const {
   for (const Deadline& d : Deadlines()) {
     if (now >= d.at) return d.reason;
   }

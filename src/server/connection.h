@@ -102,9 +102,10 @@ class Connection {
 
   /// The earliest enforcement point among the armed deadlines, or
   /// time_point::max() when nothing is armed. `ExpiredReason` names the
-  /// deadline that has passed (nullptr when none has).
+  /// deadline that has passed by `now` (nullptr when none has); the event
+  /// loop passes its round's one clock read.
   Clock::time_point NextDeadline() const;
-  const char* ExpiredReason() const;
+  const char* ExpiredReason(Clock::time_point now) const;
 
   /// Marks a dispatched frame, inline or queued: reading pauses until
   /// OnWorkDone. The session (null if none is open) leaves with the frame.

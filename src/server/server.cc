@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <utility>
@@ -212,52 +213,39 @@ void Server::RejectFrame(Completion& c, const util::Status& status) {
 void Server::EventLoop() {
   using Clock = Connection::Clock;
   Clock::time_point drain_at = Clock::time_point::max();
+  std::vector<pollfd> pfds;
 
   while (true) {
     if (stop_requested_.load(std::memory_order_acquire)) break;
+    // The round's one clock read: the drain deadline and every
+    // connection's deadlines are judged against it.
+    const Clock::time_point now = Clock::now();
     if (drain_requested_.load(std::memory_order_acquire) &&
         !draining_.load(std::memory_order_relaxed)) {
       // Drain step 1: refuse new connections, keep serving accepted ones.
       draining_.store(true, std::memory_order_release);
       listener_->Close();
-      drain_at = Clock::now() + options_.drain_deadline;
+      drain_at = now + options_.drain_deadline;
     }
     if (draining_.load(std::memory_order_relaxed)) {
       if (conns_.empty()) break;  // Drained cleanly.
-      if (Clock::now() >= drain_at) {
+      if (now >= drain_at) {
         // Drain step 3: patience is over — one goodbye frame, hard close.
-        std::vector<int> fds;
-        fds.reserve(conns_.size());
-        for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-        for (int fd : fds) {
-          auto it = conns_.find(fd);
-          if (it == conns_.end()) continue;
-          Connection& conn = *it->second;
-          conn.Enqueue(ErrorFrame(util::Status::DeadlineExceeded(
-                                      "server drain deadline reached"),
-                                  kErrorFlagWillClose));
-          (void)conn.OnWritable();  // Best effort; the close is unconditional.
-          CloseConn(fd);
+        const util::Status goodbye =
+            util::Status::DeadlineExceeded("server drain deadline reached");
+        for (auto it = conns_.begin(); it != conns_.end();) {
+          it = GoodbyeAndClose(it, goodbye);
         }
         break;
       }
     }
 
-    // Close connections whose flush finished (or never started) while
-    // close_after_flush is set — they have nothing left to wait for.
-    {
-      std::vector<int> done_fds;
-      for (const auto& [fd, conn] : conns_) {
-        if (conn->close_after_flush() && !conn->wants_write()) {
-          done_fds.push_back(fd);
-        }
-      }
-      for (int fd : done_fds) CloseConn(fd);
-    }
-
-    // Build the poll set: wake pipe, listener (when accepting), and every
-    // connection with read or write interest.
-    std::vector<pollfd> pfds;
+    // The poll set: wake pipe, listener (when accepting), then every
+    // connection with read or write interest, gathered in the round's one
+    // walk over conns_. The walk first closes a connection whose
+    // close-after-flush output has drained (it has nothing left to wait
+    // for) and one past a deadline.
+    pfds.clear();
     pfds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
     const bool accepting = !draining_.load(std::memory_order_relaxed) &&
                            listener_->open() &&
@@ -268,23 +256,32 @@ void Server::EventLoop() {
       pfds.push_back(pollfd{listener_->fd(), POLLIN, 0});
     }
     const size_t conn_base = pfds.size();
-    std::vector<int> conn_fds;
     Clock::time_point earliest = drain_at;
-    for (const auto& [fd, conn] : conns_) {
-      short events = 0;
-      if (conn->wants_read()) events |= POLLIN;
-      if (conn->wants_write()) events |= POLLOUT;
-      if (events != 0) {
-        pfds.push_back(pollfd{fd, events, 0});
-        conn_fds.push_back(fd);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Connection& conn = *it->second;
+      if (conn.close_after_flush() && !conn.wants_write()) {
+        it = CloseConn(it);
+        continue;
       }
-      earliest = std::min(earliest, conn->NextDeadline());
+      if (const char* reason = conn.ExpiredReason(now)) {
+        counters_.deadline_closes.Inc();
+        std::fprintf(stderr, "[jinfer-server] connection fd=%d closed: %s\n",
+                     it->first, reason);
+        it = GoodbyeAndClose(it, util::Status::DeadlineExceeded(reason));
+        continue;
+      }
+      short events = 0;
+      if (conn.wants_read()) events |= POLLIN;
+      if (conn.wants_write()) events |= POLLOUT;
+      if (events != 0) pfds.push_back(pollfd{it->first, events, 0});
+      earliest = std::min(earliest, conn.NextDeadline());
+      ++it;
     }
 
     int timeout_ms = 500;  // Idle heartbeat (flag checks are cheap).
     if (earliest != Clock::time_point::max()) {
-      const auto until = std::chrono::ceil<std::chrono::milliseconds>(
-          earliest - Clock::now());
+      const auto until =
+          std::chrono::ceil<std::chrono::milliseconds>(earliest - now);
       timeout_ms = static_cast<int>(
           std::clamp<int64_t>(until.count(), 0, 500));
     }
@@ -298,18 +295,10 @@ void Server::EventLoop() {
     }
 
     if (pfds[0].revents != 0) wake_.Drain();
-    // Gauge refresh on every loop round (the idle heartbeat bounds the
-    // staleness at ~500 ms): the event thread owns these figures, so the
-    // scrape path never has to take its locks.
-    {
-      counters_.sessions_open.Set(static_cast<int64_t>(SessionsOpen()));
-      size_t pending;
-      {
-        std::lock_guard<std::mutex> lock(work_mu_);
-        pending = work_.size();
-      }
-      counters_.pending_work.Set(static_cast<int64_t>(pending));
-    }
+    // Once per round (the idle heartbeat bounds the staleness at ~500 ms),
+    // from three counters and no lock. The connection and queue gauges are
+    // set where their levels change.
+    counters_.sessions_open.Set(static_cast<int64_t>(SessionsOpen()));
     ApplyCompletions();
     if (accepting && pfds[listener_slot].revents != 0) AcceptPending();
     for (size_t i = conn_base; i < pfds.size(); ++i) {
@@ -326,15 +315,11 @@ void Server::EventLoop() {
         if (it->second->wants_read()) HandleReadable(*it->second);
       }
     }
-    SweepDeadlines();
   }
 
   // Teardown: every remaining connection closes, and the sessions they
   // hold abort (their IndexCache pins drop with them).
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-  for (int fd : fds) CloseConn(fd);
+  for (auto it = conns_.begin(); it != conns_.end();) it = CloseConn(it);
   listener_->Close();
 }
 
@@ -461,6 +446,7 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
     if (work_.size() < options_.max_pending_work) {
       work.session = conn.BeginWork();
       work_.push_back(std::move(work));
+      counters_.pending_work.Set(static_cast<int64_t>(work_.size()));
       queued = true;
     }
   }
@@ -556,38 +542,26 @@ Connection* Server::Deliver(Completion c) {
   return it != conns_.end() ? it->second.get() : nullptr;
 }
 
-void Server::SweepDeadlines() {
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) fds.push_back(fd);
-  for (int fd : fds) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
-    Connection& conn = *it->second;
-    const char* reason = conn.ExpiredReason();
-    if (reason == nullptr) continue;
-    counters_.deadline_closes.Inc();
-    // Name the span that ate the budget, filtered to this tenant's trace
-    // when the connection holds a session (DESIGN.md §13.2).
-    obs::EmitFlightDump(
-        util::StrFormat("connection fd=%d closed: %s", fd, reason),
-        conn.trace_id());
-    // Best-effort goodbye; a deadline violator gets no flush patience.
-    conn.Enqueue(ErrorFrame(util::Status::DeadlineExceeded(reason),
-                            kErrorFlagWillClose));
-    (void)conn.OnWritable();
-    CloseConn(fd);
-  }
+Server::ConnMap::iterator Server::GoodbyeAndClose(ConnMap::iterator it,
+                                                  const util::Status& status) {
+  Connection& conn = *it->second;
+  conn.Enqueue(ErrorFrame(status, kErrorFlagWillClose));
+  (void)conn.OnWritable();  // Best effort; the close is unconditional.
+  return CloseConn(it);
 }
 
 void Server::CloseConn(int fd) {
   auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+  if (it != conns_.end()) CloseConn(it);
+}
+
+Server::ConnMap::iterator Server::CloseConn(ConnMap::iterator it) {
   // A session the connection holds dies with it (a session out with a
   // frame ends when its completion finds the connection gone).
   if (it->second->session() != nullptr) counters_.sessions_aborted.Inc();
-  conns_.erase(it);
+  it = conns_.erase(it);
   counters_.connections_open.Set(static_cast<int64_t>(conns_.size()));
+  return it;
 }
 
 // ---------------------------------------------------------------------------
@@ -603,23 +577,18 @@ void Server::WorkerLoop() {
       if (work_.empty()) return;  // workers_done_
       work = std::move(work_.front());
       work_.pop_front();
+      counters_.pending_work.Set(static_cast<int64_t>(work_.size()));
     }
     // Queue-wait span: enqueue on the event thread → claim here. Recorded
     // from the timestamps already taken, not a ScopedSpan, because the
     // waiting happened on no one's stack.
-    {
-      const uint64_t now = util::SystemClock()->NowNanos();
-      const uint64_t waited =
-          now > work.enqueue_nanos ? now - work.enqueue_nanos : 0;
-      ServerMetrics::Get().frame_queue_nanos.Record(waited);
-      obs::SpanRecord queued;
-      queued.trace_id = work.session != nullptr ? work.session->trace_id() : 0;
-      queued.start_nanos = work.enqueue_nanos;
-      queued.duration_nanos = waited;
-      queued.detail = static_cast<uint64_t>(work.frame.type);
-      queued.kind = obs::SpanKind::kFrameQueue;
-      obs::FlightRecorder::Global().Record(queued);
-    }
+    const uint64_t now = util::SystemClock()->NowNanos();
+    obs::RecordSpan(obs::SpanKind::kFrameQueue,
+                    work.session != nullptr ? work.session->trace_id() : 0,
+                    work.enqueue_nanos,
+                    now > work.enqueue_nanos ? now - work.enqueue_nanos : 0,
+                    static_cast<uint64_t>(work.frame.type),
+                    &ServerMetrics::Get().frame_queue_nanos);
     const bool open = work.frame.type == FrameType::kOpenSession;
     Completion done = HandleFrame(std::move(work));
     done.open = open;
@@ -746,8 +715,8 @@ void Server::StartSession(std::shared_ptr<const core::SignatureIndex> index,
   c.session = std::make_unique<runtime::Session>(
       std::move(index), std::move(strategy),
       runtime::SessionOptions{.record_trace = false});
-  // The wire id is also the trace id, so a flight dump can be filtered to
-  // this tenant.
+  // The wire id is also the trace id, so a ring snapshot can be filtered
+  // to this tenant.
   c.session->set_trace_id(ok.session_id);
   counters_.sessions_opened.Inc();
   ok.question = AskNext(c);

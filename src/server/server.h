@@ -165,6 +165,9 @@ class Server {
   StatsOkBody Stats();
 
  private:
+  /// The event thread's connection table, keyed by fd.
+  using ConnMap = std::unordered_map<int, std::unique_ptr<Connection>>;
+
   /// A dispatched request frame, bound to its connection by (fd,
   /// generation) — fds are reused by the kernel, generations never are.
   struct Work {
@@ -216,8 +219,16 @@ class Server {
   /// connection, or null once it is gone (it died meanwhile, or closed
   /// here).
   Connection* Deliver(Completion c);
-  void SweepDeadlines();
+  /// Closes the connection (its session, if it holds one, is aborted).
+  /// The iterator form returns the next connection, for a walk over
+  /// conns_ that closes as it goes.
   void CloseConn(int fd);
+  ConnMap::iterator CloseConn(ConnMap::iterator it);
+  /// Sends `status` as a best-effort WILL_CLOSE goodbye and closes at once,
+  /// flushed or not: no flush patience for a connection past its deadline
+  /// or the drain's. Returns the next connection.
+  ConnMap::iterator GoodbyeAndClose(ConnMap::iterator it,
+                                    const util::Status& status);
   void SendErrorAndClose(Connection& conn, const util::Status& status,
                          uint8_t extra_flags);
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
@@ -283,7 +294,7 @@ class Server {
   std::atomic<bool> draining_{false};
 
   // Event-thread-only connection table.
-  std::unordered_map<int, std::unique_ptr<Connection>> conns_;
+  ConnMap conns_;
   uint64_t next_generation_ = 1;
   size_t opens_in_flight_ = 0;  ///< Dispatched opens (hold admission slots).
 
@@ -299,8 +310,9 @@ class Server {
   std::mutex done_mu_;
   std::deque<Completion> done_;
 
-  /// Server-level counters (event thread + workers) and the gauges the
-  /// event thread refreshes — each cell the only store of its figure,
+  /// Server-level counters (event thread + workers) and gauges (connections
+  /// set at accept and close, sessions once per loop round, the queue at
+  /// each push and pop) — each cell the only store of its figure,
   /// attached to the process-wide series of the same name (DESIGN.md
   /// §13.1).
   struct Counters {

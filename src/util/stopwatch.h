@@ -1,7 +1,7 @@
-// Stopwatch: monotonic wall-clock timer used by the experiment harness —
-// plus the MonotonicClock seam the observability layer (src/obs/) times
-// through, so tests can substitute a FakeClock for the steady clock
-// anywhere a duration decision matters (failure backoff, span timing).
+// Stopwatch: a steady-clock timer for spans, the inference loop and the
+// experiment harness — plus the MonotonicClock seam that the IndexCache's
+// failure-backoff windows and the server's queue timestamps read, so
+// tests can substitute a FakeClock where a duration decision matters.
 
 #ifndef JINFER_UTIL_STOPWATCH_H_
 #define JINFER_UTIL_STOPWATCH_H_
@@ -29,8 +29,7 @@ class MonotonicClock {
 const MonotonicClock* SystemClock();
 
 /// A hand-cranked clock for tests: time advances only when told to, so
-/// backoff expiries and span durations become exact assertions instead of
-/// sleeps.
+/// backoff expiries become exact assertions instead of sleeps.
 class FakeClock final : public MonotonicClock {
  public:
   explicit FakeClock(uint64_t start_nanos = 0) : nanos_(start_nanos) {}
@@ -53,18 +52,12 @@ class FakeClock final : public MonotonicClock {
 
 class Stopwatch {
  public:
-  /// Times against the steady clock directly (no virtual dispatch — the
-  /// hot-path default every existing call site keeps).
-  Stopwatch() : clock_(nullptr), start_nanos_(SteadyNanos()) {}
-
-  /// Times against an injected clock (nullptr falls back to the steady
-  /// clock). The obs layer threads this through so fake-clock tests can
-  /// freeze or crank span timing.
-  explicit Stopwatch(const MonotonicClock* clock)
-      : clock_(clock), start_nanos_(Now()) {}
+  /// Starts timing on the steady clock (read directly: spans are the
+  /// hottest timing call sites in the process).
+  Stopwatch() : start_nanos_(SteadyNanos()) {}
 
   /// Restarts the timer.
-  void Reset() { start_nanos_ = Now(); }
+  void Reset() { start_nanos_ = SteadyNanos(); }
 
   /// Elapsed time since construction or the last Reset, in seconds.
   double ElapsedSeconds() const {
@@ -72,19 +65,16 @@ class Stopwatch {
   }
 
   /// Elapsed time in whole nanoseconds.
-  uint64_t ElapsedNanos() const {
-    const uint64_t now = Now();
-    return now > start_nanos_ ? now - start_nanos_ : 0;
-  }
+  uint64_t ElapsedNanos() const { return SteadyNanos() - start_nanos_; }
 
   /// Elapsed time in microseconds.
   int64_t ElapsedMicros() const {
     return static_cast<int64_t>(ElapsedNanos() / 1000);
   }
 
-  /// The start instant, in the clock's own nanosecond epoch — what a span
-  /// record stores so a timeline can be reconstructed without a second
-  /// clock read.
+  /// The start instant, in the steady clock's nanosecond epoch — what a
+  /// span record stores so a timeline can be reconstructed without a
+  /// second clock read.
   uint64_t StartNanos() const { return start_nanos_; }
 
  private:
@@ -95,11 +85,6 @@ class Stopwatch {
             .count());
   }
 
-  uint64_t Now() const {
-    return clock_ != nullptr ? clock_->NowNanos() : SteadyNanos();
-  }
-
-  const MonotonicClock* clock_;
   uint64_t start_nanos_;
 };
 

@@ -1,7 +1,6 @@
-// The clock seam (util/stopwatch.h): FakeClock makes every duration
-// decision in the runtime an exact assertion instead of a sleep — span
-// timing through Stopwatch and the cache's failure-backoff window both
-// crank the same injected clock here.
+// The clock seam (util/stopwatch.h): FakeClock makes a duration decision
+// in the runtime an exact assertion instead of a sleep — the cache's
+// failure-backoff window cranks the injected clock here.
 
 #include "util/stopwatch.h"
 
@@ -41,28 +40,6 @@ TEST_F(ClockTest, FakeClockAdvancesOnlyWhenTold) {
   EXPECT_EQ(clock.NowNanos(), 1500u);
   clock.Advance(milliseconds(2));
   EXPECT_EQ(clock.NowNanos(), 1500u + 2000000u);
-}
-
-TEST_F(ClockTest, StopwatchOnFakeClockIsExact) {
-  util::FakeClock clock(42);
-  util::Stopwatch watch(&clock);
-  EXPECT_EQ(watch.StartNanos(), 42u);
-  EXPECT_EQ(watch.ElapsedNanos(), 0u);
-  clock.AdvanceNanos(1234567);
-  EXPECT_EQ(watch.ElapsedNanos(), 1234567u);
-  EXPECT_DOUBLE_EQ(watch.ElapsedSeconds(), 1234567e-9);
-  EXPECT_EQ(watch.ElapsedMicros(), 1234);
-  watch.Reset();
-  EXPECT_EQ(watch.StartNanos(), 42u + 1234567u);
-  EXPECT_EQ(watch.ElapsedNanos(), 0u);
-}
-
-TEST_F(ClockTest, StopwatchClampsABackwardClockToZero) {
-  // MonotonicClock promises non-decreasing, but Stopwatch still refuses to
-  // return a negative-wrapped duration if an implementation misbehaves.
-  util::FakeClock clock(100);
-  util::Stopwatch watch(&clock);
-  EXPECT_EQ(watch.ElapsedNanos(), 0u);
 }
 
 TEST_F(ClockTest, CacheBackoffWindowExpiresOnTheInjectedClock) {

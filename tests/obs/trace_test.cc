@@ -1,13 +1,12 @@
 // Flight recorder (DESIGN.md §13.2): ring wraparound keeps the newest
 // spans and counts the overwritten ones, snapshots never return torn
-// records under concurrent writers, and EmitFlightDump names the slowest
-// span — the line the deadline/error paths exist to produce.
+// records under concurrent writers, and a ScopedSpan lands in both its
+// histogram and the ring.
 
 #include "obs/trace.h"
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,34 +113,6 @@ TEST(TraceTest, ConcurrentRecordersNeverYieldTornRecords) {
     EXPECT_EQ(r.trace_id, r.duration_nanos);
     EXPECT_EQ(r.trace_id, r.detail);
   }
-}
-
-TEST(TraceTest, RenderFlightDumpNamesTheSlowestSpan) {
-  std::vector<SpanRecord> spans = {
-      MakeSpan(3, 1000, SpanKind::kCacheProbe),
-      MakeSpan(3, 5000000, SpanKind::kMinimaxSearch, /*detail=*/777),
-      MakeSpan(3, 2000, SpanKind::kAnswerApply),
-  };
-  const std::string dump = RenderFlightDump("test reason", spans);
-  EXPECT_NE(dump.find("flight recorder dump: test reason (3 spans)"),
-            std::string::npos);
-  EXPECT_NE(dump.find("slowest span: minimax_search trace=3"),
-            std::string::npos);
-  EXPECT_NE(dump.find("detail=777"), std::string::npos);
-}
-
-TEST(TraceTest, EmitFlightDumpStoresTheRenderingFilteredByTraceId) {
-  // A unique trace id keeps this test independent of whatever other spans
-  // the suite has already dropped into the global recorder.
-  const uint64_t trace = 0xDEADBEEF;
-  FlightRecorder::Global().Record(
-      MakeSpan(trace, 123456789, SpanKind::kIndexBuild));
-  FlightRecorder::Global().Record(
-      MakeSpan(trace, 10, SpanKind::kCacheProbe));
-  EmitFlightDump("unit-test dump", trace);
-  const std::string dump = LastFlightDump();
-  EXPECT_NE(dump.find("unit-test dump (2 spans)"), std::string::npos);
-  EXPECT_NE(dump.find("slowest span: index_build"), std::string::npos);
 }
 
 TEST(TraceTest, SpanKindNamesAreStable) {

@@ -761,6 +761,47 @@ TEST(ServerTest, FullWorkQueueShedsWithoutClosing) {
   }
 }
 
+/// The process-wide level of jinfer_server_pending_work: every live
+/// server's cell.
+int64_t PendingWorkGauge() {
+  for (const obs::MetricSnapshot& m : obs::Registry::Global().Snapshot()) {
+    if (m.name == obs::kServerPendingWork) return m.gauge;
+  }
+  return -1;
+}
+
+TEST(ServerTest, PendingWorkGaugeFollowsTheQueue) {
+  // One worker sleeps in the first open's build while the open of another
+  // upload waits in the queue: the gauge reads 1. The build outlasts the
+  // event loop's 500 ms heartbeat, so a gauge refreshed once per loop
+  // round sees the queued frame too. Once both opens are answered the
+  // queue is empty and the gauge reads 0.
+  SlowBuilds slow(1500);
+  ServerOptions options;
+  options.workers = 1;
+  auto server = StartServer(options);
+
+  Client first = ConnectTo(*server);
+  Client second = ConnectTo(*server);
+  std::optional<util::Result<OpenOkBody>> first_open;
+  std::optional<util::Result<OpenOkBody>> second_open;
+  std::thread first_opener([&] {
+    first_open.emplace(first.OpenSession(OpenBodyFor(Example21(), "BU", 0)));
+  });
+  ASSERT_TRUE(WaitFor([&] { return server->Stats().frames_read == 1; }));
+  std::thread second_opener([&] {
+    second_open.emplace(
+        second.OpenSession(OpenBodyFor(AltExample(), "BU", 0)));
+  });
+  EXPECT_TRUE(WaitFor([] { return PendingWorkGauge() == 1; }));
+  first_opener.join();
+  second_opener.join();
+
+  ASSERT_TRUE(first_open->ok()) << first_open->status().ToString();
+  ASSERT_TRUE(second_open->ok()) << second_open->status().ToString();
+  EXPECT_TRUE(WaitFor([] { return PendingWorkGauge() == 0; }));
+}
+
 // --- Pipelined frames -------------------------------------------------------
 
 TEST(ServerTest, PipelinedRequestsAreServedInOrder) {
