@@ -1,11 +1,19 @@
 #include "relational/column_table.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 namespace jinfer {
 namespace rel {
+
+namespace {
+
+/// The last stamp drawn, process-wide; stamps are never reused.
+std::atomic<uint64_t> g_last_stamp{0};
+
+}  // namespace
 
 uint32_t ColumnDictionary::EncodeDouble(double v) {
   int64_t bits;
@@ -122,6 +130,19 @@ uint32_t ColumnDictionary::AppendEntry(ValueType type, int64_t num,
   }
   hashes_.push_back(hash);
   return code;
+}
+
+uint64_t ColumnTable::Stamp::Get() const {
+  uint64_t stamp = value_.load(std::memory_order_relaxed);
+  if (stamp != 0) return stamp;
+  const uint64_t drawn =
+      g_last_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Racing first readers: one draw wins, the others read it back.
+  if (value_.compare_exchange_strong(stamp, drawn,
+                                     std::memory_order_relaxed)) {
+    return drawn;
+  }
+  return stamp;
 }
 
 void ColumnTable::AppendNull() {

@@ -22,6 +22,13 @@
 // reader and the workload generators write straight into this interface —
 // no intermediate Row vector, no per-cell Value temporaries.
 //
+// Content stamp: content_stamp() names the table's current contents with a
+// process-unique non-zero number, drawn lazily from one global counter on
+// the first read. FinishRow, the one place a row becomes visible, clears
+// it, and a copy, move or assignment starts unstamped (a move clears its
+// source too), so two contents never share a stamp. IndexCache keys its
+// memo of fingerprints by it (DESIGN.md §7, §9).
+//
 // Dictionary interning details: ints by value, strings by bytes, doubles by
 // bit pattern — which keeps +0.0 and -0.0 distinct, as the row-major
 // reference's bit-pattern hashing already did in practice. NaN doubles are
@@ -33,6 +40,7 @@
 #ifndef JINFER_RELATIONAL_COLUMN_TABLE_H_
 #define JINFER_RELATIONAL_COLUMN_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -143,9 +151,15 @@ class ColumnTable {
                  "FinishRow after %zu of %zu cells", cursor_, columns_.size());
     cursor_ = 0;
     ++num_rows_;
+    stamp_.Clear();
   }
   /// Column the next Append* lands in (error reporting in parsers).
   size_t cursor() const { return cursor_; }
+
+  /// Process-unique, non-zero name of the finished rows' contents (see the
+  /// header comment). Stable until the next FinishRow; concurrent const
+  /// readers of an unstamped table all get the same value.
+  uint64_t content_stamp() const { return stamp_.Get(); }
 
   // --- Reads ------------------------------------------------------------
 
@@ -200,9 +214,33 @@ class ColumnTable {
     ++cursor_;
   }
 
+  /// The content stamp: copying, moving or assigning it yields an
+  /// unstamped cell, and a move clears its source as well.
+  class Stamp {
+   public:
+    Stamp() = default;
+    Stamp(const Stamp&) noexcept {}
+    Stamp(Stamp&& source) noexcept { source.Clear(); }
+    Stamp& operator=(const Stamp&) noexcept {
+      Clear();
+      return *this;
+    }
+    Stamp& operator=(Stamp&& source) noexcept {
+      Clear();
+      source.Clear();
+      return *this;
+    }
+    uint64_t Get() const;
+    void Clear() { value_.store(0, std::memory_order_relaxed); }
+
+   private:
+    mutable std::atomic<uint64_t> value_{0};  ///< 0 = unstamped.
+  };
+
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
   size_t cursor_ = 0;
+  Stamp stamp_;
 };
 
 }  // namespace rel

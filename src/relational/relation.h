@@ -47,6 +47,9 @@ class Relation {
   /// The columnar storage: per-column code vectors, dictionaries and null
   /// bitmaps. The read surface for every scan-heavy consumer.
   const ColumnTable& columns() const { return table_; }
+  /// The table's content stamp (ColumnTable::content_stamp): it names the
+  /// schema too, which is only ever replaced along with the table.
+  uint64_t content_stamp() const { return table_.content_stamp(); }
   /// Streaming-ingest access (CSV reader, workload generators). Producers
   /// must keep the table aligned with the schema arity; the cursor-based
   /// Append*/FinishRow protocol fails loudly if they don't.

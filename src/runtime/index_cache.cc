@@ -30,6 +30,21 @@ struct CacheMetrics {
   }
 };
 
+/// Makes `name` the entry's one name in `table`, where `held` is the name
+/// it held and `entry_key` its key. A name names the entry that took it
+/// last. Were two upload digests to collide, the entry that held the alias
+/// before would still erase it on leaving: a name can be lost, never left
+/// naming no entry. A stamp pair cannot collide, since a stamp names one
+/// content and the fingerprint is a function of the content.
+template <typename Name, typename Table>
+void AttachName(Table& table, std::optional<Name>& held, const Name& name,
+                const InstanceFingerprint& entry_key) {
+  if (held == name) return;
+  if (held.has_value()) table.erase(*held);
+  table[name] = entry_key;
+  held = name;
+}
+
 }  // namespace
 
 const char* IndexTierName(IndexTier tier) {
@@ -53,15 +68,23 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   CacheMetrics& metrics = CacheMetrics::Get();
   obs::ScopedSpan probe_span(obs::SpanKind::kCacheProbe, /*trace_id=*/0,
                              &metrics.probe_nanos);
-  const InstanceFingerprint key =
-      FingerprintInstance(r, p, options_.build.compress);
+  const StampPair stamps{r.content_stamp(), p.content_stamp()};
 
   // Engaged only on a miss: the promise's shared state is a heap
   // allocation the hit path (the per-session steady state) never needs.
   std::optional<std::promise<BuildOutcome>> promise;
   uint64_t my_id;
+  InstanceFingerprint key;
   {
     std::unique_lock<std::mutex> lock(mu_);
+    if (auto stamped = stamps_.find(stamps); stamped != stamps_.end()) {
+      key = stamped->second;
+    } else {
+      // Unseen contents: fingerprint them without holding mu_.
+      lock.unlock();
+      key = FingerprintInstance(r, p, options_.build.compress);
+      lock.lock();
+    }
     counters_.lookups.Inc();
     // Every lookup feeds the admission sketch, hits included: residency
     // decisions compare true access frequencies, not miss frequencies.
@@ -69,7 +92,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       counters_.hits.Inc();
-      if (alias.has_value()) AttachAliasLocked(it, *alias);
+      AttachNamesLocked(it, stamps, alias);
       std::shared_future<BuildOutcome> future = it->second.future;
       lock.unlock();
       // Blocks iff the resolution is still in flight.
@@ -92,9 +115,9 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     promise.emplace();
     it = entries_
              .emplace(key, Entry{promise->get_future().share(), my_id, false,
-                                 std::nullopt})
+                                 std::nullopt, std::nullopt})
              .first;
-    if (alias.has_value()) AttachAliasLocked(it, *alias);
+    AttachNamesLocked(it, stamps, alias);
   }
 
   // Single-flight winner: resolve outside the lock so concurrent requests
@@ -254,25 +277,29 @@ std::shared_ptr<const core::SignatureIndex> IndexCache::FindResident(
   return nullptr;
 }
 
-void IndexCache::AttachAliasLocked(EntryMap::iterator it,
-                                   const InstanceFingerprint& alias) {
-  if (it->second.alias == alias) return;
-  if (it->second.alias.has_value()) aliases_.erase(*it->second.alias);
-  // The alias names the entry that took it last. Were two instances'
-  // digests to collide, the entry that held it before would still erase
-  // it on leaving: an alias can be lost, never left naming no entry.
-  aliases_[alias] = it->first;
-  it->second.alias = alias;
+void IndexCache::AttachNamesLocked(
+    EntryMap::iterator it, const StampPair& stamps,
+    const std::optional<InstanceFingerprint>& alias) {
+  AttachName(stamps_, it->second.stamps, stamps, it->first);
+  if (alias.has_value()) {
+    AttachName(aliases_, it->second.alias, *alias, it->first);
+  }
 }
 
 void IndexCache::EraseLocked(EntryMap::iterator it) {
   if (it->second.alias.has_value()) aliases_.erase(*it->second.alias);
+  if (it->second.stamps.has_value()) stamps_.erase(*it->second.stamps);
   entries_.erase(it);
 }
 
 size_t IndexCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
+}
+
+size_t IndexCache::stamp_pairs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stamps_.size();
 }
 
 IndexCacheStats IndexCache::stats() const {
@@ -295,6 +322,7 @@ void IndexCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   aliases_.clear();
+  stamps_.clear();
 }
 
 }  // namespace runtime

@@ -38,6 +38,16 @@
 // refused admission, failed or cleared — so the alias table is bounded
 // by `capacity` and never names an index the cache no longer holds.
 //
+// Stamps: the fingerprint walks every cell of both relations. An
+// in-process caller usually hands in the same objects on every lookup, so
+// the cache also remembers the pair of their content stamps
+// (rel::Relation::content_stamp) next to the fingerprint it computed for
+// them, and a later lookup with that pair skips the fingerprint. A stamp
+// names contents, never an object: appending a row clears it, and a copy
+// gets its own, so a remembered pair never serves a stale fingerprint.
+// Like an alias, each entry holds at most one pair (a later one replaces
+// it) and the pair leaves with the entry.
+//
 // Failure domains (DESIGN.md §10): a store load that fails *transiently*
 // (kUnavailable — fd pressure, an injected store.load.mmap fault) degrades
 // to a fresh build instead of failing the lookup (counted in
@@ -198,6 +208,8 @@ class IndexCache {
 
   /// Number of resident entries (completed or in-flight resolutions).
   size_t size() const;
+  /// Number of remembered stamp pairs: at most size(), one per entry.
+  size_t stamp_pairs() const;
 
   /// A read of the cache's own counter cells: exact once lookups quiesce.
   IndexCacheStats stats() const;
@@ -217,6 +229,18 @@ class IndexCache {
     }
   };
 
+  /// The content stamps of (r, p) as one lookup handed them in.
+  struct StampPair {
+    uint64_t r = 0;
+    uint64_t p = 0;
+    friend bool operator==(const StampPair&, const StampPair&) = default;
+  };
+  struct StampPairHash {
+    size_t operator()(const StampPair& s) const {
+      return static_cast<size_t>(util::Mix64(s.r) ^ s.p);
+    }
+  };
+
   /// The future lets losers of the insert race wait without holding mu_
   /// while the winner resolves; the id lets the winner touch exactly its
   /// own entry afterwards (never a successor inserted after a Clear).
@@ -227,6 +251,7 @@ class IndexCache {
     uint64_t id = 0;
     bool ready = false;
     std::optional<InstanceFingerprint> alias;  ///< Its aliases_ key.
+    std::optional<StampPair> stamps;           ///< Its stamps_ key.
   };
   using EntryMap =
       std::unordered_map<InstanceFingerprint, Entry, FingerprintHash>;
@@ -254,11 +279,11 @@ class IndexCache {
   /// hotter, otherwise drop the newcomer. Caller holds mu_.
   void EnforceCapacityLocked(const InstanceFingerprint& key, uint64_t id);
 
-  /// Points `alias` at entry `it`, replacing the entry's previous alias.
-  /// Caller holds mu_.
-  void AttachAliasLocked(EntryMap::iterator it,
-                         const InstanceFingerprint& alias);
-  /// Erases entry `it` and its alias. Caller holds mu_.
+  /// Attaches a lookup's stamp pair and, when given, its alias to entry
+  /// `it`, each replacing the one the entry held. Caller holds mu_.
+  void AttachNamesLocked(EntryMap::iterator it, const StampPair& stamps,
+                         const std::optional<InstanceFingerprint>& alias);
+  /// Erases entry `it`, its alias and its stamp pair. Caller holds mu_.
   void EraseLocked(EntryMap::iterator it);
 
   IndexCacheOptions options_;
@@ -268,6 +293,8 @@ class IndexCache {
   std::unordered_map<InstanceFingerprint, InstanceFingerprint,
                      FingerprintHash>
       aliases_;
+  /// Stamp pair → the fingerprint of the entry holding it.
+  std::unordered_map<StampPair, InstanceFingerprint, StampPairHash> stamps_;
   std::unordered_map<InstanceFingerprint, FailureState, FingerprintHash>
       failures_;
   util::FrequencySketch sketch_;

@@ -242,9 +242,8 @@ void Server::EventLoop() {
 
     // The poll set: wake pipe, listener (when accepting), then every
     // connection with read or write interest, gathered in the round's one
-    // walk over conns_. The walk first closes a connection whose
-    // close-after-flush output has drained (it has nothing left to wait
-    // for) and one past a deadline.
+    // walk over conns_. The walk first closes a connection past a
+    // deadline.
     pfds.clear();
     pfds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
     const bool accepting = !draining_.load(std::memory_order_relaxed) &&
@@ -259,10 +258,6 @@ void Server::EventLoop() {
     Clock::time_point earliest = drain_at;
     for (auto it = conns_.begin(); it != conns_.end();) {
       Connection& conn = *it->second;
-      if (conn.close_after_flush() && !conn.wants_write()) {
-        it = CloseConn(it);
-        continue;
-      }
       if (const char* reason = conn.ExpiredReason(now)) {
         counters_.deadline_closes.Inc();
         std::fprintf(stderr, "[jinfer-server] connection fd=%d closed: %s\n",
@@ -502,11 +497,13 @@ void Server::HandleWritable(Connection& conn) {
 }
 
 void Server::ApplyCompletions() {
+  std::unique_lock<std::mutex> lock(done_mu_);
+  // Most rounds deliver nothing. Return before the batch exists: even an
+  // empty deque allocates.
+  if (done_.empty()) return;
   std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    batch.swap(done_);
-  }
+  batch.swap(done_);
+  lock.unlock();
   for (auto& c : batch) {
     Connection* conn = Deliver(std::move(c));
     // A frame pipelined behind this one is already buffered, where poll

@@ -2,10 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -657,6 +659,174 @@ TEST(IndexCacheTest, ClearDropsEntriesButHandoutsSurvive) {
                                   testing::Example21P());
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(cache.stats().builds, 2u);
+}
+
+// --- Stamps: a lookup with the same objects skips the fingerprint ------
+
+/// What a fresh build gives (r, p): the only index a lookup may serve.
+void ExpectFreshBuild(const core::SignatureIndex& got, const rel::Relation& r,
+                      const rel::Relation& p) {
+  auto fresh = core::SignatureIndex::Build(r, p);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(got.num_classes(), fresh->num_classes());
+  EXPECT_EQ(got.num_r_rows(), fresh->num_r_rows());
+  EXPECT_EQ(got.num_p_rows(), fresh->num_p_rows());
+  EXPECT_TRUE(std::ranges::equal(got.r_codes(), fresh->r_codes()));
+  EXPECT_TRUE(std::ranges::equal(got.p_codes(), fresh->p_codes()));
+  for (uint32_t c = 0; c < got.num_classes(); ++c) {
+    EXPECT_EQ(got.cls(c).signature, fresh->cls(c).signature) << "class " << c;
+    EXPECT_EQ(got.cls(c).count, fresh->cls(c).count) << "class " << c;
+    EXPECT_EQ(got.cls(c).rep_r, fresh->cls(c).rep_r) << "class " << c;
+    EXPECT_EQ(got.cls(c).rep_p, fresh->cls(c).rep_p) << "class " << c;
+    EXPECT_EQ(got.cls(c).maximal, fresh->cls(c).maximal) << "class " << c;
+  }
+}
+
+TEST(IndexCacheTest, AnAppendedRowIsNeverServedTheOldIndex) {
+  IndexCache cache;
+  rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  auto old_index = cache.GetOrBuild(r, p);
+  ASSERT_TRUE(old_index.ok());
+
+  // Through the row facade, then through a bare FinishRow.
+  ASSERT_TRUE(r.AppendRow({3, 1}).ok());
+  auto appended = cache.GetOrBuildTiered(r, p);
+  ASSERT_TRUE(appended.ok());
+  EXPECT_EQ(appended->tier, IndexTier::kBuilt);
+  EXPECT_NE(appended->index, *old_index);
+  ExpectFreshBuild(*appended->index, r, p);
+
+  rel::ColumnTable& table = r.mutable_columns();
+  table.AppendInt(2);
+  table.AppendInt(0);
+  table.FinishRow();
+  auto finished = cache.GetOrBuildTiered(r, p);
+  ASSERT_TRUE(finished.ok());
+  EXPECT_EQ(finished->tier, IndexTier::kBuilt);
+  ExpectFreshBuild(*finished->index, r, p);
+  EXPECT_EQ(cache.stats().builds, 3u);
+}
+
+TEST(IndexCacheTest, ARelationAtADeadOnesAddressIsNotServedItsIndex) {
+  // Same address, same row count, other cells: what an address-keyed memo
+  // would serve stale.
+  IndexCache cache;
+  const rel::Relation p = testing::Example21P();
+  std::optional<rel::Relation> r(testing::Example21R());
+  const rel::Relation* address = &*r;
+  ASSERT_TRUE(cache.GetOrBuild(*r, p).ok());
+  r.reset();
+  r.emplace(AltR());
+  ASSERT_EQ(&*r, address);
+  auto got = cache.GetOrBuildTiered(*r, p);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->tier, IndexTier::kBuilt);
+  ExpectFreshBuild(*got->index, *r, p);
+}
+
+TEST(IndexCacheTest, ACopyReachesTheSameEntryWithNoBuild) {
+  IndexCache cache;
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  auto first = cache.GetOrBuild(r, p);
+  ASSERT_TRUE(first.ok());
+  const rel::Relation copy = r;
+  ASSERT_NE(copy.content_stamp(), r.content_stamp());
+  auto by_copy = cache.GetOrBuildTiered(copy, p);
+  ASSERT_TRUE(by_copy.ok());
+  EXPECT_EQ(by_copy->tier, IndexTier::kMemory);
+  EXPECT_EQ(by_copy->index, *first);
+  // The copy's pair replaced the original's, which still reaches the entry.
+  EXPECT_EQ(cache.stamp_pairs(), 1u);
+  auto by_original = cache.GetOrBuildTiered(r, p);
+  ASSERT_TRUE(by_original.ok());
+  EXPECT_EQ(by_original->index, *first);
+  EXPECT_EQ(cache.stats().builds, 1u);
+}
+
+TEST(IndexCacheTest, AStampHitCountsAndIsTimedAsAFingerprintHit) {
+  IndexCache cache;
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+  const rel::Relation copy = r;
+  // The copy's first lookup is a fingerprint hit; its second, a stamp hit.
+  for (int i = 0; i < 2; ++i) {
+    const IndexCacheStats before = cache.stats();
+    const uint64_t probes_before = ProbesRecorded();
+    auto got = cache.GetOrBuildTiered(copy, p);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->tier, IndexTier::kMemory);
+    const IndexCacheStats after = cache.stats();
+    EXPECT_EQ(after.lookups, before.lookups + 1) << "lookup " << i;
+    EXPECT_EQ(after.hits, before.hits + 1) << "lookup " << i;
+    EXPECT_EQ(after.builds, before.builds) << "lookup " << i;
+    EXPECT_EQ(ProbesRecorded(), probes_before + 1) << "lookup " << i;
+  }
+}
+
+TEST(IndexCacheTest, StampHitsFeedTheAdmissionSketch) {
+  // AliasHitsFeedTheAdmissionSketch, with stamp hits: two of them keep the
+  // resident hotter than a newcomer looked up twice.
+  IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+  ASSERT_TRUE(cache.GetOrBuild(AltR(), p).ok());
+  ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+  ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+  ASSERT_TRUE(cache.GetOrBuild(AltR(), p).ok());
+  EXPECT_EQ(cache.stats().rejected_admissions, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().builds, 3u);
+}
+
+TEST(IndexCacheTest, StampPairLeavesWithItsEntry) {
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  const rel::Relation alt = AltR();
+  // Evicted: with one slot, a newcomer looked up twice displaces the
+  // resident; only the newcomer's pair is left.
+  {
+    IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+    ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+    ASSERT_TRUE(cache.GetOrBuild(alt, p).ok());
+    ASSERT_TRUE(cache.GetOrBuild(alt, p).ok());
+    ASSERT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stamp_pairs(), 1u);
+    auto again = cache.GetOrBuildTiered(r, p);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->tier, IndexTier::kBuilt);
+  }
+  // Refused admission: the newcomer is returned but not kept, nor its pair.
+  {
+    IndexCache cache(IndexCacheOptions{{}, /*capacity=*/1, nullptr});
+    ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+    ASSERT_TRUE(cache.GetOrBuild(alt, p).ok());
+    ASSERT_EQ(cache.stats().rejected_admissions, 1u);
+    EXPECT_EQ(cache.stamp_pairs(), 1u);
+  }
+  // Failed: the error is not cached, and neither is the pair.
+  {
+    IndexCache cache;
+    auto empty = rel::Relation::Make("E", {"A"}, {});
+    ASSERT_TRUE(empty.ok());
+    EXPECT_FALSE(cache.GetOrBuild(*empty, p).ok());
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stamp_pairs(), 0u);
+  }
+  // Cleared; the next resolution records it afresh.
+  {
+    IndexCache cache;
+    ASSERT_TRUE(cache.GetOrBuild(r, p).ok());
+    cache.Clear();
+    EXPECT_EQ(cache.stamp_pairs(), 0u);
+    auto again = cache.GetOrBuildTiered(r, p);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->tier, IndexTier::kBuilt);
+    EXPECT_EQ(cache.stamp_pairs(), 1u);
+  }
 }
 
 }  // namespace
