@@ -88,15 +88,16 @@ runtime::SessionJob MakeJob(runtime::IndexCache& cache, size_t s) {
   return job;
 }
 
-// Sessions/sec (items_per_second) over the worker count (Arg). The cache
-// persists across iterations: the first iteration pays kInstances builds,
-// every later lookup hits, so cache_hit_rate converges towards 1 from
-// 1 - kInstances/kSessions ≈ 0.992.
-void BM_ThroughputSessions(benchmark::State& state) {
+// Sessions/sec (items_per_second) over the worker count (Arg), with
+// workers advancing a claimed session by `steps_per_slice` interactions.
+// The cache persists across iterations: the first iteration pays
+// kInstances builds, every later lookup hits, so cache_hit_rate converges
+// towards 1 from 1 - kInstances/kSessions ≈ 0.992.
+void RunSessionBatches(benchmark::State& state, size_t steps_per_slice) {
   runtime::IndexCache cache;
   runtime::SessionManager::Options options;
   options.threads = static_cast<int>(state.range(0));
-  options.steps_per_slice = 8;
+  options.steps_per_slice = steps_per_slice;
   runtime::SessionManager manager(options);
 
   for (auto _ : state) {
@@ -118,11 +119,27 @@ void BM_ThroughputSessions(benchmark::State& state) {
   state.counters["cache_hit_rate"] = stats.HitRate();
   state.counters["index_builds"] = static_cast<double>(stats.builds);
 }
+
+void BM_ThroughputSessions(benchmark::State& state) {
+  RunSessionBatches(state, /*steps_per_slice=*/8);
+}
 BENCHMARK(BM_ThroughputSessions)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime();
+
+// The contended case: one interaction per slice, so a session passes
+// through the run queues once per interaction, plus once to finish. This
+// is the schedule perfbench's inproc_light runs.
+void BM_ThroughputSessionsOneStep(benchmark::State& state) {
+  RunSessionBatches(state, /*steps_per_slice=*/1);
+}
+BENCHMARK(BM_ThroughputSessionsOneStep)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime();
 
 // --- Persistent-store benches (ISSUE 4) --------------------------------

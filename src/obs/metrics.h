@@ -188,7 +188,7 @@ class Histogram {
 /// paying the atomic cost once per touched bucket instead of twice per
 /// sample. Sessions use this for their per-interaction latencies: the
 /// Session object is externally serialized (batch workers hand it off
-/// through the manager's ready queue, and a server session travels with
+/// through the manager's run queues, and a server session travels with
 /// its connection's frame to whichever thread runs it), so plain fields
 /// are as safe as its existing accounting. Samples are invisible
 /// to Snapshot() until merged — owners flush every few dozen samples and

@@ -68,7 +68,13 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   CacheMetrics& metrics = CacheMetrics::Get();
   obs::ScopedSpan probe_span(obs::SpanKind::kCacheProbe, /*trace_id=*/0,
                              &metrics.probe_nanos);
-  const StampPair stamps{r.content_stamp(), p.content_stamp()};
+  // An aliased lookup hands in its caller's fresh parse, which dies with
+  // the open: its pair could never hit, so it is neither read (a first
+  // read draws two stamps) nor looked up nor recorded.
+  std::optional<StampPair> stamps;
+  if (!alias.has_value()) {
+    stamps = StampPair{r.content_stamp(), p.content_stamp()};
+  }
 
   // Engaged only on a miss: the promise's shared state is a heap
   // allocation the hit path (the per-session steady state) never needs.
@@ -77,7 +83,8 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   InstanceFingerprint key;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (auto stamped = stamps_.find(stamps); stamped != stamps_.end()) {
+    auto stamped = stamps.has_value() ? stamps_.find(*stamps) : stamps_.end();
+    if (stamped != stamps_.end()) {
       key = stamped->second;
     } else {
       // Unseen contents: fingerprint them without holding mu_.
@@ -278,9 +285,11 @@ std::shared_ptr<const core::SignatureIndex> IndexCache::FindResident(
 }
 
 void IndexCache::AttachNamesLocked(
-    EntryMap::iterator it, const StampPair& stamps,
+    EntryMap::iterator it, const std::optional<StampPair>& stamps,
     const std::optional<InstanceFingerprint>& alias) {
-  AttachName(stamps_, it->second.stamps, stamps, it->first);
+  if (stamps.has_value()) {
+    AttachName(stamps_, it->second.stamps, *stamps, it->first);
+  }
   if (alias.has_value()) {
     AttachName(aliases_, it->second.alias, *alias, it->first);
   }

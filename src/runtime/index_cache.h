@@ -46,7 +46,9 @@
 // names contents, never an object: appending a row clears it, and a copy
 // gets its own, so a remembered pair never serves a stale fingerprint.
 // Like an alias, each entry holds at most one pair (a later one replaces
-// it) and the pair leaves with the entry.
+// it) and the pair leaves with the entry. A lookup that names an alias
+// has no pair: its relations are the caller's fresh parse, never handed
+// in again.
 //
 // Failure domains (DESIGN.md §10): a store load that fails *transiently*
 // (kUnavailable — fd pressure, an injected store.load.mmap fault) degrades
@@ -192,7 +194,8 @@ class IndexCache {
   /// GetOrBuild plus the tier that satisfied the lookup (what the CLI
   /// prints and the benches count). A given `alias` is attached to the
   /// entry (see the header comment); it leaves with the entry, so it is
-  /// gone again if this resolution fails or is refused residency.
+  /// gone again if this resolution fails or is refused residency. An
+  /// aliased lookup neither reads nor records the relations' stamps.
   util::Result<TieredIndex> GetOrBuildTiered(
       const rel::Relation& r, const rel::Relation& p,
       const std::optional<InstanceFingerprint>& alias = std::nullopt);
@@ -279,9 +282,10 @@ class IndexCache {
   /// hotter, otherwise drop the newcomer. Caller holds mu_.
   void EnforceCapacityLocked(const InstanceFingerprint& key, uint64_t id);
 
-  /// Attaches a lookup's stamp pair and, when given, its alias to entry
+  /// Attaches a lookup's stamp pair and alias, each when given, to entry
   /// `it`, each replacing the one the entry held. Caller holds mu_.
-  void AttachNamesLocked(EntryMap::iterator it, const StampPair& stamps,
+  void AttachNamesLocked(EntryMap::iterator it,
+                         const std::optional<StampPair>& stamps,
                          const std::optional<InstanceFingerprint>& alias);
   /// Erases entry `it`, its alias and its stamp pair. Caller holds mu_.
   void EraseLocked(EntryMap::iterator it);

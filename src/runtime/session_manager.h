@@ -2,29 +2,42 @@
 // fixed pool of worker threads.
 //
 // Each job pairs a session factory with the oracle that answers its
-// questions. Workers pull jobs from a shared ready queue and advance one
-// session by a bounded slice of steps (NextQuestion → oracle → Answer)
-// before requeueing it, so N sessions make progress over far fewer threads
-// — the multiplexing a runtime needs when sessions outnumber cores. The
-// factory runs on the worker, which is where shared-state resolution
-// belongs: jobs that fetch their index through a runtime::IndexCache
-// exercise its single-flight path under real concurrency.
+// questions. A worker claims a job and advances its session by a bounded
+// slice of steps (NextQuestion → oracle → Answer) before requeueing it, so
+// N sessions make progress over far fewer threads — the multiplexing a
+// runtime needs when sessions outnumber cores. The factory runs on the
+// worker, which is where shared-state resolution belongs: jobs that fetch
+// their index through a runtime::IndexCache exercise its single-flight
+// path under real concurrency.
+//
+// Scheduling: each worker owns a run queue (a FIFO of job indices behind
+// its own mutex, on its own cache line), and job i is dealt to worker
+// i mod W. A worker claims from the front of its own queue and requeues at
+// its back, so a slice takes no lock another worker wants. A worker whose
+// queue runs dry steals from the back of another's; only when every queue
+// is empty does it park on a condition variable. A requeue wakes a parked
+// worker only when one is parked and the queue holds a job to spare, and
+// the last retirement wakes them all. Nothing spins.
 //
 // Determinism contract: sessions share no mutable state (strategy RNGs are
 // per-session, oracles are per-job, the index is immutable), so a
 // session's transcript and result are a pure function of its job — bit-
 // identical whether it runs alone, serially, or among a thousand
-// concurrent sessions, for every thread count and slice size. Property-
-// tested in tests/runtime/session_manager_test.cc.
+// concurrent sessions, for every thread count and slice size. Which
+// worker runs which slice, and in what order, is therefore free: the
+// schedule decides when a session advances, never what it computes.
+// Property-tested in tests/runtime/session_manager_test.cc.
 //
 // Failure domains (DESIGN.md §10): the manager degrades, it never wedges.
 //   - Transient factory failures (a store/cache hiccup, an injected fault)
 //     are retried per factory_retry — the worker backs off and requeues the
-//     job rather than failing it; permanent factory errors fail it at once.
+//     job on its own queue rather than failing it; permanent factory errors
+//     fail it at once. A factory that blocks holds only its own worker:
+//     the others steal the jobs queued behind it.
 //   - The manager.step failpoint fires when a worker claims a slice,
-//     *before* any stepping: a tripped slice is a pure requeue, so chaos
-//     schedules perturb scheduling order only — transcripts stay
-//     bit-identical (tests/chaos/).
+//     *before* any stepping: a tripped slice is a pure requeue on the
+//     claiming worker's queue, so chaos schedules perturb scheduling order
+//     only — transcripts stay bit-identical (tests/chaos/).
 
 #ifndef JINFER_RUNTIME_SESSION_MANAGER_H_
 #define JINFER_RUNTIME_SESSION_MANAGER_H_

@@ -15,13 +15,16 @@ size_t AlignUp(size_t n) {
   return (n + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
 
-/// Appends `len` bytes to `out`, zero-filling the alignment gap first when
-/// asked. Zero gaps (not skipped garbage) keep serialization deterministic.
+/// Appends `len` bytes to `out`.
 void AppendBytes(std::vector<uint8_t>& out, const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  out.insert(out.end(), p, p + len);
+  if (len == 0) return;
+  const size_t at = out.size();
+  out.resize(at + len);
+  std::memcpy(out.data() + at, data, len);
 }
 
+/// Zero-fills `out` up to `offset`, the start of the next section. Zero
+/// gaps (not skipped garbage) keep serialization deterministic.
 void PadTo(std::vector<uint8_t>& out, size_t offset) {
   JINFER_CHECK(out.size() <= offset, "serializer wrote past section offset");
   out.resize(offset, 0);

@@ -646,6 +646,24 @@ TEST(IndexCacheTest, LaterAliasReplacesTheFirst) {
   EXPECT_NE(cache.FindResident(Alias(2)), nullptr);
 }
 
+TEST(IndexCacheTest, AnAliasedLookupRecordsNoStampPair) {
+  // An aliased lookup hands in its caller's fresh parse, which is never
+  // handed in again: neither the build nor a later hit records its pair.
+  IndexCache cache;
+  const rel::Relation r = testing::Example21R();
+  const rel::Relation p = testing::Example21P();
+  auto built = cache.GetOrBuildTiered(r, p, Alias(1));
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built->tier, IndexTier::kBuilt);
+  EXPECT_EQ(cache.stamp_pairs(), 0u);
+  auto hit = cache.GetOrBuildTiered(r, p, Alias(2));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->tier, IndexTier::kMemory);
+  EXPECT_EQ(hit->index, built->index);
+  EXPECT_EQ(cache.stamp_pairs(), 0u);
+  EXPECT_EQ(cache.FindResident(Alias(2)), hit->index);
+}
+
 TEST(IndexCacheTest, ClearDropsEntriesButHandoutsSurvive) {
   IndexCache cache;
   auto index = cache.GetOrBuild(testing::Example21R(), testing::Example21P());

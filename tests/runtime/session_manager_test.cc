@@ -1,8 +1,11 @@
 #include "runtime/session_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -116,6 +119,112 @@ TEST(SessionManagerTest, TranscriptsIdenticalSoloSerialAndConcurrent) {
       ExpectSameResult(solo[i], *results[i]);
     }
   }
+}
+
+// --- The scheduler: per-worker queues, stealing, parking --------------
+
+// Job 0's factory holds its worker until every other job's factory has
+// run, so the other worker must also take the jobs dealt to the held one.
+// The wait gives up after 30 s with a permanent error: a scheduler that
+// strands them fails here instead of hanging.
+TEST(SessionManagerTest, ABlockedFactoryDoesNotStrandOtherJobs) {
+  core::SignatureIndex index = testing::Example21Index();
+  constexpr size_t kJobs = 16;
+  std::mutex mu;
+  std::condition_variable others_ran;
+  size_t others_made = 0;  // Guarded by mu.
+
+  std::vector<SessionJob> jobs;
+  for (size_t j = 0; j < kJobs; ++j) {
+    SessionJob job;
+    job.make = [&, j]() -> util::Result<Session> {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (j == 0) {
+          if (!others_ran.wait_for(lock, std::chrono::seconds(30), [&] {
+                return others_made == kJobs - 1;
+              })) {
+            return util::Status::FailedPrecondition(
+                "the other jobs' factories never ran");
+          }
+        } else if (++others_made == kJobs - 1) {
+          others_ran.notify_all();
+        }
+      }
+      return Session(index, core::MakeStrategy(core::StrategyKind::kTopDown));
+    };
+    job.oracle = std::make_unique<core::GoalOracle>(
+        testing::Pred(index.omega(), {{0, 0}, {1, 1}}));
+    jobs.push_back(std::move(job));
+  }
+
+  SessionManager::Options options;
+  options.threads = 2;
+  options.steps_per_slice = 1;
+  auto results = SessionManager(options).RunAll(std::move(jobs));
+  ASSERT_EQ(results.size(), kJobs);
+  for (size_t j = 0; j < kJobs; ++j) {
+    EXPECT_TRUE(results[j].ok())
+        << "job " << j << ": " << results[j].status().ToString();
+  }
+}
+
+// Small batches of unequal sessions on more workers than the longest
+// needs: every batch ends with workers parked while one finishes, and
+// the last retirement must wake them all. A lost wake-up hangs here; a
+// race in parking shows under TSan.
+TEST(SessionManagerTest, WorkersParkAndWakeAtEveryBatchTail) {
+  auto inst = workload::GenerateSynthetic({3, 3, 30, 6}, 777);
+  ASSERT_TRUE(inst.ok());
+  auto index = core::SignatureIndex::Build(inst->r, inst->p);
+  ASSERT_TRUE(index.ok());
+
+  // Five cheap specs of pairwise different lengths, each with its solo
+  // transcript.
+  constexpr size_t kBatch = 5;
+  std::vector<Spec> specs;
+  std::vector<core::InferenceResult> solo;
+  for (const Spec& spec : MakeSpecs(*index)) {
+    if (specs.size() == kBatch) break;
+    if (spec.kind != core::StrategyKind::kBottomUp &&
+        spec.kind != core::StrategyKind::kTopDown &&
+        spec.kind != core::StrategyKind::kRandom) {
+      continue;
+    }
+    Session session(*index, core::MakeStrategy(spec.kind, spec.seed));
+    core::GoalOracle oracle(spec.goal);
+    while (std::optional<core::ClassId> question = session.NextQuestion()) {
+      ASSERT_TRUE(
+          session.Answer(oracle.LabelClass(*index, *question)).ok());
+    }
+    core::InferenceResult result = session.Result();
+    const bool new_length = std::none_of(
+        solo.begin(), solo.end(), [&](const core::InferenceResult& other) {
+          return other.num_interactions == result.num_interactions;
+        });
+    if (!new_length) continue;
+    specs.push_back(spec);
+    solo.push_back(std::move(result));
+  }
+  ASSERT_EQ(specs.size(), kBatch);
+
+  SessionManager::Options options;
+  options.threads = 4;
+  options.steps_per_slice = 1;
+  SessionManager manager(options);
+  for (size_t batch = 0; batch < 200; ++batch) {
+    // Rotate the batch, so that the longest session is dealt to each
+    // worker in turn.
+    std::vector<Spec> order(specs);
+    std::rotate(order.begin(), order.begin() + batch % kBatch, order.end());
+    auto results = manager.RunAll(MakeJobs(*index, order));
+    ASSERT_EQ(results.size(), kBatch);
+    for (size_t i = 0; i < kBatch; ++i) {
+      ASSERT_TRUE(results[i].ok()) << "batch " << batch << " job " << i;
+      ExpectSameResult(solo[(i + batch) % kBatch], *results[i]);
+    }
+  }
+  EXPECT_EQ(manager.stats().completed, 200 * kBatch);
 }
 
 TEST(SessionManagerTest, StepsPerSliceZeroRunsClaimedSessionsToCompletion) {
