@@ -18,13 +18,14 @@
 #include "core/oracle.h"
 #include "core/signature_index.h"
 #include "core/strategies/minimax_engine.h"
-#include "core/strategies/minimax_reference.h"
 #include "core/strategies/optimal_strategy.h"
 #include "obs/metrics.h"
 #include "sat/dpll.h"
 #include "sat/random_cnf.h"
 #include "semijoin/consistency.h"
 #include "semijoin/reduction_3sat.h"
+#include "testing/encode_reference.h"
+#include "testing/minimax_reference.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/simd/sweep.h"
@@ -175,7 +176,7 @@ void BM_IngestAndBuildRowMajor(benchmark::State& state) {
     util::Rng rng(424242);
     std::vector<rel::Row> r_rows = generate_rows(rng);
     std::vector<rel::Row> p_rows = generate_rows(rng);
-    auto index = core::SignatureIndex::BuildReferenceRowMajor(
+    auto index = core::BuildReferenceRowMajor(
         *schema_r, r_rows, *schema_p, p_rows);
     JINFER_CHECK(index.ok(), "build");
     classes = index->num_classes();

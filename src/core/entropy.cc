@@ -91,8 +91,8 @@ namespace {
 /// The bottom level is batched: when every child is a leaf, one
 /// CountNewlyUninformativeAll sweep scores all of them and the fold runs
 /// over the returned columns in the same candidate order as the
-/// per-candidate recursion (entropy_reference.h), so the streaming max —
-/// first candidate wins ties — picks identically.
+/// per-candidate recursion (tests/testing/entropy_reference.h), so the
+/// streaming max — first candidate wins ties — picks identically.
 Entropy EntropyRec(uint64_t root_weight, InferenceState& state,
                    EntropyBatchScratch& scratch, ClassId cls, int remaining,
                    uint64_t depth) {

@@ -2,16 +2,16 @@
 //
 // The experiments simulate the user with GoalOracle, which labels tuples
 // consistently with a goal predicate θG — exactly the paper's setup. The
-// LyingOracle injects label noise for failure testing (Algorithm 1 must
-// detect the resulting inconsistency). Interactive (stdin) oracles live in
-// the examples, not the library.
+// tests' LyingOracle (tests/testing/lying_oracle.h) injects label noise
+// for failure testing (Algorithm 1 must detect the resulting
+// inconsistency). Interactive (stdin) oracles live in the examples, not
+// the library.
 
 #ifndef JINFER_CORE_ORACLE_H_
 #define JINFER_CORE_ORACLE_H_
 
 #include "core/signature_index.h"
 #include "core/types.h"
-#include "util/rng.h"
 
 namespace jinfer {
 namespace core {
@@ -38,30 +38,6 @@ class GoalOracle : public Oracle {
 
  private:
   JoinPredicate goal_;
-};
-
-/// A GoalOracle that flips each label independently with probability
-/// `lie_probability` — failure injection for the consistency check of
-/// Algorithm 1 (lines 6-7).
-class LyingOracle : public Oracle {
- public:
-  LyingOracle(JoinPredicate goal, double lie_probability, uint64_t seed)
-      : goal_(goal), lie_probability_(lie_probability), rng_(seed) {}
-
-  Label LabelClass(const SignatureIndex& index, ClassId cls) override {
-    Label truth = goal_.IsSubsetOf(index.cls(cls).signature)
-                      ? Label::kPositive
-                      : Label::kNegative;
-    if (rng_.NextBool(lie_probability_)) {
-      return truth == Label::kPositive ? Label::kNegative : Label::kPositive;
-    }
-    return truth;
-  }
-
- private:
-  JoinPredicate goal_;
-  double lie_probability_;
-  util::Rng rng_;
 };
 
 }  // namespace core

@@ -93,19 +93,12 @@ struct EncodedInstance {
 /// Production encode: merges the relations' per-column dictionaries into
 /// the global code space with a column-wise remap — one array lookup per
 /// cell, value hashing only once per distinct (column, value). The code
-/// assignment reproduces the retained row-major reference bit-for-bit
-/// (property-tested): global codes ascend from 0 in row-major
-/// first-occurrence order over R then P, NULL codes descend from
-/// UINT32_MAX per NULL cell in the same walk order.
+/// assignment reproduces the retained row-major reference
+/// (tests/testing/encode_reference.h) bit-for-bit (property-tested):
+/// global codes ascend from 0 in row-major first-occurrence order over R
+/// then P, NULL codes descend from UINT32_MAX per NULL cell in the same
+/// walk order.
 EncodedInstance EncodeInstance(const rel::Relation& r, const rel::Relation& p);
-
-/// Reference encode retained from the pre-columnar seed: walks
-/// materialized rows cell by cell through a Value-keyed hash dictionary.
-/// Kept (like minimax_reference) as the yardstick for the
-/// encoded-vs-legacy property tests and the BM_EncodeRelation /
-/// BM_IngestAndBuild row-major bench variants; not a production path.
-EncodedInstance EncodeInstanceReference(const std::vector<rel::Row>& r_rows,
-                                        const std::vector<rel::Row>& p_rows);
 
 class SignatureIndex {
  public:
@@ -113,15 +106,6 @@ class SignatureIndex {
   /// exceeds predicate capacity or a relation is empty.
   static util::Result<SignatureIndex> Build(
       const rel::Relation& r, const rel::Relation& p,
-      const SignatureIndexOptions& options = {});
-
-  /// The full row-major reference pipeline: EncodeInstanceReference over
-  /// pre-materialized rows, then the same classification passes as Build.
-  /// Property tests assert Build over the columnar storage is bit-identical
-  /// to this for every observable (class table, row codes, transcripts).
-  static util::Result<SignatureIndex> BuildReferenceRowMajor(
-      const rel::Schema& r_schema, const std::vector<rel::Row>& r_rows,
-      const rel::Schema& p_schema, const std::vector<rel::Row>& p_rows,
       const SignatureIndexOptions& options = {});
 
   /// Reassembles an index from its serialized sections without copying the
@@ -209,11 +193,15 @@ class SignatureIndex {
  private:
   SignatureIndex() = default;
 
-  /// Shared back half of Build and BuildReferenceRowMajor: dedup, the
-  /// parallel classification pass and the maximality sweep over an
-  /// already-encoded instance.
+  /// Shared back half of Build and the test library's row-major
+  /// reference build: dedup, the parallel classification pass and the
+  /// maximality sweep over an already-encoded instance.
   static util::Result<SignatureIndex> BuildFromEncoded(
       Omega omega, EncodedInstance encoded,
+      const SignatureIndexOptions& options);
+  friend util::Result<SignatureIndex> BuildReferenceRowMajor(
+      const rel::Schema& r_schema, const std::vector<rel::Row>& r_rows,
+      const rel::Schema& p_schema, const std::vector<rel::Row>& p_rows,
       const SignatureIndexOptions& options);
 
   /// Rebuilds class_of_signature_ from classes_; shared by Build (which

@@ -13,8 +13,8 @@
 // Since PR 2 the search runs on the delta-frame MinimaxEngine (Zobrist-
 // hashed transposition table, iterative-deepening bounds, root-split
 // parallelism — see minimax_engine.h) instead of the seed's copy-per-node
-// map memo, which is retained in minimax_reference.h as the property-test
-// yardstick. Guarded by a node budget: instances beyond ~20 classes are
+// map memo, which is retained in the test library
+// (tests/testing/minimax_reference.h) as the property-test yardstick. Guarded by a node budget: instances beyond ~20 classes are
 // not what OPT is for.
 
 #ifndef JINFER_CORE_STRATEGIES_OPTIMAL_STRATEGY_H_

@@ -95,8 +95,6 @@ inline constexpr char kServerSessionsClosedTotal[] =
     "jinfer_server_sessions_closed_total";
 inline constexpr char kServerSessionsAbortedTotal[] =
     "jinfer_server_sessions_aborted_total";
-inline constexpr char kServerSessionsShedTotal[] =
-    "jinfer_server_sessions_shed_total";
 inline constexpr char kServerConnectionsOpen[] =
     "jinfer_server_connections_open";
 inline constexpr char kServerSessionsOpen[] = "jinfer_server_sessions_open";

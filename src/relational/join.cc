@@ -16,10 +16,11 @@ namespace {
 ///
 /// Known, deliberately preserved seed quirk: doubles hash by bit pattern,
 /// so a -0.0 key never probes +0.0's bucket and the hash join misses that
-/// one IEEE-equal pair (EquijoinIndicesNaive, which compares cells
-/// directly, finds it). Fixing the hash would break bit-identity with the
-/// retained row-major reference, whose Value-keyed dictionaries bucket by
-/// the same bit-pattern hash.
+/// one IEEE-equal pair (the nested-loop reference in
+/// tests/testing/join_reference.h, which compares cells directly, finds
+/// it). Fixing the hash would break bit-identity with the retained
+/// row-major reference, whose Value-keyed dictionaries bucket by the same
+/// bit-pattern hash.
 std::optional<size_t> KeyHash(const ColumnTable& t, size_t row,
                               const std::vector<size_t>& cols) {
   size_t h = 0x9e3779b97f4a7c15ULL;
@@ -99,25 +100,6 @@ util::Result<std::vector<std::pair<size_t, size_t>>> EquijoinIndices(
   return out;
 }
 
-util::Result<std::vector<std::pair<size_t, size_t>>> EquijoinIndicesNaive(
-    const Relation& r, const Relation& p, const std::vector<AttrPair>& theta) {
-  JINFER_RETURN_NOT_OK(ValidateTheta(r, p, theta));
-  std::vector<std::pair<size_t, size_t>> out;
-  for (size_t i = 0; i < r.num_rows(); ++i) {
-    for (size_t j = 0; j < p.num_rows(); ++j) {
-      bool all = true;
-      for (const auto& [a, b] : theta) {
-        if (r.cell(i, a) != p.cell(j, b)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) out.emplace_back(i, j);
-    }
-  }
-  return out;
-}
-
 util::Result<std::vector<size_t>> SemijoinIndices(
     const Relation& r, const Relation& p, const std::vector<AttrPair>& theta) {
   JINFER_RETURN_NOT_OK(ValidateTheta(r, p, theta));
@@ -190,11 +172,6 @@ util::Result<Relation> EquijoinRelation(const Relation& r, const Relation& p,
     JINFER_RETURN_NOT_OK(out.AppendRow(ConcatRows(r.row(i), p.row(j))));
   }
   return out;
-}
-
-util::Result<Relation> CartesianProduct(const Relation& r, const Relation& p,
-                                        const std::string& name) {
-  return EquijoinRelation(r, p, {}, name);
 }
 
 }  // namespace rel

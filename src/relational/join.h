@@ -5,8 +5,8 @@
 // empty θ makes the equijoin degenerate to the Cartesian product and the
 // semijoin to "R if P is non-empty" — exactly the paper's semantics.
 //
-// Two implementations are provided: a hash join (default) and a nested-loop
-// join (reference; used by tests to cross-validate the hash path).
+// The joins are hash joins. The tests cross-validate them against a
+// nested-loop reference (tests/testing/join_reference.h).
 
 #ifndef JINFER_RELATIONAL_JOIN_H_
 #define JINFER_RELATIONAL_JOIN_H_
@@ -33,23 +33,16 @@ util::Status ValidateTheta(const Relation& r, const Relation& p,
 util::Result<std::vector<std::pair<size_t, size_t>>> EquijoinIndices(
     const Relation& r, const Relation& p, const std::vector<AttrPair>& theta);
 
-/// Reference nested-loop implementation of EquijoinIndices.
-util::Result<std::vector<std::pair<size_t, size_t>>> EquijoinIndicesNaive(
-    const Relation& r, const Relation& p, const std::vector<AttrPair>& theta);
-
 /// Indices of R-rows with at least one join partner in P (sorted, unique):
 /// the semijoin R ⋉θ P.
 util::Result<std::vector<size_t>> SemijoinIndices(
     const Relation& r, const Relation& p, const std::vector<AttrPair>& theta);
 
 /// Materializes R ⋈θ P with schema name `name` and attributes qualified as
-/// "R.A" / "P.B" to keep them unique.
+/// "R.A" / "P.B" to keep them unique. The empty θ materializes the
+/// Cartesian product R × P.
 util::Result<Relation> EquijoinRelation(const Relation& r, const Relation& p,
                                         const std::vector<AttrPair>& theta,
-                                        const std::string& name);
-
-/// Materializes the full Cartesian product R × P.
-util::Result<Relation> CartesianProduct(const Relation& r, const Relation& p,
                                         const std::string& name);
 
 }  // namespace rel

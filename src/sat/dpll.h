@@ -3,7 +3,8 @@
 //
 // Sized for this library's workloads — CONS⋉ encodings and the appendix
 // 3SAT reductions, hundreds of variables — not industrial SAT. Tests
-// cross-validate it against truth-table enumeration on small formulas.
+// cross-validate it against truth-table enumeration on small formulas
+// (tests/testing/sat_reference.h).
 
 #ifndef JINFER_SAT_DPLL_H_
 #define JINFER_SAT_DPLL_H_
@@ -35,10 +36,6 @@ class DpllSolver {
   /// Decides satisfiability of the formula. Deterministic.
   SolveResult Solve(const Cnf& cnf);
 };
-
-/// Reference oracle: enumerates all 2^n assignments. Only for tests;
-/// aborts beyond 24 variables.
-bool SatisfiableByEnumeration(const Cnf& cnf);
 
 }  // namespace sat
 }  // namespace jinfer

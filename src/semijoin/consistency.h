@@ -10,12 +10,10 @@
 //                                                       (θ ⊈ σ)
 //
 // A brute-force enumerator over P(Ω) cross-validates the encoding in tests
-// (only feasible for |Ω| ≤ ~24).
+// (tests/testing/semijoin_reference.h; only feasible for |Ω| ≤ ~24).
 
 #ifndef JINFER_SEMIJOIN_CONSISTENCY_H_
 #define JINFER_SEMIJOIN_CONSISTENCY_H_
-
-#include <optional>
 
 #include "sat/dpll.h"
 #include "semijoin/semijoin_instance.h"
@@ -33,11 +31,6 @@ struct ConsistencyResult {
 /// Decides CONS⋉ via the SAT encoding.
 ConsistencyResult CheckConsistencySat(const SemijoinInstance& instance,
                                       const RowSample& sample);
-
-/// Reference decision by enumerating all θ ⊆ Ω; aborts for |Ω| > 24.
-/// Returns the first consistent predicate in size-then-bit order, if any.
-std::optional<core::JoinPredicate> CheckConsistencyBruteForce(
-    const SemijoinInstance& instance, const RowSample& sample);
 
 /// Extension (paper §7 future work): with a positive-only sample, decides
 /// whether the consistent predicate θ is *maximally specific* — no strict

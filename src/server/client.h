@@ -55,10 +55,6 @@ class Client {
     /// expiry surfaces as kUnavailable (transient, like the server's own
     /// taxonomy) and closes the connection. Zero = block forever.
     std::chrono::milliseconds io_timeout{10000};
-
-    /// Response frames larger than this are a protocol error client-side
-    /// (same pre-allocation rejection the server applies to requests).
-    uint32_t max_frame_payload = kMaxFramePayload;
   };
 
   /// Connects (blocking) to host:port.
@@ -108,9 +104,7 @@ class Client {
 
  private:
   Client(util::Socket sock, Options options)
-      : sock_(std::move(sock)),
-        options_(options),
-        in_(options.max_frame_payload) {}
+      : sock_(std::move(sock)), options_(options) {}
 
   /// FailedPrecondition once an earlier failure closed the socket.
   util::Status Usable() const;

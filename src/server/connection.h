@@ -53,7 +53,6 @@ namespace server {
 
 /// The caps and budgets a connection enforces (set from ServerOptions).
 struct ConnectionLimits {
-  uint32_t max_frame_payload = kMaxFramePayload;
   size_t write_buffer_cap = 4u << 20;
   std::chrono::milliseconds read_deadline{5000};
   std::chrono::milliseconds write_deadline{5000};
@@ -68,7 +67,6 @@ class Connection {
       : sock_(std::move(sock)),
         generation_(generation),
         limits_(limits),
-        in_(limits.max_frame_payload),
         last_activity_(Clock::now()) {}
 
   struct ReadEvent {

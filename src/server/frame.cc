@@ -146,7 +146,7 @@ util::Result<bool> FrameAssembler::Ready() {
     JINFER_ASSIGN_OR_RETURN(
         header_, DecodeFrameHeader(std::span<const uint8_t>(
                                        buf_.get() + begin_, kFrameHeaderBytes),
-                                   max_payload_));
+                                   kMaxFramePayload));
   }
   return live >= kFrameHeaderBytes + header_->payload_bytes;
 }

@@ -119,16 +119,14 @@ inline constexpr size_t kReadChunk = 64 * 1024;
 /// Reassembles frames from a byte stream: the one frame reader of both
 /// ends of a connection (server::Connection, server::Client). Bytes go in
 /// with Append. Ready validates the next header as soon as its 24 bytes
-/// are buffered, so a poison length prefix is refused before any of its
-/// payload is, and says whether the whole frame is here; Pop checks the
-/// payload's checksum and hands the frame out. The buffer grows without
-/// zero-fill and holds only what was appended, so its capacity follows
-/// the frames buffered, not the size of the reads that fed it.
+/// are buffered, so a poison length prefix (past kMaxFramePayload) is
+/// refused before any of its payload is, and says whether the whole frame
+/// is here; Pop checks the payload's checksum and hands the frame out. The
+/// buffer grows without zero-fill and holds only what was appended, so its
+/// capacity follows the frames buffered, not the size of the reads that
+/// fed it.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(uint32_t max_payload = kMaxFramePayload)
-      : max_payload_(max_payload) {}
-
   void Append(std::span<const uint8_t> bytes);
 
   /// True once a complete frame is buffered. ParseError for a malformed
@@ -147,7 +145,6 @@ class FrameAssembler {
   void Trim(size_t keep);
 
  private:
-  uint32_t max_payload_;
   std::unique_ptr<uint8_t[]> buf_;
   size_t capacity_ = 0;
   size_t begin_ = 0;  ///< Unconsumed bytes are [begin_, end_).

@@ -180,7 +180,6 @@ StatsOkBody Server::Stats() {
   out.sessions_open = SessionsOpen();
   out.sessions_completed = counters_.sessions_closed.Value();
   out.sessions_aborted = counters_.sessions_aborted.Value();
-  out.sessions_shed = counters_.sessions_shed.Value();
   out.frames_read = counters_.frames_read.Value();
   out.frames_written = counters_.frames_written.Value();
   out.protocol_errors = counters_.protocol_errors.Value();
@@ -397,38 +396,20 @@ void Server::HandleReadable(Connection& conn) {
 }
 
 bool Server::Dispatch(Connection& conn, Frame frame) {
-  // Admission: sessions open plus opens in flight, against the bound. An
-  // open from a connection that holds a session is the worker's to refuse.
-  const bool open = frame.type == FrameType::kOpenSession;
-  const size_t max_sessions = options_.runtime.max_sessions;
-  if (open && max_sessions > 0 && conn.session() == nullptr) {
-    const uint64_t held = SessionsOpen() + opens_in_flight_;
-    if (held >= max_sessions) {
-      counters_.sessions_shed.Inc();
-      return EnqueueOrClose(
-          conn, ErrorFrame(util::Status::ResourceExhausted(util::StrFormat(
-                               "session shed: %llu sessions open or opening, "
-                               "bounded at %zu",
-                               static_cast<unsigned long long>(held),
-                               max_sessions)),
-                           kErrorFlagRetryLater));
-    }
-  }
-
   Work work;
   work.fd = conn.sock().fd();
   work.generation = conn.generation();
   work.frame = std::move(frame);
   const core::Strategy* strategy =
       conn.session() != nullptr ? &conn.session()->strategy() : nullptr;
-  if (open && conn.session() == nullptr) {
+  if (work.frame.type == FrameType::kOpenSession &&
+      conn.session() == nullptr) {
     ProbeOpen(work);
     strategy = work.strategy.get();
   }
   if (RunsInline(work.frame.type, strategy, work.resident != nullptr)) {
     // Run it here and start the reply's write in this poll round: no
-    // queue, no wake, no hand-back. An inline open holds no admission
-    // slot: it counts as opened before the next frame is read.
+    // queue, no wake, no hand-back.
     work.session = conn.BeginWork();
     return Deliver(HandleFrame(std::move(work))) != nullptr;
   }
@@ -452,7 +433,6 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
                                          "server overloaded; retry later"),
                                      kErrorFlagRetryLater));
   }
-  if (open) ++opens_in_flight_;
   work_cv_.notify_one();
   return true;
 }
@@ -515,7 +495,6 @@ void Server::ApplyCompletions() {
 }
 
 Connection* Server::Deliver(Completion c) {
-  if (c.open) --opens_in_flight_;
   auto it = conns_.find(c.fd);
   if (it == conns_.end() || it->second->generation() != c.generation) {
     // The connection died while its frame was processing. The session
@@ -586,9 +565,7 @@ void Server::WorkerLoop() {
                     now > work.enqueue_nanos ? now - work.enqueue_nanos : 0,
                     static_cast<uint64_t>(work.frame.type),
                     &ServerMetrics::Get().frame_queue_nanos);
-    const bool open = work.frame.type == FrameType::kOpenSession;
     Completion done = HandleFrame(std::move(work));
-    done.open = open;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(done));

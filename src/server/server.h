@@ -27,11 +27,11 @@
 //                        never a crash, never trust a length prefix
 //   read/write/idle      connection closed with kDeadlineExceeded; its
 //     deadline expiry    session dies with it (IndexCache pin released)
-//   overload             admission (Options::runtime.max_sessions) and the
-//                        work queue (max_pending_work, worker frames) both
-//                        shed at dispatch with a kResourceExhausted
+//   overload             the work queue (max_pending_work, worker frames)
+//                        sheds at dispatch with a kResourceExhausted
 //                        RETRY_LATER frame — refuse, never queue without
-//                        bound
+//                        bound; max_connections bounds sessions, one per
+//                        connection
 //   slow client          write buffer capped; overflow closes the
 //                        connection instead of growing the heap
 //   SIGTERM              RequestDrain (async-signal-safe): stop accepting,
@@ -87,6 +87,7 @@ struct ServerOptions {
 
   /// Accepted connections beyond this are not accepted (the listener is
   /// simply not polled while full — the kernel backlog absorbs bursts).
+  /// A connection holds at most one session, so this bounds sessions too.
   size_t max_connections = 256;
 
   /// Bound on frames queued for the workers and not yet claimed; frames
@@ -104,12 +105,9 @@ struct ServerOptions {
   std::chrono::milliseconds drain_deadline{3000};
 
   /// The session layer underneath: the server's IndexCache (build
-  /// options, memory-tier bound, optional store tier) and the bound on open
-  /// sessions, 0 = unbounded. Opens in flight count against the bound; an
-  /// open past it is shed with kResourceExhausted RETRY_LATER.
+  /// options, memory-tier bound, optional store tier).
   struct {
     runtime::IndexCacheOptions cache_options;
-    size_t max_sessions = 0;
   } runtime;
 };
 
@@ -122,7 +120,6 @@ struct StatsOkBody {
   uint64_t sessions_completed = 0;
   uint64_t sessions_aborted = 0;   ///< Dropped with their connection, or
                                    ///< stranded in flight by a stop.
-  uint64_t sessions_shed = 0;      ///< Refused by admission control.
   uint64_t frames_read = 0;
   uint64_t frames_written = 0;
   uint64_t protocol_errors = 0;    ///< Malformed frames answered + closed.
@@ -196,8 +193,6 @@ class Server {
     uint64_t generation = 0;
     std::vector<uint8_t> bytes;  ///< Encoded response frame.
     bool close_after = false;    ///< Close once the response is flushed.
-    bool open = false;           ///< Answers a queued open: frees its
-                                 ///< admission slot.
     /// The session going back to the connection: the one that went out,
     /// a new one after an open, null once the session ended (a close, or
     /// a reply that says finished). Dropped (counted aborted) if the
@@ -234,8 +229,8 @@ class Server {
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
   /// Runs `frame` on this thread when RunsInline (server.cc) allows it,
   /// else queues it with the connection's session, or answers it at once
-  /// when admission or the work queue sheds it. False when the answer
-  /// closed the connection.
+  /// when the work queue sheds it. False when the answer closed the
+  /// connection.
   bool Dispatch(Connection& conn, Frame frame);
   /// For an open of at most one read chunk on a connection with no
   /// session: decodes and digests the upload into `work`, and, when the
@@ -296,7 +291,6 @@ class Server {
   // Event-thread-only connection table.
   ConnMap conns_;
   uint64_t next_generation_ = 1;
-  size_t opens_in_flight_ = 0;  ///< Dispatched opens (hold admission slots).
 
   /// Wire ids of opened sessions; each is also the session's trace id.
   std::atomic<uint64_t> next_session_id_{1};
@@ -327,7 +321,6 @@ class Server {
     obs::OwnedCounter sessions_opened{obs::kServerSessionsOpenedTotal};
     obs::OwnedCounter sessions_closed{obs::kServerSessionsClosedTotal};
     obs::OwnedCounter sessions_aborted{obs::kServerSessionsAbortedTotal};
-    obs::OwnedCounter sessions_shed{obs::kServerSessionsShedTotal};
     obs::OwnedGauge connections_open{obs::kServerConnectionsOpen};
     obs::OwnedGauge sessions_open{obs::kServerSessionsOpen};
     obs::OwnedGauge pending_work{obs::kServerPendingWork};

@@ -135,16 +135,6 @@ class SmallBitset {
     return true;
   }
 
-  /// In-place intersection over the first `words` words (the rest keep
-  /// their value — zero for in-Ω predicates, making this a full &=).
-  void AndPrefixInPlace(const SmallBitset& o, size_t words) {
-    if (words == 1) {
-      words_[0] &= o.words_[0];
-      return;
-    }
-    for (size_t w = 0; w < words; ++w) words_[w] &= o.words_[w];
-  }
-
   /// Hash() over the first `words` words. Not interchangeable with Hash():
   /// containers must use one or the other consistently.
   size_t HashPrefix(size_t words) const {

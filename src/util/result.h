@@ -16,9 +16,9 @@ namespace util {
 /// Holds either a T or a non-OK Status.
 ///
 /// Usage:
-///   Result<Relation> r = Relation::FromCsv(path);
+///   Result<rel::Relation> r = rel::ReadRelationCsvFile(path, "R");
 ///   if (!r.ok()) return r.status();
-///   Relation rel = std::move(r).ValueOrDie();
+///   rel::Relation relation = std::move(r).ValueOrDie();
 template <typename T>
 class Result {
  public:
@@ -73,7 +73,7 @@ class Result {
 
 /// Assigns the value of a Result expression to `lhs`, or propagates its
 /// error status. `lhs` may include a declaration, e.g.
-///   JINFER_ASSIGN_OR_RETURN(auto rel, Relation::FromCsv(path));
+///   JINFER_ASSIGN_OR_RETURN(auto r, rel::ReadRelationCsvFile(path, "R"));
 #define JINFER_ASSIGN_OR_RETURN_IMPL(tmp, lhs, expr) \
   auto tmp = (expr);                                 \
   if (!tmp.ok()) return tmp.status();                \

@@ -51,9 +51,10 @@ struct RetryPolicy {
   uint64_t jitter_seed = 0x6a696e666572ULL;  // "jinfer"
 };
 
-/// The deterministic backoff schedule of a policy: Delay(k) for the k-th
-/// retry (after the k+1-th failed attempt). Stateful because the jitter is
-/// a stream: one Backoff instance per retried operation.
+/// The deterministic backoff schedule of a policy: the k-th call to Next()
+/// (0-based) returns the delay before the k-th retry, which follows the
+/// k+1-th failed attempt. Stateful because the jitter is a stream: one
+/// Backoff instance per retried operation.
 class Backoff {
  public:
   explicit Backoff(const RetryPolicy& policy)

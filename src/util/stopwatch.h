@@ -67,11 +67,6 @@ class Stopwatch {
   /// Elapsed time in whole nanoseconds.
   uint64_t ElapsedNanos() const { return SteadyNanos() - start_nanos_; }
 
-  /// Elapsed time in microseconds.
-  int64_t ElapsedMicros() const {
-    return static_cast<int64_t>(ElapsedNanos() / 1000);
-  }
-
   /// The start instant, in the steady clock's nanosecond epoch — what a
   /// span record stores so a timeline can be reconstructed without a
   /// second clock read.

@@ -5,6 +5,7 @@
 #include "core/lattice.h"
 #include "core/oracle.h"
 #include "runtime/session.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace jinfer {

@@ -16,6 +16,7 @@
 #include "relational/relation.h"
 #include "semijoin/reduction_3sat.h"
 #include "sat/random_cnf.h"
+#include "testing/encode_reference.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/tpch.h"
@@ -131,7 +132,7 @@ TEST(EncodedIdentityTest, BuiltIndexBitIdenticalAcrossPathsAndThreads) {
         SignatureIndexOptions options{.compress = compress,
                                       .threads = threads};
         auto built = SignatureIndex::Build(inst.r, inst.p, options);
-        auto reference = SignatureIndex::BuildReferenceRowMajor(
+        auto reference = BuildReferenceRowMajor(
             inst.r.schema(), r_rows, inst.p.schema(), p_rows, options);
         ASSERT_TRUE(built.ok()) << inst.name;
         ASSERT_TRUE(reference.ok()) << inst.name;
@@ -148,7 +149,7 @@ TEST(EncodedIdentityTest, SessionTranscriptsIdenticalAcrossPaths) {
   for (const Instance& inst : TestInstances()) {
     SCOPED_TRACE(inst.name);
     auto built = SignatureIndex::Build(inst.r, inst.p);
-    auto reference = SignatureIndex::BuildReferenceRowMajor(
+    auto reference = BuildReferenceRowMajor(
         inst.r.schema(), Materialize(inst.r), inst.p.schema(),
         Materialize(inst.p));
     ASSERT_TRUE(built.ok() && reference.ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/lying_oracle.h"
 #include "testing/paper_fixtures.h"
 
 namespace jinfer {

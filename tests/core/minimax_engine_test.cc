@@ -1,20 +1,21 @@
 // Property tests for the delta-frame minimax engine against the retained
-// seed implementation (minimax_reference.h): identical minimax values,
-// identical OPT picks and identical worst cases on randomized small
-// instances, at 1 and N root-split workers; plus Zobrist hash-integrity
-// and zero-copy steady-state assertions.
+// seed implementation (testing/minimax_reference.h): identical minimax
+// values, identical OPT picks and identical worst cases on randomized
+// small instances, at 1 and N root-split workers; plus Zobrist
+// hash-integrity and zero-copy steady-state assertions.
 
 #include "core/strategies/minimax_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/inference.h"
 #include "core/oracle.h"
-#include "core/strategies/minimax_reference.h"
 #include "core/strategies/optimal_strategy.h"
 #include "core/strategy.h"
+#include "testing/minimax_reference.h"
 #include "testing/paper_fixtures.h"
 #include "workload/synthetic.h"
 
@@ -93,40 +94,66 @@ TEST(ZobristTableTest, ApplyUndoHashIntegrity) {
   EXPECT_EQ(h, h0);
 }
 
-TEST(TranspositionTableTest, StoreFindAndMerge) {
-  TranspositionTable tt(/*log2_entries=*/6);
-  EXPECT_EQ(tt.Find(42), nullptr);
+// Both tables promise the same merge rule and the same depth-aware
+// replacement rule; the serial one backs the adversary, the shared one
+// every OPT pick. Each test runs against both through Lookup, one read
+// interface over their two Find signatures.
+using TtView = SharedTranspositionTable::View;
+
+std::optional<TtView> Lookup(const TranspositionTable& tt, uint64_t hash) {
+  const TranspositionTable::Entry* e = tt.Find(hash);
+  if (e == nullptr) return std::nullopt;
+  return TtView{e->value, e->kind};
+}
+
+std::optional<TtView> Lookup(const SharedTranspositionTable& tt,
+                             uint64_t hash) {
+  TtView view;
+  if (!tt.Find(hash, &view)) return std::nullopt;
+  return view;
+}
+
+template <typename Table>
+class TranspositionTableTest : public ::testing::Test {};
+
+using TranspositionTables =
+    ::testing::Types<TranspositionTable, SharedTranspositionTable>;
+TYPED_TEST_SUITE(TranspositionTableTest, TranspositionTables);
+
+TYPED_TEST(TranspositionTableTest, StoreFindAndMerge) {
+  TypeParam tt(/*log2_entries=*/6);
+  EXPECT_FALSE(Lookup(tt, 42).has_value());
 
   tt.Store(42, 5, /*exact=*/false);
-  const auto* e = tt.Find(42);
-  ASSERT_NE(e, nullptr);
+  auto e = Lookup(tt, 42);
+  ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->value, 5u);
   EXPECT_EQ(e->kind, TranspositionTable::Entry::kLowerBound);
 
   tt.Store(42, 3, /*exact=*/false);  // Weaker bound never lowers.
-  EXPECT_EQ(tt.Find(42)->value, 5u);
+  EXPECT_EQ(Lookup(tt, 42)->value, 5u);
   tt.Store(42, 7, /*exact=*/false);  // Tighter bound raises.
-  EXPECT_EQ(tt.Find(42)->value, 7u);
+  EXPECT_EQ(Lookup(tt, 42)->value, 7u);
 
   tt.Store(42, 6, /*exact=*/true);  // Exact overwrites any bound.
-  e = tt.Find(42);
+  e = Lookup(tt, 42);
   EXPECT_EQ(e->value, 6u);
   EXPECT_EQ(e->kind, TranspositionTable::Entry::kExact);
 
   tt.Clear();
-  EXPECT_EQ(tt.Find(42), nullptr);
+  EXPECT_FALSE(Lookup(tt, 42).has_value());
 }
 
-TEST(TranspositionTableTest, DepthAwareReplacementKeepsDeepEntries) {
-  TranspositionTable tt(/*log2_entries=*/3);  // 8 slots = one probe window.
+TYPED_TEST(TranspositionTableTest, DepthAwareReplacementKeepsDeepEntries) {
+  TypeParam tt(/*log2_entries=*/3);  // 8 slots = one probe window.
   // Fill the window with depth-10 entries, then try to insert a shallow
   // one: it must be dropped, while a deeper one must land.
   for (uint64_t i = 0; i < 8; ++i) tt.Store(i * 8 + 1, 10, /*exact=*/true);
   tt.Store(100, 2, /*exact=*/true);
-  EXPECT_EQ(tt.Find(100), nullptr);  // Shallower than everything: dropped.
+  EXPECT_FALSE(Lookup(tt, 100).has_value());  // Shallower: dropped.
   tt.Store(200, 50, /*exact=*/true);
-  ASSERT_NE(tt.Find(200), nullptr);  // Deeper: evicted a shallow entry.
-  EXPECT_EQ(tt.Find(200)->value, 50u);
+  ASSERT_TRUE(Lookup(tt, 200).has_value());  // Deeper: evicted a shallow one.
+  EXPECT_EQ(Lookup(tt, 200)->value, 50u);
 }
 
 TEST(MinimaxEngineTest, MatchesReferenceValueOnCorpusAtOneAndNThreads) {

@@ -1,10 +1,11 @@
 // Property harness for the batched u+/u- entropy sweeps: the fused
 // column-wise paths (CountNewlyUninformativeAll, EntropyOfAll, the
 // remaining==2 batch leaf inside EntropyKOf) must be bit-identical to the
-// retained per-candidate reference recursion (entropy_reference.h) — same
-// entropies, same argmax picks, same values — across word regimes, with
-// and without class compression, for indexes built at 1 and 4 threads,
-// and under concurrent sweeps on per-thread states.
+// retained per-candidate reference recursion
+// (testing/entropy_reference.h) — same entropies, same argmax picks, same
+// values — across word regimes, with and without class compression, for
+// indexes built at 1 and 4 threads, and under concurrent sweeps on
+// per-thread states.
 
 #include <cstdint>
 #include <thread>
@@ -14,9 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "core/entropy.h"
-#include "core/entropy_reference.h"
 #include "core/inference_state.h"
 #include "core/signature_index.h"
+#include "testing/entropy_reference.h"
 #include "testing/paper_fixtures.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/join_reference.h"
 #include "testing/paper_fixtures.h"
 #include "util/rng.h"
 
@@ -150,7 +151,7 @@ TEST(EquijoinRelationTest, QualifiedSchemaAndRows) {
 TEST(CartesianProductTest, SizeAndContent) {
   auto r = testing::Example21R();
   auto p = testing::Example21P();
-  auto d = CartesianProduct(r, p, "D0");
+  auto d = EquijoinRelation(r, p, {}, "D0");
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->num_rows(), 12u);
   EXPECT_EQ(d->num_attributes(), 5u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sat/random_cnf.h"
+#include "testing/sat_reference.h"
 #include "util/rng.h"
 
 namespace jinfer {

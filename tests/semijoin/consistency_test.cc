@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/paper_fixtures.h"
+#include "testing/semijoin_reference.h"
 #include "util/rng.h"
 
 namespace jinfer {

@@ -1,4 +1,4 @@
-#include "core/entropy_reference.h"
+#include "testing/entropy_reference.h"
 
 namespace jinfer {
 namespace core {
@@ -50,18 +50,13 @@ Entropy EntropyRecReference(uint64_t root_weight, InferenceState& state,
 
 }  // namespace
 
-Entropy EntropyKOfInPlaceReference(InferenceState& state, ClassId cls,
-                                   int k) {
-  JINFER_CHECK(k >= 1, "entropy lookahead depth must be >= 1, got %d", k);
-  JINFER_CHECK(state.IsInformative(cls), "class %u is not informative", cls);
-  return EntropyRecReference(state.InformativeTupleWeight(), state, cls, k,
-                             0);
-}
-
 Entropy EntropyKOfReference(const InferenceState& state, ClassId cls, int k) {
   if (k == 1) return EntropyOf(state, cls);
+  JINFER_CHECK(k >= 1, "entropy lookahead depth must be >= 1, got %d", k);
+  JINFER_CHECK(state.IsInformative(cls), "class %u is not informative", cls);
   InferenceState scratch = state;
-  return EntropyKOfInPlaceReference(scratch, cls, k);
+  return EntropyRecReference(scratch.InformativeTupleWeight(), scratch, cls,
+                             k, 0);
 }
 
 }  // namespace core

@@ -5,12 +5,12 @@
 // the batch path is the per-candidate one — a disagreement localizes the
 // bug to the batch sweep or the packed arrays, not to shared plumbing.
 //
-// Test-only by convention: nothing under src/ outside the tests links it
-// on a hot path. Kept in src/core (not tests/) so the harness can compare
-// across every build type the CI matrix compiles.
+// Test-only: it lives in the jinfer_testing library, which every test
+// binary links, so the harness still compares against it in every build
+// type the CI matrix compiles, and nothing in src/ can reach it.
 
-#ifndef JINFER_CORE_ENTROPY_REFERENCE_H_
-#define JINFER_CORE_ENTROPY_REFERENCE_H_
+#ifndef JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_
+#define JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_
 
 #include "core/entropy.h"
 #include "core/inference_state.h"
@@ -23,11 +23,7 @@ namespace core {
 /// EntropyKOf for every k, state and candidate.
 Entropy EntropyKOfReference(const InferenceState& state, ClassId cls, int k);
 
-/// In-place form on a caller-owned scratch state (restored exactly),
-/// mirroring EntropyKOfInPlace.
-Entropy EntropyKOfInPlaceReference(InferenceState& state, ClassId cls, int k);
-
 }  // namespace core
 }  // namespace jinfer
 
-#endif  // JINFER_CORE_ENTROPY_REFERENCE_H_
+#endif  // JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_

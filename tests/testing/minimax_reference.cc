@@ -1,4 +1,4 @@
-#include "core/strategies/minimax_reference.h"
+#include "testing/minimax_reference.h"
 
 #include <algorithm>
 #include <limits>

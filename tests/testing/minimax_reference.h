@@ -3,15 +3,16 @@
 // (WithLabel) minimax memoized through a sorted-vector sample key in a
 // std::map.
 //
-// Kept for two reasons only:
+// Kept for two reasons only, which is why it lives in the jinfer_testing
+// library and not in src/:
 //   * the randomized property tests assert the engine returns identical
 //     minimax values / strategy picks / worst cases;
 //   * the micro_core OPT benches report the engine's speedup against it.
 // Production callers (OptimalStrategy, the benches, the adversary) all go
 // through MinimaxEngine.
 
-#ifndef JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
-#define JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
+#ifndef JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
+#define JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
 
 #include <cstdint>
 #include <optional>
@@ -40,4 +41,4 @@ size_t ReferenceWorstCaseInteractions(const SignatureIndex& index,
 }  // namespace core
 }  // namespace jinfer
 
-#endif  // JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
+#endif  // JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
