@@ -407,7 +407,7 @@ void BM_EntropySweepTiled(benchmark::State& state) {
                                            .j_tile};
   std::vector<uint64_t> u_pos(kSlice, 0), u_neg(kSlice, 0);
   for (auto _ : state) {
-    util::simd::internal::SweepRangeTiled(util::simd::ActiveKernelOps(),
+    util::simd::internal::SweepRangeTiled(util::simd::ActiveKernelBackend(),
                                           args, 0, kSlice, tiling,
                                           u_pos.data(), u_neg.data());
     benchmark::DoNotOptimize(u_pos.data());

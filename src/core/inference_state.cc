@@ -1,8 +1,8 @@
 #include "core/inference_state.h"
 
 #include <algorithm>
-#include <type_traits>
 
+#include "util/bitset.h"
 #include "util/simd/sweep.h"
 
 namespace jinfer {
@@ -11,7 +11,8 @@ namespace core {
 namespace {
 
 // Word loops over the packed arrays, with the active word count W fixed at
-// compile time so every loop fully unrolls. The predicates use branch-free
+// compile time by util::WithWidth (util/bitset.h) so every loop fully
+// unrolls. The predicates use branch-free
 // accumulators so the loop body carries no early-out dependence.
 
 /// dst[w] = a[w] & b[w].
@@ -45,31 +46,6 @@ inline bool AnyWitnessContains(const uint64_t* key, const uint64_t* witnesses,
     if (IsSubsetWords<W>(key, witnesses + k * W)) return true;
   }
   return false;
-}
-
-/// The one width switch: runs body(std::integral_constant<size_t, W>) for
-/// the active word count W = 1..4 and aborts on any other width. Every
-/// predicate lives in a four-word JoinPredicate (|Ω| ≤ 256, DESIGN.md
-/// §12.1), so a wider state is a caller bug, as in the kernel backends'
-/// switches. The switch, the lambdas handed to it and the bodies they call
-/// are all forced inline, so each body lands in its case of the caller
-/// with its arguments in registers. Common universes run at W = 1, where
-/// a call per label or per candidate is measurable (BM_EntropyK/1).
-template <typename Body>
-__attribute__((always_inline)) inline decltype(auto) WithWidth(
-    size_t words, Body&& body) {
-  switch (words) {
-    case 1:
-      return body(std::integral_constant<size_t, 1>{});
-    case 2:
-      return body(std::integral_constant<size_t, 2>{});
-    case 3:
-      return body(std::integral_constant<size_t, 3>{});
-    case 4:
-      return body(std::integral_constant<size_t, 4>{});
-  }
-  JINFER_CHECK(false, "state over %zu words: InferenceState covers 1..4",
-               words);
 }
 
 }  // namespace
@@ -343,24 +319,26 @@ InferenceState::CountBothW(ClassId cls) const {
 
 void InferenceState::ApplyLabelIncremental(ClassId cls, Label label,
                                            bool record) {
-  WithWidth(active_words_, [&](auto width) __attribute__((always_inline)) {
-    ApplyLabelW<decltype(width)::value>(cls, label, record);
-  });
+  util::WithWidth(active_words_,
+                  [&](auto width) __attribute__((always_inline)) {
+                    ApplyLabelW<decltype(width)::value>(cls, label, record);
+                  });
 }
 
 void InferenceState::UndoLabel() {
-  WithWidth(active_words_, [&](auto width) __attribute__((always_inline)) {
-    UndoLabelW<decltype(width)::value>();
-  });
+  util::WithWidth(active_words_,
+                  [&](auto width) __attribute__((always_inline)) {
+                    UndoLabelW<decltype(width)::value>();
+                  });
 }
 
 std::pair<uint64_t, uint64_t> InferenceState::CountNewlyUninformativeBoth(
     ClassId cls) const {
   JINFER_CHECK(IsInformative(cls), "class %u is not informative", cls);
-  return WithWidth(active_words_,
-                   [&](auto width) __attribute__((always_inline)) {
-                     return CountBothW<decltype(width)::value>(cls);
-                   });
+  return util::WithWidth(active_words_,
+                         [&](auto width) __attribute__((always_inline)) {
+                           return CountBothW<decltype(width)::value>(cls);
+                         });
 }
 
 void InferenceState::CountNewlyUninformativeAll(

@@ -23,10 +23,6 @@ using ClassId = uint32_t;
 /// User label for a presented tuple: + (in the join result) or −.
 enum class Label : uint8_t { kPositive, kNegative };
 
-inline const char* LabelToString(Label label) {
-  return label == Label::kPositive ? "+" : "-";
-}
-
 }  // namespace core
 }  // namespace jinfer
 

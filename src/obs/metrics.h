@@ -106,9 +106,6 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

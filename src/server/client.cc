@@ -9,54 +9,6 @@
 namespace jinfer {
 namespace server {
 
-namespace {
-
-/// Rebuilds a Status from its wire encoding. Unknown codes (a newer peer)
-/// degrade to kIoError rather than misclassify.
-util::Status StatusFromWire(uint32_t code, std::string message) {
-  using util::Status;
-  using util::StatusCode;
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(message));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(message));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(message));
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(std::move(message));
-    case StatusCode::kInconsistentSample:
-      return Status::InconsistentSample(std::move(message));
-    case StatusCode::kCapacityExceeded:
-      return Status::CapacityExceeded(std::move(message));
-    case StatusCode::kIoError:
-      return Status::IoError(std::move(message));
-    case StatusCode::kParseError:
-      return Status::ParseError(std::move(message));
-    case StatusCode::kUnimplemented:
-      return Status::Unimplemented(std::move(message));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(message));
-    case StatusCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(std::move(message));
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(std::move(message));
-  }
-  return Status::IoError(std::move(message));
-}
-
-}  // namespace
-
-bool RetryLater(const util::Status& status) {
-  // The server sets kErrorFlagRetryLater exactly for these two codes
-  // (server.cc RetryFlagFor), so the taxonomy carries the flag for free —
-  // no side channel needed once the error is a Status again.
-  return status.code() == util::StatusCode::kResourceExhausted ||
-         status.code() == util::StatusCode::kUnavailable;
-}
-
 util::Result<Client> Client::Connect(const std::string& host,
                                      uint16_t port) {
   return Connect(host, port, Options{});
@@ -109,7 +61,15 @@ util::Result<Frame> Client::RoundTrip(FrameType type,
   if (response->type == FrameType::kError) {
     util::Result<ErrorBody> err = DecodeError(response->payload);
     if (!err.ok()) return Break(err.status());
-    return StatusFromWire(err->code, std::move(err->message));
+    // An error frame names an error: a code past the taxonomy (a newer
+    // peer's) or 0 reads as kIoError rather than misclassify.
+    using util::StatusCode;
+    const bool known =
+        err->code >= 1 &&
+        err->code <= static_cast<uint32_t>(StatusCode::kResourceExhausted);
+    return util::Status(known ? static_cast<StatusCode>(err->code)
+                              : StatusCode::kIoError,
+                        std::move(err->message));
   }
   return response;
 }

@@ -15,10 +15,12 @@
 //
 // Error frames decode back into the library's own Status taxonomy: the
 // code travels numerically, so a server-side kResourceExhausted refusal
-// IS kResourceExhausted here, and util::RetryCall composes with it the
-// same way it composes with a local cache fault. RetryLater(status) tells
-// a caller whether the server said "again later" (the RETRY_LATER flag)
-// as opposed to "you did something wrong".
+// IS kResourceExhausted here (a code outside the taxonomy's errors — a
+// newer peer's, or 0 — reads as kIoError), and util::RetryCall composes
+// with it the same way it composes with a local cache fault.
+// RetryLater(status) (protocol.h) tells a caller whether the server said
+// "again later" — the rule the server sets the RETRY_LATER flag by — as
+// opposed to "you did something wrong".
 //
 // A resend on the same Client is safe only after an error the server
 // sent: that request was refused and the stream is in step. Any other
@@ -43,10 +45,6 @@
 
 namespace jinfer {
 namespace server {
-
-/// True when `status` came off the wire carrying kErrorFlagRetryLater —
-/// the server shed load or hit a transient fault; retry with backoff.
-bool RetryLater(const util::Status& status);
 
 class Client {
  public:

@@ -68,8 +68,7 @@ std::vector<uint8_t> EncodeFrame(FrameType type,
   return out;
 }
 
-util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes,
-                                            uint32_t max_payload) {
+util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes) {
   if (bytes.size() < kFrameHeaderBytes) {
     return util::Status::ParseError(util::StrFormat(
         "truncated frame header: %zu of %zu bytes", bytes.size(),
@@ -89,11 +88,10 @@ util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes,
     return util::Status::ParseError(
         util::StrFormat("unknown frame type 0x%02x", unsigned{header.type}));
   }
-  const uint32_t cap = std::min(max_payload, kMaxFramePayload);
-  if (header.payload_bytes > cap) {
+  if (header.payload_bytes > kMaxFramePayload) {
     return util::Status::ParseError(util::StrFormat(
         "oversized frame: %u payload bytes exceeds the %u-byte bound",
-        header.payload_bytes, cap));
+        header.payload_bytes, kMaxFramePayload));
   }
   return header;
 }
@@ -145,8 +143,7 @@ util::Result<bool> FrameAssembler::Ready() {
     if (live < kFrameHeaderBytes) return false;
     JINFER_ASSIGN_OR_RETURN(
         header_, DecodeFrameHeader(std::span<const uint8_t>(
-                                       buf_.get() + begin_, kFrameHeaderBytes),
-                                   kMaxFramePayload));
+                     buf_.get() + begin_, kFrameHeaderBytes)));
   }
   return live >= kFrameHeaderBytes + header_->payload_bytes;
 }

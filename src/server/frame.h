@@ -48,8 +48,7 @@ inline constexpr uint32_t kFrameMagic = 0x4d52464a;  // "JFRM" on LE.
 inline constexpr uint8_t kProtocolVersion = 3;
 
 /// Hard ceiling on a frame payload. OpenSession carries CSV text, so the
-/// bound is generous; anything larger is a protocol error by definition
-/// (ServerOptions may lower it per deployment, never raise it).
+/// bound is generous; anything larger is a protocol error by definition.
 inline constexpr uint32_t kMaxFramePayload = 32u << 20;  // 32 MiB
 
 /// Frame types. Requests are low numbers, responses have the high bit of
@@ -101,11 +100,10 @@ std::vector<uint8_t> EncodeFrame(FrameType type,
                                  std::span<const uint8_t> payload);
 
 /// Validates the 24 header bytes: magic, version, known type, and
-/// payload_bytes <= max_payload — everything checkable before the payload
-/// arrives, so a connection can reject a poison length prefix without
-/// buffering anything. `max_payload` caps at kMaxFramePayload regardless.
-util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes,
-                                            uint32_t max_payload);
+/// payload_bytes <= kMaxFramePayload — everything checkable before the
+/// payload arrives, so a connection can reject a poison length prefix
+/// without buffering anything.
+util::Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> bytes);
 
 /// Verifies the payload of a validated header (length + checksum) and
 /// returns the assembled frame (payload copied out of `payload`).

@@ -213,6 +213,11 @@ util::Result<MetricsOkBody> DecodeMetricsOk(
   return body;
 }
 
+bool RetryLater(const util::Status& status) {
+  return status.code() == util::StatusCode::kResourceExhausted ||
+         status.code() == util::StatusCode::kUnavailable;
+}
+
 std::vector<uint8_t> Encode(const ErrorBody& body) {
   WireWriter w;
   w.U32(body.code);

@@ -23,8 +23,9 @@
 // transcript.
 //
 // ErrorBody carries the library's StatusCode taxonomy onto the wire plus
-// two flags: kErrorFlagRetryLater marks load shedding (kResourceExhausted
-// — the server is refusing, not failing; try again later) and
+// two flags: kErrorFlagRetryLater marks the codes RetryLater accepts, load
+// shedding (kResourceExhausted) and transient faults (kUnavailable) — the
+// server is refusing, not failing; try again later — and
 // kErrorFlagWillClose warns that the server closes the connection after
 // this frame (malformed input, deadline expiry).
 //
@@ -105,6 +106,12 @@ struct MetricsOkBody {
 
 inline constexpr uint8_t kErrorFlagRetryLater = 1u << 0;
 inline constexpr uint8_t kErrorFlagWillClose = 1u << 1;
+
+/// True for a refusal to retry with backoff: load shedding
+/// (kResourceExhausted) or a transient fault (kUnavailable). The server
+/// sets kErrorFlagRetryLater by this one rule, so a client reads the flag
+/// back from the code.
+bool RetryLater(const util::Status& status);
 
 struct ErrorBody {
   uint32_t code = 0;  ///< util::StatusCode, numerically.

@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "relational/csv.h"
 #include "store/fingerprint.h"
+#include "util/failpoint.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -38,15 +39,6 @@ struct ServerMetrics {
     return *m;
   }
 };
-
-/// RETRY_LATER marks refusals the client should simply retry: shedding
-/// (kResourceExhausted) and transient faults (kUnavailable).
-uint8_t RetryFlagFor(const util::Status& status) {
-  return (status.code() == util::StatusCode::kResourceExhausted ||
-          status.code() == util::StatusCode::kUnavailable)
-             ? kErrorFlagRetryLater
-             : 0;
-}
 
 /// Prologue of the session-scoped handlers: the body must decode and name
 /// the connection's own session. Anything else is a protocol violation —
@@ -116,10 +108,10 @@ util::Status Server::Start() {
   if (started_) {
     return util::Status::FailedPrecondition("server already started");
   }
-  JINFER_ASSIGN_OR_RETURN(Listener listener,
-                          Listener::Open(options_.host, options_.port));
-  listener_ = std::make_unique<Listener>(std::move(listener));
-  port_ = listener_->port();
+  JINFER_ASSIGN_OR_RETURN(util::Socket listener,
+                          util::ListenTcp(options_.host, options_.port));
+  JINFER_ASSIGN_OR_RETURN(port_, util::BoundPort(listener));
+  listener_ = std::move(listener);
   started_ = true;
   event_thread_ = std::thread(&Server::EventLoop, this);
   worker_threads_.reserve(static_cast<size_t>(options_.workers));
@@ -191,17 +183,18 @@ StatsOkBody Server::Stats() {
 }
 
 std::vector<uint8_t> Server::ErrorFrame(const util::Status& status,
-                                        uint8_t flags) {
+                                        bool will_close) {
   ErrorBody body;
   body.code = static_cast<uint32_t>(status.code());
-  body.flags = flags;
+  body.flags = (RetryLater(status) ? kErrorFlagRetryLater : 0) |
+               (will_close ? kErrorFlagWillClose : 0);
   body.message = status.message();
   return EncodeFrame(FrameType::kError, Encode(body));
 }
 
 void Server::RejectFrame(Completion& c, const util::Status& status) {
   counters_.protocol_errors.Inc();
-  c.bytes = ErrorFrame(status, kErrorFlagWillClose);
+  c.bytes = ErrorFrame(status, /*will_close=*/true);
   c.close_after = true;
 }
 
@@ -221,9 +214,10 @@ void Server::EventLoop() {
     const Clock::time_point now = Clock::now();
     if (drain_requested_.load(std::memory_order_acquire) &&
         !draining_.load(std::memory_order_relaxed)) {
-      // Drain step 1: refuse new connections, keep serving accepted ones.
+      // Drain step 1: close the listening socket, so the kernel refuses
+      // new connections; keep serving accepted ones.
       draining_.store(true, std::memory_order_release);
-      listener_->Close();
+      listener_.Close();
       drain_at = now + options_.drain_deadline;
     }
     if (draining_.load(std::memory_order_relaxed)) {
@@ -246,12 +240,12 @@ void Server::EventLoop() {
     pfds.clear();
     pfds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
     const bool accepting = !draining_.load(std::memory_order_relaxed) &&
-                           listener_->open() &&
+                           listener_.valid() &&
                            conns_.size() < options_.max_connections;
     size_t listener_slot = 0;
     if (accepting) {
       listener_slot = pfds.size();
-      pfds.push_back(pollfd{listener_->fd(), POLLIN, 0});
+      pfds.push_back(pollfd{listener_.fd(), POLLIN, 0});
     }
     const size_t conn_base = pfds.size();
     Clock::time_point earliest = drain_at;
@@ -314,14 +308,17 @@ void Server::EventLoop() {
   // Teardown: every remaining connection closes, and the sessions they
   // hold abort (their IndexCache pins drop with them).
   for (auto it = conns_.begin(); it != conns_.end();) it = CloseConn(it);
-  listener_->Close();
+  listener_.Close();
 }
 
 void Server::AcceptPending() {
   while (conns_.size() < options_.max_connections &&
          !draining_.load(std::memory_order_relaxed)) {
-    auto sock = listener_->Accept();
-    if (!sock.ok()) break;  // Nothing pending, or an injected accept fault.
+    // An injected accept fault is transient: poll again, and the pending
+    // connection is still there.
+    if (!util::FailpointHit("server.accept").ok()) break;
+    auto sock = util::AcceptTcp(listener_);
+    if (!sock.ok()) break;  // Nothing pending.
     const int fd = sock->fd();
     conns_.emplace(fd, std::make_unique<Connection>(
                            std::move(*sock), next_generation_++,
@@ -342,11 +339,9 @@ bool Server::EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes) {
   return true;
 }
 
-void Server::SendErrorAndClose(Connection& conn, const util::Status& status,
-                               uint8_t extra_flags) {
+void Server::SendErrorAndClose(Connection& conn, const util::Status& status) {
   const int fd = conn.sock().fd();
-  if (!EnqueueOrClose(conn,
-                      ErrorFrame(status, kErrorFlagWillClose | extra_flags))) {
+  if (!EnqueueOrClose(conn, ErrorFrame(status, /*will_close=*/true))) {
     return;  // Already closed.
   }
   conn.CloseAfterFlush();
@@ -365,7 +360,7 @@ void Server::HandleReadable(Connection& conn) {
       if (ev.status().code() == util::StatusCode::kParseError) {
         // Malformed framing: say why (typed error frame), then close.
         counters_.protocol_errors.Inc();
-        SendErrorAndClose(conn, ev.status(), 0);
+        SendErrorAndClose(conn, ev.status());
       } else {
         // Broken socket, or an injected read/decode fault: this connection
         // dies; no frame was half-applied, no other tenant notices.
@@ -387,8 +382,7 @@ void Server::HandleReadable(Connection& conn) {
     if (!IsRequestType(static_cast<uint8_t>(ev->frame.type))) {
       counters_.protocol_errors.Inc();
       SendErrorAndClose(
-          conn, util::Status::ParseError("response-type frame from client"),
-          0);
+          conn, util::Status::ParseError("response-type frame from client"));
       return;
     }
     if (!Dispatch(conn, std::move(ev->frame))) return;
@@ -428,10 +422,8 @@ bool Server::Dispatch(Connection& conn, Frame frame) {
   }
   if (!queued) {
     counters_.work_shed.Inc();
-    return EnqueueOrClose(conn,
-                          ErrorFrame(util::Status::ResourceExhausted(
-                                         "server overloaded; retry later"),
-                                     kErrorFlagRetryLater));
+    return EnqueueOrClose(conn, ErrorFrame(util::Status::ResourceExhausted(
+                                    "server overloaded; retry later")));
   }
   work_cv_.notify_one();
   return true;
@@ -521,7 +513,7 @@ Connection* Server::Deliver(Completion c) {
 Server::ConnMap::iterator Server::GoodbyeAndClose(ConnMap::iterator it,
                                                   const util::Status& status) {
   Connection& conn = *it->second;
-  conn.Enqueue(ErrorFrame(status, kErrorFlagWillClose));
+  conn.Enqueue(ErrorFrame(status, /*will_close=*/true));
   (void)conn.OnWritable();  // Best effort; the close is unconditional.
   return CloseConn(it);
 }
@@ -604,7 +596,7 @@ Server::Completion Server::HandleFrame(Work work) {
     default:
       c.bytes = ErrorFrame(
           util::Status::ParseError("unhandled request frame type"),
-          kErrorFlagWillClose);
+          /*will_close=*/true);
       c.close_after = true;
       break;
   }
@@ -623,19 +615,17 @@ void Server::HandleOpenSession(Work& work, Completion& c) {
   if (!body.ok()) return RejectFrame(c, body.status());
   if (c.session != nullptr) {
     c.bytes = ErrorFrame(util::Status::FailedPrecondition(
-                             "a session is already open on this connection"),
-                         0);
+        "a session is already open on this connection"));
     return;
   }
   if (draining_.load(std::memory_order_acquire)) {
     c.bytes = ErrorFrame(
-        util::Status::Unavailable("server is draining; retry elsewhere"),
-        kErrorFlagRetryLater);
+        util::Status::Unavailable("server is draining; retry elsewhere"));
     return;
   }
   auto kind = core::StrategyKindFromName(body->strategy);
   if (!kind.ok()) {
-    c.bytes = ErrorFrame(kind.status(), 0);
+    c.bytes = ErrorFrame(kind.status());
     return;
   }
   const bool server_compress = cache_.options().build.compress;
@@ -644,20 +634,19 @@ void Server::HandleOpenSession(Work& work, Completion& c) {
         util::Status::InvalidArgument(util::StrFormat(
             "this server builds indexes with compress=%d; reopen with the "
             "matching flag",
-            server_compress ? 1 : 0)),
-        0);
+            server_compress ? 1 : 0)));
     return;
   }
   auto r = rel::ReadRelationCsvText(
       body->r_csv, body->r_name.empty() ? "R" : body->r_name);
   if (!r.ok()) {
-    c.bytes = ErrorFrame(r.status(), 0);
+    c.bytes = ErrorFrame(r.status());
     return;
   }
   auto p = rel::ReadRelationCsvText(
       body->p_csv, body->p_name.empty() ? "P" : body->p_name);
   if (!p.ok()) {
-    c.bytes = ErrorFrame(p.status(), 0);
+    c.bytes = ErrorFrame(p.status());
     return;
   }
 
@@ -665,9 +654,9 @@ void Server::HandleOpenSession(Work& work, Completion& c) {
   // byte-identical upload opens inline.
   auto tiered = cache_.GetOrBuildTiered(*r, *p, work.upload);
   if (!tiered.ok()) {
-    // A transient cache fault is "try again later", not "you did
-    // something wrong".
-    c.bytes = ErrorFrame(tiered.status(), RetryFlagFor(tiered.status()));
+    // A transient cache fault goes out RETRY_LATER: "try again later",
+    // not "you did something wrong".
+    c.bytes = ErrorFrame(tiered.status());
     return;
   }
   StartSession(std::move(tiered->index), tiered->tier,
@@ -739,7 +728,7 @@ void Server::HandleAnswer(const Frame& frame, Completion& c) {
   if (!applied.ok()) {
     // InconsistentSample: the session state is untouched and the question
     // stays pending — report and carry on.
-    c.bytes = ErrorFrame(applied, 0);
+    c.bytes = ErrorFrame(applied);
     return;
   }
   c.bytes = EncodeFrame(FrameType::kQuestion, Encode(AskNext(c)));

@@ -31,17 +31,22 @@
 //                        sheds at dispatch with a kResourceExhausted
 //                        RETRY_LATER frame — refuse, never queue without
 //                        bound; max_connections bounds sessions, one per
-//                        connection
+//                        connection. ErrorFrame sets RETRY_LATER from the
+//                        code (RetryLater, protocol.h), so every shed or
+//                        transient refusal carries it and nothing else does
 //   slow client          write buffer capped; overflow closes the
 //                        connection instead of growing the heap
-//   SIGTERM              RequestDrain (async-signal-safe): stop accepting,
-//                        serve in-flight sessions to completion or the
-//                        drain deadline, then exit with Status::OK
-//   injected faults      server.accept / server.conn.read /
-//                        server.conn.write / server.frame.decode — a
-//                        tripped connection dies alone; every surviving
-//                        session's transcript is bit-identical to a
-//                        fault-free in-process run (tests/chaos/).
+//   SIGTERM              RequestDrain (async-signal-safe): close the
+//                        listening socket, serve in-flight sessions to
+//                        completion or the drain deadline, then exit with
+//                        Status::OK
+//   injected faults      server.accept (AcceptPending: the connection
+//                        stays pending until the next poll round) /
+//                        server.conn.read / server.conn.write /
+//                        server.frame.decode — a tripped connection dies
+//                        alone; every surviving session's transcript is
+//                        bit-identical to a fault-free in-process run
+//                        (tests/chaos/).
 
 #ifndef JINFER_SERVER_SERVER_H_
 #define JINFER_SERVER_SERVER_H_
@@ -67,7 +72,6 @@
 #include "runtime/session.h"
 #include "server/connection.h"
 #include "server/frame.h"
-#include "server/listener.h"
 #include "server/protocol.h"
 #include "util/result.h"
 #include "util/socket.h"
@@ -224,8 +228,7 @@ class Server {
   /// or the drain's. Returns the next connection.
   ConnMap::iterator GoodbyeAndClose(ConnMap::iterator it,
                                     const util::Status& status);
-  void SendErrorAndClose(Connection& conn, const util::Status& status,
-                         uint8_t extra_flags);
+  void SendErrorAndClose(Connection& conn, const util::Status& status);
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
   /// Runs `frame` on this thread when RunsInline (server.cc) allows it,
   /// else queues it with the connection's session, or answers it at once
@@ -265,8 +268,10 @@ class Server {
                     runtime::IndexTier tier,
                     std::unique_ptr<core::Strategy> strategy, Completion& c);
 
+  /// The kError frame for `status`: RETRY_LATER when RetryLater(status),
+  /// WILL_CLOSE when the connection closes after it.
   static std::vector<uint8_t> ErrorFrame(const util::Status& status,
-                                         uint8_t flags);
+                                         bool will_close = false);
 
   /// Answers a malformed or cross-tenant request: counts a protocol error,
   /// replies with a typed error frame and closes the connection.
@@ -276,7 +281,8 @@ class Server {
   runtime::IndexCache cache_;
   util::WakePipe wake_;
 
-  std::unique_ptr<Listener> listener_;
+  /// The listening socket; a drain's first step closes it.
+  util::Socket listener_;
   uint16_t port_ = 0;
   std::thread event_thread_;
   std::vector<std::thread> worker_threads_;

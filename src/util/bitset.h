@@ -6,7 +6,9 @@
 // attributes (e.g. TPC-H Lineitem(16) x Part(9)). The capacity is pinned by
 // the store format (SignatureClass embeds the four words directly), and
 // Omega::Make refuses larger universes, so this is the library's only
-// bitset type.
+// bitset type, and WithWidth below is the one switch that turns a runtime
+// word count 1..4 into a compile-time one for word loops over packed
+// predicate words.
 // Per-bit capacity violations abort via JINFER_DCHECK — always-on in the
 // Debug builds the sanitizer/chaos/TSan CI jobs run, compiled out of the
 // Release hot loops. Bulk entry points (AllSet, word) keep full-time checks.
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -75,10 +78,6 @@ class SmallBitset {
   bool Test(size_t bit) const {
     JINFER_DCHECK(bit < kMaxBits, "Test(%zu) out of range", bit);
     return (words_[bit / 64] >> (bit % 64)) & 1;
-  }
-
-  bool Empty() const {
-    return (words_[0] | words_[1] | words_[2] | words_[3]) == 0;
   }
 
   /// Number of set bits.
@@ -149,13 +148,6 @@ class SmallBitset {
     return IsSubsetOf(other) && *this != other;
   }
 
-  bool Intersects(const SmallBitset& other) const {
-    for (size_t w = 0; w < kWords; ++w) {
-      if ((words_[w] & other.words_[w]) != 0) return true;
-    }
-    return false;
-  }
-
   SmallBitset operator&(const SmallBitset& o) const {
     SmallBitset r;
     for (size_t w = 0; w < kWords; ++w) r.words_[w] = words_[w] & o.words_[w];
@@ -201,30 +193,6 @@ class SmallBitset {
     return false;
   }
 
-  /// Index of the lowest set bit; kMaxBits when empty.
-  size_t FirstSetBit() const {
-    for (size_t w = 0; w < kWords; ++w) {
-      if (words_[w] != 0) {
-        return w * 64 + static_cast<size_t>(std::countr_zero(words_[w]));
-      }
-    }
-    return kMaxBits;
-  }
-
-  /// Index of the lowest set bit that is >= `from`; kMaxBits when none.
-  size_t NextSetBit(size_t from) const {
-    if (from >= kMaxBits) return kMaxBits;
-    size_t w = from / 64;
-    uint64_t masked = words_[w] & (~uint64_t{0} << (from % 64));
-    while (true) {
-      if (masked != 0) {
-        return w * 64 + static_cast<size_t>(std::countr_zero(masked));
-      }
-      if (++w == kWords) return kMaxBits;
-      masked = words_[w];
-    }
-  }
-
   /// Calls fn(bit) for every set bit, in increasing order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
@@ -251,6 +219,35 @@ class SmallBitset {
  private:
   std::array<uint64_t, kWords> words_;
 };
+
+/// The library's one word-width switch: runs
+/// body(std::integral_constant<size_t, W>{}) for W = words, 1..kWords, so
+/// the body's word loops have a compile-time bound and fully unroll, and
+/// aborts on any other width. Every predicate lives in a four-word
+/// SmallBitset (|Ω| ≤ 256, DESIGN.md §12.1), so a wider loop is a caller
+/// bug. The inference core's apply, undo and u± loops and each kernel
+/// backend's sweep block run through it. Forced inline, like the lambdas
+/// handed to it, so each width's body lands in its own case of the caller
+/// with its arguments in registers: common universes run at W = 1, where a
+/// call per label or per candidate is measurable (BM_EntropyK/1).
+template <typename Body>
+__attribute__((always_inline)) inline decltype(auto) WithWidth(size_t words,
+                                                               Body&& body) {
+  static_assert(SmallBitset::kWords == 4, "the switch covers 1..kWords");
+  switch (words) {
+    case 1:
+      return body(std::integral_constant<size_t, 1>{});
+    case 2:
+      return body(std::integral_constant<size_t, 2>{});
+    case 3:
+      return body(std::integral_constant<size_t, 3>{});
+    case 4:
+      return body(std::integral_constant<size_t, 4>{});
+  }
+  JINFER_CHECK(false,
+               "sweep over %zu words: the kernels cover 1..4 (|Omega| <= 256)",
+               words);
+}
 
 struct SmallBitsetHash {
   size_t operator()(const SmallBitset& b) const { return b.Hash(); }

@@ -29,7 +29,7 @@
 //   store.load.mmap    mapping a stored index in IndexStore::Load
 //   cache.build        a SignatureIndex build inside IndexCache
 //   manager.step       the SessionManager worker claiming a slice
-//   server.accept      the listener accepting a connection (server::Server)
+//   server.accept      Server::AcceptPending about to accept a connection
 //   server.conn.read   a readable connection about to recv()
 //   server.conn.write  a writable connection about to send()
 //   server.frame.decode a complete frame about to be decoded

@@ -11,8 +11,7 @@
 
 // The SIMD backends are compiled (per-TU, with function-level target
 // attributes) only for x86-64 under GCC/Clang; everywhere else the
-// dispatch table holds the scalar backend alone and this probe returns
-// all-false.
+// scalar backend is the only one and this probe returns all-false.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define JINFER_SIMD_X86 1
 #else

@@ -1,40 +1,19 @@
-// Backend selection: probe the CPU, honor JINFER_KERNEL_BACKEND, publish
-// the chosen kernel table. See dispatch.h for the contract.
+// Backend selection: probe the CPU, honor JINFER_KERNEL_BACKEND, hold the
+// active backend. See dispatch.h for the contract.
 
 #include "util/simd/dispatch.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 #include "util/check.h"
-#include "util/simd/backends.h"
 
 namespace jinfer {
 namespace util {
 namespace simd {
 
-namespace internal {
-
-std::atomic<const KernelOps*> g_active_ops{nullptr};
-
 namespace {
-
-const KernelOps& OpsForSupported(KernelBackend backend) {
-  switch (backend) {
-    case KernelBackend::kScalar:
-      return kScalarOps;
-#if JINFER_SIMD_X86
-    case KernelBackend::kAvx2:
-      return kAvx2Ops;
-    case KernelBackend::kAvx512:
-      return kAvx512Ops;
-#endif
-    default:
-      JINFER_CHECK(false, "kernel backend %d not compiled into this binary",
-                   static_cast<int>(backend));
-      return kScalarOps;  // Unreachable.
-  }
-}
 
 KernelBackend WidestSupportedBackend() {
   const CpuFeatures& cpu = DetectCpuFeatures();
@@ -74,23 +53,18 @@ KernelBackend ResolveRequestedBackend() {
   return requested;
 }
 
-}  // namespace
-
-const KernelOps* InitKernelOps() {
-  // Function-local static: the probe + env parse run exactly once even
-  // under concurrent first use; later callers block until publication.
-  static const KernelOps* ops = [] {
-    const KernelOps* chosen = &OpsForSupported(ResolveRequestedBackend());
-    g_active_ops.store(chosen, std::memory_order_release);
-    return chosen;
-  }();
-  // A SetKernelBackend between our init and now may have replaced the
-  // table; re-load rather than return the stale candidate.
-  const KernelOps* current = g_active_ops.load(std::memory_order_relaxed);
-  return current != nullptr ? current : ops;
+/// The active backend. Function-local static: the probe and the env parse
+/// run exactly once even under concurrent first use.
+std::atomic<KernelBackend>& Active() {
+  static std::atomic<KernelBackend> active{ResolveRequestedBackend()};
+  return active;
 }
 
-}  // namespace internal
+}  // namespace
+
+KernelBackend ActiveKernelBackend() {
+  return Active().load(std::memory_order_relaxed);
+}
 
 const char* KernelBackendName(KernelBackend backend) {
   switch (backend) {
@@ -130,17 +104,9 @@ std::vector<KernelBackend> SupportedKernelBackends() {
   return backends;
 }
 
-const KernelOps& KernelOpsFor(KernelBackend backend) {
-  JINFER_CHECK(KernelBackendSupported(backend),
-               "kernel backend %s unsupported on this CPU/build",
-               KernelBackendName(backend));
-  return internal::OpsForSupported(backend);
-}
-
 bool SetKernelBackend(KernelBackend backend) {
   if (!KernelBackendSupported(backend)) return false;
-  internal::g_active_ops.store(&internal::OpsForSupported(backend),
-                               std::memory_order_release);
+  Active().store(backend, std::memory_order_relaxed);
   return true;
 }
 

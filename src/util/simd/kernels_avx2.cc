@@ -21,7 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/check.h"
+#include "util/bitset.h"
 
 namespace jinfer {
 namespace util {
@@ -105,30 +105,15 @@ JINFER_TARGET_AVX2 void SweepBlockAvx2Fixed(const SweepBlockArgs& a) {
   }
 }
 
-void SweepBlockAvx2(const SweepBlockArgs& a) {
-  switch (a.words) {
-    case 1:
-      SweepBlockAvx2Fixed<1>(a);
-      break;
-    case 2:
-      SweepBlockAvx2Fixed<2>(a);
-      break;
-    case 3:
-      SweepBlockAvx2Fixed<3>(a);
-      break;
-    case 4:
-      SweepBlockAvx2Fixed<4>(a);
-      break;
-    default:
-      JINFER_CHECK(false, kSweepWidthMessage, a.words);
-  }
-}
-
 #undef JINFER_TARGET_AVX2
 
 }  // namespace
 
-const KernelOps kAvx2Ops = {KernelBackend::kAvx2, &SweepBlockAvx2};
+void SweepBlockAvx2(const SweepBlockArgs& a) {
+  WithWidth(a.words, [&](auto width) {
+    SweepBlockAvx2Fixed<decltype(width)::value>(a);
+  });
+}
 
 }  // namespace internal
 }  // namespace simd

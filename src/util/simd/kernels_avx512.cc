@@ -14,7 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/check.h"
+#include "util/bitset.h"
 
 namespace jinfer {
 namespace util {
@@ -107,30 +107,15 @@ JINFER_TARGET_AVX512 void SweepBlockAvx512Fixed(const SweepBlockArgs& a) {
   }
 }
 
-void SweepBlockAvx512(const SweepBlockArgs& a) {
-  switch (a.words) {
-    case 1:
-      SweepBlockAvx512Fixed<1>(a);
-      break;
-    case 2:
-      SweepBlockAvx512Fixed<2>(a);
-      break;
-    case 3:
-      SweepBlockAvx512Fixed<3>(a);
-      break;
-    case 4:
-      SweepBlockAvx512Fixed<4>(a);
-      break;
-    default:
-      JINFER_CHECK(false, kSweepWidthMessage, a.words);
-  }
-}
-
 #undef JINFER_TARGET_AVX512
 
 }  // namespace
 
-const KernelOps kAvx512Ops = {KernelBackend::kAvx512, &SweepBlockAvx512};
+void SweepBlockAvx512(const SweepBlockArgs& a) {
+  WithWidth(a.words, [&](auto width) {
+    SweepBlockAvx512Fixed<decltype(width)::value>(a);
+  });
+}
 
 }  // namespace internal
 }  // namespace simd

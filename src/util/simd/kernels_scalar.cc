@@ -6,7 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/check.h"
+#include "util/bitset.h"
 #include "util/simd/backends.h"
 
 namespace jinfer {
@@ -66,25 +66,10 @@ void SweepBlockFixed(const SweepBlockArgs& a) {
 }  // namespace
 
 void SweepBlockScalar(const SweepBlockArgs& a) {
-  switch (a.words) {
-    case 1:
-      SweepBlockFixed<1>(a);
-      break;
-    case 2:
-      SweepBlockFixed<2>(a);
-      break;
-    case 3:
-      SweepBlockFixed<3>(a);
-      break;
-    case 4:
-      SweepBlockFixed<4>(a);
-      break;
-    default:
-      JINFER_CHECK(false, kSweepWidthMessage, a.words);
-  }
+  WithWidth(a.words, [&](auto width) {
+    SweepBlockFixed<decltype(width)::value>(a);
+  });
 }
-
-const KernelOps kScalarOps = {KernelBackend::kScalar, &SweepBlockScalar};
 
 }  // namespace internal
 }  // namespace simd

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+#include "util/simd/backends.h"
+
 namespace jinfer {
 namespace util {
 namespace simd {
@@ -13,6 +16,29 @@ namespace {
 /// and the candidate-side loads.
 constexpr size_t kSweepStreamBudgetBytes = 256 * 1024;
 
+using SweepBlockFn = void (*)(const internal::SweepBlockArgs&);
+
+/// A backend is its sweep-block function. Calling an unsupported vector
+/// backend's would execute instructions the CPU lacks.
+SweepBlockFn SweepBlockOf(KernelBackend backend) {
+  JINFER_DCHECK(KernelBackendSupported(backend),
+                "kernel backend %s unsupported on this CPU/build",
+                KernelBackendName(backend));
+  switch (backend) {
+    case KernelBackend::kScalar:
+      return &internal::SweepBlockScalar;
+#if JINFER_SIMD_X86
+    case KernelBackend::kAvx2:
+      return &internal::SweepBlockAvx2;
+    case KernelBackend::kAvx512:
+      return &internal::SweepBlockAvx512;
+#endif
+    default:
+      JINFER_CHECK(false, "kernel backend %s not compiled into this binary",
+                   KernelBackendName(backend));
+  }
+}
+
 }  // namespace
 
 SweepTiling DefaultSweepTiling(size_t words) {
@@ -23,9 +49,10 @@ SweepTiling DefaultSweepTiling(size_t words) {
 
 namespace internal {
 
-void SweepRangeTiled(const KernelOps& ops, const SweepArgs& args, size_t jb,
-                     size_t je, const SweepTiling& tiling, uint64_t* u_pos,
-                     uint64_t* u_neg) {
+void SweepRangeTiled(KernelBackend backend, const SweepArgs& args,
+                     size_t jb, size_t je, const SweepTiling& tiling,
+                     uint64_t* u_pos, uint64_t* u_neg) {
+  const SweepBlockFn sweep_block = SweepBlockOf(backend);
   SweepBlockArgs block;
   block.keys = args.keys;
   block.sigs = args.sigs;
@@ -42,7 +69,7 @@ void SweepRangeTiled(const KernelOps& ops, const SweepArgs& args, size_t jb,
     block.je = je;
     block.ib = 0;
     block.ie = n;
-    ops.sweep_block(block);
+    sweep_block(block);
     return;
   }
   // j-tile outer so each output slice stays resident; i-blocks inner so a
@@ -54,7 +81,7 @@ void SweepRangeTiled(const KernelOps& ops, const SweepArgs& args, size_t jb,
     for (size_t ti = 0; ti < n; ti += tiling.i_tile) {
       block.ib = ti;
       block.ie = std::min(ti + tiling.i_tile, n);
-      ops.sweep_block(block);
+      sweep_block(block);
     }
   }
 }
@@ -66,7 +93,7 @@ void SweepUCounts(const SweepArgs& args, uint64_t* u_pos, uint64_t* u_neg) {
   std::fill_n(u_pos, n, 0);
   std::fill_n(u_neg, n, 0);
   if (n == 0) return;
-  internal::SweepRangeTiled(ActiveKernelOps(), args, 0, n,
+  internal::SweepRangeTiled(ActiveKernelBackend(), args, 0, n,
                             DefaultSweepTiling(args.words), u_pos, u_neg);
   for (size_t j = 0; j < n; ++j) {
     // Self class: count(j) counted by both tests, count(j)−1 due.

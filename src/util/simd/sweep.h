@@ -1,7 +1,7 @@
-// Tiled driver for the fused u± candidate sweep (DESIGN.md §12.4). The
-// backends expose one composable i×j block kernel (SweepBlockArgs in
-// dispatch.h); this driver owns the full [0,n)×[0,n) sweep: zero-fill,
-// cache tiling, and the flat −1 self-class correction.
+// Tiled driver for the fused u± candidate sweep (DESIGN.md §12.4). Each
+// backend is one composable i×j block function (backends.h); this driver
+// owns the full [0,n)×[0,n) sweep: zero-fill, cache tiling, and the flat
+// −1 self-class correction.
 //
 // Bit-identity across tilings: every candidate j's two accumulators are
 // uint64 sums over the streamed classes, associative and commutative mod
@@ -21,8 +21,8 @@ namespace util {
 namespace simd {
 
 /// The full sweep instance: n candidates = n streamed classes over the
-/// class-major packed arrays (stride `words`, 1..4). See SweepBlockArgs for
-/// the per-pair semantics.
+/// class-major packed arrays (stride `words`, 1..4). See SweepBlockArgs
+/// (backends.h) for the per-pair semantics.
 struct SweepArgs {
   const uint64_t* keys = nullptr;
   const uint64_t* sigs = nullptr;
@@ -61,11 +61,12 @@ void SweepUCounts(const SweepArgs& args, uint64_t* u_pos, uint64_t* u_neg);
 namespace internal {
 /// Accumulating tiled sweep over the candidate range [jb, je) with an
 /// explicit backend and tiling: the body of SweepUCounts, exposed for the
-/// tile-size bench and the tiling parity tests. Does NOT zero-fill and
-/// does NOT apply the self-class correction.
-void SweepRangeTiled(const KernelOps& ops, const SweepArgs& args, size_t jb,
-                     size_t je, const SweepTiling& tiling, uint64_t* u_pos,
-                     uint64_t* u_neg);
+/// tile-size bench and the tiling parity tests. `backend` must be
+/// supported (the active one, or one of SupportedKernelBackends()). Does
+/// NOT zero-fill and does NOT apply the self-class correction.
+void SweepRangeTiled(KernelBackend backend, const SweepArgs& args,
+                     size_t jb, size_t je, const SweepTiling& tiling,
+                     uint64_t* u_pos, uint64_t* u_neg);
 }  // namespace internal
 
 }  // namespace simd

@@ -57,13 +57,6 @@ class Socket {
   /// Closes the fd now (idempotent).
   void Close();
 
-  /// Releases ownership without closing.
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
  private:
   int fd_ = -1;
 };

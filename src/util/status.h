@@ -42,6 +42,11 @@ class Status {
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
 
+  /// A status with `code` and `msg`, for a code known only as a value (one
+  /// read off the wire); the factories below name each code.
+  Status(StatusCode code, std::string msg)
+      : code_(code), message_(std::move(msg)) {}
+
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
@@ -120,9 +125,6 @@ class Status {
   }
 
  private:
-  Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
-
   StatusCode code_;
   std::string message_;
 };

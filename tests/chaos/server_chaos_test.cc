@@ -218,6 +218,9 @@ TEST_F(ServerChaosTest, FaultScheduleNeverCorruptsCompletedTranscripts) {
       EXPECT_TRUE(outcomes[i] == baselines[i])
           << "tenant " << i << " transcript corrupted by the schedule";
     }
+    // The five tenants each connect at least once, so the storm hits
+    // server.accept at least five times in a row, and every:5 trips.
+    EXPECT_GT(util::Failpoints::Stats("server.accept").trips, 0u);
 
     // After the storm: drain gracefully. No connection is live, so the
     // drain completes immediately, with nothing leaked.

@@ -142,7 +142,8 @@ TEST(InferenceStateTest, CountNewlyUninformativeMatchesSimulation) {
       uint64_t via_weights =
           state.InformativeTupleWeight() - sim.InformativeTupleWeight() - 1;
       EXPECT_EQ(direct, via_weights)
-          << "class " << c << " label " << LabelToString(label);
+          << "class " << c << " label "
+          << (label == Label::kPositive ? "+" : "-");
     }
   }
 }

@@ -17,7 +17,6 @@
 #include "core/signature_index.h"
 #include "testing/kernel_backends.h"
 #include "util/rng.h"
-#include "util/simd/backends.h"
 #include "util/simd/sweep.h"
 #include "workload/synthetic.h"
 
@@ -46,13 +45,12 @@ TEST(KernelBackendTest, NamesRoundTrip) {
 
 TEST(KernelBackendTest, SetKernelBackendRejectsUnsupported) {
   // At least one of the vector backends is unsupported somewhere; what we
-  // can always assert is that a rejected set leaves the active table
+  // can always assert is that a rejected set leaves the active backend
   // unchanged and a supported set takes effect.
   const KernelBackend ambient = ActiveKernelBackend();
   for (KernelBackend b : SupportedKernelBackends()) {
     ASSERT_TRUE(SetKernelBackend(b));
     ASSERT_EQ(ActiveKernelBackend(), b);
-    ASSERT_EQ(KernelOpsFor(b).backend, b);
   }
   ASSERT_TRUE(SetKernelBackend(ambient));
 }
@@ -122,15 +120,14 @@ TEST(KernelBackendTest, TiledSweepMatchesMonolithic) {
   const size_t words = 2;
   SweepFixture fx(0x7171, n, words, 2);
   for (KernelBackend backend : SupportedKernelBackends()) {
-    const KernelOps& ops = KernelOpsFor(backend);
     std::vector<uint64_t> want_pos(n, 0), want_neg(n, 0);
-    internal::SweepRangeTiled(ops, fx.args, 0, n, SweepTiling{n, n},
+    internal::SweepRangeTiled(backend, fx.args, 0, n, SweepTiling{n, n},
                               want_pos.data(), want_neg.data());
     const SweepTiling tilings[] = {{1, 1},   {1, 7},    {7, 1},  {16, 16},
                                    {37, 53}, {128, 64}, {299, 2}, {512, 512}};
     for (const SweepTiling& t : tilings) {
       std::vector<uint64_t> got_pos(n, 0), got_neg(n, 0);
-      internal::SweepRangeTiled(ops, fx.args, 0, n, t, got_pos.data(),
+      internal::SweepRangeTiled(backend, fx.args, 0, n, t, got_pos.data(),
                                 got_neg.data());
       ASSERT_EQ(got_pos, want_pos) << KernelBackendName(backend) << " i_tile="
                                    << t.i_tile << " j_tile=" << t.j_tile;
@@ -141,8 +138,8 @@ TEST(KernelBackendTest, TiledSweepMatchesMonolithic) {
 }
 
 // The kernels cover W = 1..4 (a JoinPredicate is four words): a wider
-// sweep is a caller bug, and every backend's width switch aborts on it
-// rather than computing anything.
+// sweep is a caller bug, and every backend's sweep block aborts on it
+// (util::WithWidth) rather than computing anything.
 TEST(KernelBackendDeathTest, SweepPastFourWordsAborts) {
   const size_t n = 16;
   SweepFixture fx(0x5ca1ab1e, n, 5, 1);

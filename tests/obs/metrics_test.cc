@@ -59,12 +59,10 @@ TEST_F(MetricsTest, CounterIncByNAccumulates) {
   EXPECT_EQ(counter.Value(), 42u);
 }
 
-TEST_F(MetricsTest, GaugeSetAndAdd) {
+TEST_F(MetricsTest, GaugeSet) {
   Gauge gauge;
   gauge.Set(7);
   EXPECT_EQ(gauge.Value(), 7);
-  gauge.Add(-10);
-  EXPECT_EQ(gauge.Value(), -3);
   gauge.Set(0);
   EXPECT_EQ(gauge.Value(), 0);
 }

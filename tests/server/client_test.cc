@@ -1,14 +1,17 @@
 // The thin client against scripted fake servers: what a Client does after
 // an exchange fails. A reply that arrives after its request timed out must
-// never be read as the answer to a later request (DESIGN.md §11.3).
+// never be read as the answer to a later request (DESIGN.md §11.3), and an
+// error frame reaches the caller as the Status it carries.
 
 #include "server/client.h"
 
 #include <fcntl.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,11 +26,13 @@ namespace {
 using std::chrono::milliseconds;
 
 /// A one-connection fake server on an ephemeral loopback port that reads
-/// request frames and answers each `delay` late with a MetricsOk naming
-/// it ("reply-to-request-<n>", from 1).
-class LateServer {
+/// request frames and answers request n (from 1) `delay` late with the
+/// frame reply(n).
+class FakeServer {
  public:
-  explicit LateServer(milliseconds delay) {
+  using Reply = std::function<std::vector<uint8_t>(int request)>;
+
+  FakeServer(milliseconds delay, Reply reply) : reply_(std::move(reply)) {
     auto listener = util::ListenTcp("127.0.0.1", 0);
     JINFER_CHECK(listener.ok(), "listen failed");
     listener_ = std::move(listener).ValueOrDie();
@@ -36,7 +41,7 @@ class LateServer {
     port_ = *port;
     thread_ = std::thread([this, delay] { Serve(delay); });
   }
-  ~LateServer() { thread_.join(); }
+  ~FakeServer() { thread_.join(); }
 
   uint16_t port() const { return port_; }
 
@@ -61,27 +66,29 @@ class LateServer {
       if (!util::ReadExact(conn, std::span<uint8_t>(header_bytes)).ok()) {
         return;
       }
-      auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                                      kMaxFramePayload);
+      auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes));
       if (!header.ok()) return;
       std::vector<uint8_t> payload(header->payload_bytes);
       if (!util::ReadExact(conn, std::span<uint8_t>(payload)).ok()) return;
       std::this_thread::sleep_for(delay);
-      MetricsOkBody reply;
-      reply.text = "reply-to-request-" + std::to_string(request);
       // The client may have hung up by now; a failed write ends nothing.
-      (void)util::WriteAll(conn,
-                           EncodeFrame(FrameType::kMetricsOk, Encode(reply)));
+      (void)util::WriteAll(conn, reply_(request));
     }
   }
 
+  Reply reply_;
   util::Socket listener_;
   uint16_t port_ = 0;
   std::thread thread_;
 };
 
 TEST(ClientTest, TimedOutExchangeClosesTheConnection) {
-  LateServer server(milliseconds(200));
+  // Each reply names its request ("reply-to-request-<n>").
+  FakeServer server(milliseconds(200), [](int request) {
+    MetricsOkBody reply;
+    reply.text = "reply-to-request-" + std::to_string(request);
+    return EncodeFrame(FrameType::kMetricsOk, Encode(reply));
+  });
   Client::Options options;
   options.io_timeout = milliseconds(50);
   auto client = Client::Connect("127.0.0.1", server.port(), options);
@@ -104,6 +111,46 @@ TEST(ClientTest, TimedOutExchangeClosesTheConnection) {
             util::StatusCode::kFailedPrecondition);
   EXPECT_EQ(client->Answer(true).status().code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+TEST(ClientTest, EveryStatusCodeCrossesTheWire) {
+  // The code travels as a number: each of the taxonomy's codes reaches the
+  // caller as itself, with its message, and the connection stays usable
+  // (the server refused the request; the stream is in step). A code past
+  // the taxonomy (a newer peer's) and 0, which names no error, read as
+  // kIoError.
+  using util::StatusCode;
+  struct Case {
+    uint32_t wire;
+    StatusCode want;
+  };
+  std::vector<Case> cases;
+  for (uint32_t code = 1;
+       code <= static_cast<uint32_t>(StatusCode::kResourceExhausted); ++code) {
+    cases.push_back({code, static_cast<StatusCode>(code)});
+  }
+  cases.push_back({999, StatusCode::kIoError});
+  cases.push_back({0, StatusCode::kIoError});
+  FakeServer server(milliseconds(0), [&cases](int request) {
+    ErrorBody err;
+    err.code = cases[static_cast<size_t>(request - 1)].wire;
+    err.message = "error-" + std::to_string(request);
+    return EncodeFrame(FrameType::kError, Encode(err));
+  });
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    auto reply = client->ServerMetrics();
+    ASSERT_FALSE(reply.ok()) << "wire code " << cases[i].wire;
+    EXPECT_EQ(reply.status().code(), cases[i].want)
+        << "wire code " << cases[i].wire;
+    EXPECT_EQ(reply.status().message(), "error-" + std::to_string(i + 1));
+    EXPECT_EQ(RetryLater(reply.status()),
+              cases[i].want == StatusCode::kUnavailable ||
+                  cases[i].want == StatusCode::kResourceExhausted);
+  }
+  EXPECT_TRUE(client->sock().valid());
 }
 
 }  // namespace

@@ -53,8 +53,7 @@ TEST(FrameCodecTest, RoundTripsRandomPayloadsAtEverySize) {
     ASSERT_EQ(wire.size(), kFrameHeaderBytes + n);
 
     auto header = DecodeFrameHeader(
-        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-        kMaxFramePayload);
+        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
     ASSERT_TRUE(header.ok()) << header.status().ToString();
     EXPECT_EQ(header->payload_bytes, n);
 
@@ -74,8 +73,7 @@ TEST(FrameCodecTest, RoundTripsEveryFrameType) {
     const std::vector<uint8_t> wire =
         EncodeFrame(static_cast<FrameType>(type), payload);
     auto header = DecodeFrameHeader(
-        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-        kMaxFramePayload);
+        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
     ASSERT_TRUE(header.ok()) << "type " << int(type);
     EXPECT_EQ(header->type, type);
     EXPECT_TRUE(IsKnownFrameType(type));
@@ -99,8 +97,7 @@ TEST(FrameCodecTest, RejectsBadMagic) {
   header.magic = 0xdeadbeef;
   wire = WithHeader(header, wire);
   auto decoded = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
   EXPECT_NE(decoded.status().ToString().find("magic"), std::string::npos);
@@ -115,8 +112,7 @@ TEST(FrameCodecTest, RejectsUnsupportedVersion) {
     header.version = version;
     wire = WithHeader(header, wire);
     auto decoded = DecodeFrameHeader(
-        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-        kMaxFramePayload);
+        std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
     EXPECT_NE(decoded.status().ToString().find(
@@ -132,8 +128,7 @@ TEST(FrameCodecTest, RejectsUnknownType) {
   header.type = 0x33;
   wire = WithHeader(header, wire);
   auto decoded = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
 }
@@ -146,24 +141,11 @@ TEST(FrameCodecTest, RejectsOversizedLengthBeforeBuffering) {
   header.payload_bytes = 0xfffffff0u;
   wire = WithHeader(header, wire);
   auto decoded = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
   EXPECT_NE(decoded.status().ToString().find("oversized"),
             std::string::npos);
-}
-
-TEST(FrameCodecTest, HonorsPerServerPayloadBound) {
-  // A deployment may lower the bound below kMaxFramePayload; a payload legal
-  // globally but over the local bound is rejected the same way.
-  const std::vector<uint8_t> payload(1024, 0xab);
-  auto wire = EncodeFrame(FrameType::kOpenSession, payload);
-  auto decoded = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      /*max_payload=*/512);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError);
 }
 
 TEST(FrameCodecTest, RejectsChecksumMismatch) {
@@ -171,8 +153,7 @@ TEST(FrameCodecTest, RejectsChecksumMismatch) {
   auto wire = EncodeFrame(FrameType::kAnswer, payload);
   wire[kFrameHeaderBytes + 2] ^= 0x01;  // Corrupt one payload byte.
   auto header = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
   ASSERT_TRUE(header.ok());
   auto frame = DecodeFramePayload(
       *header, std::span<const uint8_t>(wire.data() + kFrameHeaderBytes,
@@ -186,8 +167,7 @@ TEST(FrameCodecTest, RejectsPayloadLengthMismatch) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   auto wire = EncodeFrame(FrameType::kAnswer, payload);
   auto header = DecodeFrameHeader(
-      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
-      kMaxFramePayload);
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes));
   ASSERT_TRUE(header.ok());
   auto frame = DecodeFramePayload(
       *header,

@@ -123,8 +123,7 @@ util::Result<Frame> ReadFrame(const util::Socket& sock) {
   JINFER_RETURN_NOT_OK(util::ReadExact(sock, std::span<uint8_t>(header_bytes)));
   JINFER_ASSIGN_OR_RETURN(
       FrameHeader header,
-      DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                        kMaxFramePayload));
+      DecodeFrameHeader(std::span<const uint8_t>(header_bytes)));
   std::vector<uint8_t> payload(header.payload_bytes);
   JINFER_RETURN_NOT_OK(util::ReadExact(sock, std::span<uint8_t>(payload)));
   return DecodeFramePayload(header, payload);
@@ -669,6 +668,27 @@ TEST(ServerTest, FullWorkQueueShedsWithoutClosing) {
   }
 }
 
+TEST(ServerTest, ShedFrameCarriesRetryLaterAndNotWillClose) {
+  // The flags as the server writes them: a shed is a refusal, so its error
+  // frame carries RETRY_LATER, and no WILL_CLOSE, because the connection
+  // stays open.
+  ServerOptions options;
+  options.max_pending_work = 0;
+  auto server = StartServer(options);
+  util::Socket sock = RawConnect(*server);
+  ASSERT_TRUE(
+      util::WriteAll(sock, Pipelined({FrameType::kMetrics}, {})).ok());
+
+  auto reply = ReadFrame(sock);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_STREQ(FrameTypeName(reply->type), FrameTypeName(FrameType::kError));
+  auto err = DecodeError(reply->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_EQ(err->code,
+            static_cast<uint32_t>(util::StatusCode::kResourceExhausted));
+  EXPECT_EQ(err->flags, kErrorFlagRetryLater);
+}
+
 /// The process-wide level of jinfer_server_pending_work: every live
 /// server's cell.
 int64_t PendingWorkGauge() {
@@ -832,6 +852,8 @@ TEST(ServerTest, ReadDeadlineClosesAHalfSentFrame) {
   EXPECT_EQ(err->message, "read deadline exceeded");
   EXPECT_TRUE(err->flags & kErrorFlagWillClose)
       << "error should announce the close";
+  EXPECT_FALSE(err->flags & kErrorFlagRetryLater)
+      << "a deadline close is not a refusal to retry";
 
   // Then EOF (kIoError), not a read timeout (kUnavailable).
   uint8_t byte;
@@ -883,8 +905,7 @@ void ExpectErrorThenClose(const Server& server,
   uint8_t header_bytes[kFrameHeaderBytes];
   ASSERT_TRUE(
       util::ReadExact(*sock, std::span<uint8_t>(header_bytes)).ok());
-  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                                  kMaxFramePayload);
+  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes));
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->type, static_cast<uint8_t>(FrameType::kError));
   std::vector<uint8_t> payload(header->payload_bytes);
@@ -979,8 +1000,7 @@ TEST(ServerTest, MidFrameEofIsAProtocolErrorNotAHang) {
   uint8_t header_bytes[kFrameHeaderBytes];
   ASSERT_TRUE(
       util::ReadExact(*sock, std::span<uint8_t>(header_bytes)).ok());
-  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                                  kMaxFramePayload);
+  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes));
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->type, static_cast<uint8_t>(FrameType::kError));
 }
@@ -1101,8 +1121,7 @@ TEST(ServerTest, DrainDeadlineForcesStragglersOut) {
   uint8_t header_bytes[kFrameHeaderBytes];
   ASSERT_TRUE(
       util::ReadExact(*sock, std::span<uint8_t>(header_bytes)).ok());
-  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes),
-                                  kMaxFramePayload);
+  auto header = DecodeFrameHeader(std::span<const uint8_t>(header_bytes));
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->type, static_cast<uint8_t>(FrameType::kError));
 

@@ -159,6 +159,58 @@ TEST_F(CorruptionTest, FutureVersionIsRejectedWithClearError) {
       << loaded.status().ToString();
 }
 
+TEST_F(CorruptionTest, MalformedNamesSectionIsRejected) {
+  // Each edit below re-seals the checksum, as the version test does, so
+  // the names reader's own checks fire rather than the checksum's.
+  IndexFileHeader header;
+  std::memcpy(&header, good_bytes_.data(), sizeof(header));
+  const uint64_t names_offset = header.sections[kSectionNames].offset;
+  // Walk to the last string's u32 length prefix (the last P attribute).
+  size_t last = names_offset;
+  uint32_t last_len = 0;
+  const uint32_t num_names = 2 + header.num_r_attrs + header.num_p_attrs;
+  for (uint32_t i = 0; i < num_names; ++i) {
+    if (i > 0) last += sizeof(uint32_t) + last_len;
+    std::memcpy(&last_len, good_bytes_.data() + last, sizeof(last_len));
+  }
+  ASSERT_GT(last_len, 0u);
+
+  const auto expect_rejected = [&](std::vector<uint8_t> bytes,
+                                   const std::string& why,
+                                   size_t quarantined) {
+    const uint64_t checksum = util::Checksum64Of(
+        bytes.data(), bytes.size() - sizeof(IndexFileFooter));
+    std::memcpy(bytes.data() + bytes.size() - sizeof(IndexFileFooter),
+                &checksum, sizeof(checksum));
+    auto view = ValidateIndexFile(bytes);
+    ASSERT_FALSE(view.ok()) << why;
+    EXPECT_TRUE(view.status().IsParseError()) << view.status().ToString();
+    EXPECT_NE(view.status().message().find(why), std::string::npos)
+        << view.status().ToString();
+    WriteRaw(bytes);
+    ExpectRejectedAndQuarantined(quarantined);
+  };
+
+  // The section ends two bytes into the last length prefix.
+  std::vector<uint8_t> cut = good_bytes_;
+  IndexFileHeader cut_header = header;
+  cut_header.sections[kSectionNames].bytes = last - names_offset + 2;
+  std::memcpy(cut.data(), &cut_header, sizeof(cut_header));
+  expect_rejected(cut, "missing length", 1);
+
+  // The last string claims one byte more than the section holds.
+  std::vector<uint8_t> overrun = good_bytes_;
+  const uint32_t longer = last_len + 1;
+  std::memcpy(overrun.data() + last, &longer, sizeof(longer));
+  expect_rejected(overrun, "string overruns section", 2);
+
+  // The last string claims one byte less: one byte is left over.
+  std::vector<uint8_t> trailing = good_bytes_;
+  const uint32_t shorter = last_len - 1;
+  std::memcpy(trailing.data() + last, &shorter, sizeof(shorter));
+  expect_rejected(trailing, "trailing bytes", 3);
+}
+
 TEST_F(CorruptionTest, ForeignByteOrderIsRejected) {
   std::vector<uint8_t> bytes = good_bytes_;
   const uint32_t swapped = 0x04030201;  // kByteOrderMarker byte-swapped.

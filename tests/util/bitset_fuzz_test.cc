@@ -57,8 +57,6 @@ TEST_P(BitsetFuzzTest, AlgebraMatchesReference) {
     EXPECT_EQ((a.mine ^ b.mine).Count(), (a.ref ^ b.ref).count());
     EXPECT_EQ((a.mine - b.mine).Count(), (a.ref & ~b.ref).count());
     EXPECT_EQ(a.mine.Count(), a.ref.count());
-    EXPECT_EQ(a.mine.Empty(), a.ref.none());
-    EXPECT_EQ(a.mine.Intersects(b.mine), (a.ref & b.ref).any());
     EXPECT_EQ(a.mine.IsSubsetOf(b.mine), (a.ref & ~b.ref).none());
     EXPECT_EQ(a.mine == b.mine, a.ref == b.ref);
   }
@@ -69,17 +67,11 @@ TEST_P(BitsetFuzzTest, IterationMatchesReference) {
   ModelPair a = RandomSet(rng, 0.2);
   std::vector<size_t> via_foreach;
   a.mine.ForEachSetBit([&](size_t bit) { via_foreach.push_back(bit); });
-  std::vector<size_t> via_next;
-  for (size_t b = a.mine.FirstSetBit(); b < kBits;
-       b = a.mine.NextSetBit(b + 1)) {
-    via_next.push_back(b);
-  }
   std::vector<size_t> expected;
   for (size_t b = 0; b < kBits; ++b) {
     if (a.ref.test(b)) expected.push_back(b);
   }
   EXPECT_EQ(via_foreach, expected);
-  EXPECT_EQ(via_next, expected);
 }
 
 TEST_P(BitsetFuzzTest, SubsetIsAPartialOrder) {
@@ -190,11 +182,10 @@ void RunOpSequence(uint64_t seed, size_t universe, int rounds) {
         break;
     }
     ASSERT_NO_FATAL_FAILURE(
-        ExpectMatchesModel(x, mx, universe, SmallBitset::kMaxBits));
+        ExpectMatchesModel(x, mx, universe));
     // Binary observables against the model, including the self cases.
     ASSERT_EQ(x.IsSubsetOf(y), mx.IsSubsetOf(my));
     ASSERT_EQ(y.IsSubsetOf(x), my.IsSubsetOf(mx));
-    ASSERT_EQ(x.Intersects(y), mx.Intersects(my));
     ASSERT_EQ(x == y, mx.Equals(my));
     ASSERT_EQ((x & y).Count(), BoolVecModel::And(mx, my).Count());
     ASSERT_EQ((x | y).Count(), BoolVecModel::Or(mx, my).Count());

@@ -11,9 +11,7 @@ namespace {
 
 TEST(SmallBitsetTest, DefaultIsEmpty) {
   SmallBitset b;
-  EXPECT_TRUE(b.Empty());
   EXPECT_EQ(b.Count(), 0u);
-  EXPECT_EQ(b.FirstSetBit(), SmallBitset::kMaxBits);
 }
 
 TEST(SmallBitsetTest, SetTestReset) {
@@ -50,7 +48,6 @@ TEST(SmallBitsetTest, Singleton) {
   SmallBitset b = SmallBitset::Singleton(100);
   EXPECT_EQ(b.Count(), 1u);
   EXPECT_TRUE(b.Test(100));
-  EXPECT_EQ(b.FirstSetBit(), 100u);
 }
 
 TEST(SmallBitsetTest, SubsetReflexive) {
@@ -112,27 +109,6 @@ TEST(SmallBitsetTest, CompoundAssignment) {
   EXPECT_EQ(a.Count(), 2u);
   a &= b;
   EXPECT_EQ(a, b);
-}
-
-TEST(SmallBitsetTest, Intersects) {
-  SmallBitset a = SmallBitset::Singleton(10);
-  SmallBitset b = SmallBitset::Singleton(10);
-  SmallBitset c = SmallBitset::Singleton(11);
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
-  EXPECT_FALSE(SmallBitset().Intersects(a));
-}
-
-TEST(SmallBitsetTest, NextSetBitWalksAllBits) {
-  SmallBitset b;
-  std::vector<size_t> bits = {0, 7, 63, 64, 65, 127, 128, 254, 255};
-  for (size_t bit : bits) b.Set(bit);
-  std::vector<size_t> seen;
-  for (size_t i = b.FirstSetBit(); i < SmallBitset::kMaxBits;
-       i = b.NextSetBit(i + 1)) {
-    seen.push_back(i);
-  }
-  EXPECT_EQ(seen, bits);
 }
 
 TEST(SmallBitsetTest, ForEachSetBitInOrder) {
