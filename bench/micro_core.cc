@@ -597,7 +597,9 @@ BENCHMARK(BM_StrategySelection)
     ->Arg(static_cast<int>(core::StrategyKind::kLookahead1))
     ->Arg(static_cast<int>(core::StrategyKind::kLookahead2));
 
-void BM_FullInferenceTD(benchmark::State& state) {
+/// One whole session of `kind` towards the goal {bit 0} on an Arg-row
+/// instance: every pick and every label.
+void FullInference(benchmark::State& state, core::StrategyKind kind) {
   auto inst = MakeInstance(static_cast<size_t>(state.range(0)), 100);
   auto index = core::SignatureIndex::Build(inst.r, inst.p);
   JINFER_CHECK(index.ok(), "build");
@@ -606,14 +608,23 @@ void BM_FullInferenceTD(benchmark::State& state) {
   core::InferenceOptions options;
   options.record_trace = false;
   for (auto _ : state) {
-    auto strategy = core::MakeStrategy(core::StrategyKind::kTopDown);
+    auto strategy = core::MakeStrategy(kind);
     core::GoalOracle oracle{goal};
     auto result = core::RunInference(*index, *strategy, oracle, options);
     JINFER_CHECK(result.ok(), "inference");
     benchmark::DoNotOptimize(result);
   }
 }
+
+void BM_FullInferenceTD(benchmark::State& state) {
+  FullInference(state, core::StrategyKind::kTopDown);
+}
 BENCHMARK(BM_FullInferenceTD)->Arg(50)->Arg(100)->Arg(200);
+
+void BM_FullInferenceBU(benchmark::State& state) {
+  FullInference(state, core::StrategyKind::kBottomUp);
+}
+BENCHMARK(BM_FullInferenceBU)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_ConsistencyCheck(benchmark::State& state) {
   auto inst = MakeInstance(100, 100);

@@ -193,7 +193,8 @@ void BM_ColdStartRebuild(benchmark::State& state) {
 BENCHMARK(BM_ColdStartRebuild);
 
 // Restart cost with the store: mmap + header/checksum validation + the
-// O(#classes) signature-map rebuild, through the same IndexStore::Load
+// O(#classes) class checks, signature-map rebuild and visiting orders
+// (DESIGN.md §8), through the same IndexStore::Load
 // the runtime uses. Acceptance: ≥10× faster than BM_ColdStartRebuild.
 void BM_ColdStartMmap(benchmark::State& state) {
   const workload::SyntheticInstance& inst = ColdStartInstance();

@@ -134,6 +134,29 @@ struct ClassShard {
       : class_of(16, PrefixSigHash{words}, PrefixSigEq{words}) {}
 };
 
+/// Every class id in (|T(c)|, id) order, by a stable counting sort over
+/// the signature popcounts: the popcount buckets laid end to end, bucket k
+/// spanning [starts[k], starts[k + 1]) of the result. Every signature must
+/// lie in Ω, so its popcount is that of Ω's words and at most omega_size.
+std::vector<ClassId> OrderBySize(std::span<const SignatureClass> classes,
+                                 size_t omega_size,
+                                 std::vector<uint32_t>& starts) {
+  const size_t words = JoinPredicate::WordsFor(omega_size);
+  std::vector<uint16_t> sizes(classes.size());
+  starts.assign(omega_size + 2, 0);
+  for (size_t a = 0; a < classes.size(); ++a) {
+    sizes[a] = static_cast<uint16_t>(classes[a].signature.CountPrefix(words));
+    ++starts[sizes[a] + 1];
+  }
+  for (size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
+  std::vector<uint32_t> next(starts.begin(), starts.end() - 1);
+  std::vector<ClassId> order(classes.size());
+  for (size_t a = 0; a < classes.size(); ++a) {
+    order[next[sizes[a]]++] = static_cast<ClassId>(a);
+  }
+  return order;
+}
+
 }  // namespace
 
 EncodedInstance EncodeInstance(const rel::Relation& r, const rel::Relation& p) {
@@ -311,34 +334,25 @@ util::Result<SignatureIndex> SignatureIndex::BuildFromEncoded(
     shard.class_of.clear();
   }
 
-  // Mark ⊆-maximal signatures (needed by the top-down strategy). A strict
-  // superset has strictly larger popcount, so bucket the classes by
-  // popcount and test each signature only against buckets above its own;
-  // equal-popcount signatures can never strictly contain one another.
-  const size_t num_classes = index.owned_classes_.size();
-  std::vector<uint16_t> popcounts(num_classes);
-  std::vector<std::vector<uint32_t>> buckets(index.omega_.size() + 1);
-  for (size_t a = 0; a < num_classes; ++a) {
-    size_t bits = index.owned_classes_[a].signature.Count();
-    popcounts[a] = static_cast<uint16_t>(bits);
-    buckets[bits].push_back(static_cast<uint32_t>(a));
-  }
+  // Mark ⊆-maximal signatures (TD's first phase visits them). A strict
+  // superset has strictly larger popcount, so with the classes in
+  // popcount order each signature is tested only against the buckets
+  // above its own; equal-popcount signatures can never strictly contain
+  // one another.
+  std::vector<uint32_t> starts;
+  const std::vector<ClassId> by_size =
+      OrderBySize(index.owned_classes_, index.omega_.size(), starts);
   util::ParallelFor(
-      num_classes, num_threads, [&](size_t begin, size_t end, size_t) {
+      by_size.size(), num_threads, [&](size_t begin, size_t end, size_t) {
         for (size_t a = begin; a < end; ++a) {
           const JoinPredicate& sig = index.owned_classes_[a].signature;
-          bool maximal = true;
-          for (size_t bits = popcounts[a] + 1;
-               maximal && bits < buckets.size(); ++bits) {
-            for (uint32_t b : buckets[bits]) {
-              if (sig.IsSubsetOfPrefix(index.owned_classes_[b].signature,
-                                       active_words)) {
-                maximal = false;
-                break;
-              }
-            }
-          }
-          index.owned_classes_[a].maximal = maximal;
+          const auto larger =
+              by_size.begin() + starts[sig.CountPrefix(active_words) + 1];
+          index.owned_classes_[a].maximal =
+              std::none_of(larger, by_size.end(), [&](ClassId b) {
+                return sig.IsSubsetOfPrefix(
+                    index.owned_classes_[b].signature, active_words);
+              });
         }
       });
 
@@ -347,6 +361,7 @@ util::Result<SignatureIndex> SignatureIndex::BuildFromEncoded(
   index.classes_ = index.owned_classes_;
   index.r_codes_ = index.owned_r_codes_;
   index.p_codes_ = index.owned_p_codes_;
+  index.DeriveClassLists();
   return index;
 }
 
@@ -381,16 +396,25 @@ util::Result<SignatureIndex> SignatureIndex::FromSections(
   index.r_codes_ = r_codes;
   index.p_codes_ = p_codes;
   JINFER_RETURN_NOT_OK(index.IndexSignatures());
+  index.DeriveClassLists();
   return index;
 }
 
 util::Status SignatureIndex::IndexSignatures() {
   class_of_signature_.clear();
   class_of_signature_.reserve(classes_.size());
+  const JoinPredicate omega = omega_.Full();
   uint64_t total = 0;
   uint32_t max_row_r = 0, max_row_p = 0;
   for (size_t a = 0; a < classes_.size(); ++a) {
     const SignatureClass& sc = classes_[a];
+    // Everything downstream (Omega::Format, the popcount order) indexes by
+    // signature bit, so a bit past |Ω| must never get in.
+    if (!sc.signature.IsSubsetOf(omega)) {
+      return util::Status::ParseError(util::StrFormat(
+          "index sections: class %zu has a signature outside Omega "
+          "(|Omega| = %zu)", a, omega_.size()));
+    }
     auto [it, inserted] = class_of_signature_.try_emplace(
         sc.signature, static_cast<ClassId>(a));
     // Compressed indexes have one class per signature; in the uncompressed
@@ -416,6 +440,17 @@ util::Status SignatureIndex::IndexSignatures() {
         "index sections: class representative outside the encoded rows");
   }
   return util::Status::OK();
+}
+
+void SignatureIndex::DeriveClassLists() {
+  std::vector<uint32_t> starts;
+  classes_by_size_ = OrderBySize(classes_, omega_.size(), starts);
+  maximal_classes_.clear();
+  for (size_t a = 0; a < classes_.size(); ++a) {
+    if (classes_[a].maximal) {
+      maximal_classes_.push_back(static_cast<ClassId>(a));
+    }
+  }
 }
 
 std::optional<ClassId> SignatureIndex::ClassOfSignature(

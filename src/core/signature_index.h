@@ -24,6 +24,13 @@
 // with strictly larger popcount, O(Σ_k |bucket_k| · |larger buckets|) word
 // ops instead of the naive O(C²), and is itself parallelized over classes.
 //
+// Visiting orders: the index also keeps two read-only class lists, derived
+// from the class table at build and at load (never stored): every class in
+// (|T(c)|, id) order — the popcount buckets laid end to end, and BU's
+// visiting order — and the ⊆-maximal classes in id order, which TD visits
+// before its first positive. A local strategy's pick then reads one list
+// entry per class it skips instead of every class record.
+//
 // Storage model (DESIGN.md §8): the large arrays — the class table and the
 // dictionary-encoded row codes — are exposed as spans that point either
 // into vectors this index owns (the Build path) or into an externally
@@ -62,7 +69,7 @@ struct SignatureClass {
   uint32_t rep_r = 0;        ///< Representative R row index.
   uint32_t rep_p = 0;        ///< Representative P row index.
   bool maximal = false;      ///< No other class signature strictly contains
-                             ///< this one (used by the TD strategy).
+                             ///< this one (MaximalClasses lists these).
 };
 
 struct SignatureIndexOptions {
@@ -112,9 +119,10 @@ class SignatureIndex {
   /// large arrays: `classes` and the code spans are adopted as-is and must
   /// stay valid for the index's lifetime — `storage` (e.g. a shared mmap
   /// handle) is held to guarantee that. Only the signature→class hash map
-  /// is rebuilt (O(#classes), negligible next to the classification pass).
-  /// Fails with ParseError when the sections are mutually inconsistent
-  /// (sizes, duplicate signatures under compression, counts not summing to
+  /// and the two visiting orders are rebuilt (O(#classes), negligible next
+  /// to the classification pass). Fails with ParseError when the sections
+  /// are mutually inconsistent (sizes, a class signature outside Ω,
+  /// duplicate signatures under compression, counts not summing to
   /// num_tuples) — the store's last line of defense behind its checksum.
   /// A freshly Build()-ed and a FromSections()-reassembled index over the
   /// same instance are bit-identical in every observable (property-tested
@@ -147,6 +155,15 @@ class SignatureIndex {
   size_t num_classes() const { return classes_.size(); }
   const SignatureClass& cls(ClassId id) const { return classes_[id]; }
   std::span<const SignatureClass> classes() const { return classes_; }
+
+  /// Every class id in (|T(c)|, id) order: BU's visiting order, so the
+  /// first informative entry is the smallest informative signature with
+  /// ties broken by lowest id.
+  std::span<const ClassId> ClassesBySize() const { return classes_by_size_; }
+
+  /// The ids of the classes flagged maximal, in increasing id order: TD's
+  /// visiting order before its first positive label.
+  std::span<const ClassId> MaximalClasses() const { return maximal_classes_; }
 
   /// |D| = |R| * |P|.
   uint64_t num_tuples() const { return num_tuples_; }
@@ -204,9 +221,14 @@ class SignatureIndex {
       const rel::Schema& p_schema, const std::vector<rel::Row>& p_rows,
       const SignatureIndexOptions& options);
 
-  /// Rebuilds class_of_signature_ from classes_; shared by Build (which
-  /// fills it incrementally instead) and FromSections.
+  /// Rebuilds class_of_signature_ from classes_ (Build fills it
+  /// incrementally instead) and checks every class record against Ω, the
+  /// encoded rows and num_tuples; FromSections calls it.
   util::Status IndexSignatures();
+
+  /// Derives classes_by_size_ and maximal_classes_ from classes_ (their
+  /// popcounts and maximal flags); Build and FromSections both end here.
+  void DeriveClassLists();
 
   Omega omega_;
   uint64_t build_id_ = 0;
@@ -227,6 +249,11 @@ class SignatureIndex {
 
   std::unordered_map<JoinPredicate, ClassId, util::SmallBitsetHash>
       class_of_signature_;
+
+  // Derived visiting orders (DeriveClassLists); owned even by a mapped
+  // index, 4 bytes per listed class.
+  std::vector<ClassId> classes_by_size_;
+  std::vector<ClassId> maximal_classes_;
 };
 
 }  // namespace core

@@ -1,50 +1,48 @@
 #include "core/strategies/local_strategies.h"
 
+#include <span>
+
 namespace jinfer {
 namespace core {
 
 namespace {
 
-/// Smallest-|T(t)| informative class; lowest ClassId breaks ties (the paper
-/// leaves tie-breaking arbitrary).
-std::optional<ClassId> SmallestSignature(const InferenceState& state) {
-  const SignatureIndex& index = state.index();
-  std::optional<ClassId> best;
-  size_t best_size = 0;
-  for (ClassId c = 0; c < index.num_classes(); ++c) {
-    if (!state.IsInformative(c)) continue;
-    size_t size = index.cls(c).signature.Count();
-    if (!best || size < best_size) {
-      best = c;
-      best_size = size;
-    }
+/// The first informative class of `order`, one of the index's visiting
+/// orders. The paper leaves tie-breaking arbitrary; both orders break ties
+/// by lowest ClassId.
+std::optional<ClassId> FirstInformative(const InferenceState& state,
+                                        std::span<const ClassId> order) {
+  for (ClassId c : order) {
+    if (state.IsInformative(c)) return c;
   }
-  return best;
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::optional<ClassId> BottomUpStrategy::SelectNext(
     const InferenceState& state) {
-  return SmallestSignature(state);
+  // The smallest informative |T(t)|: the index lists classes by size.
+  return FirstInformative(state, state.index().ClassesBySize());
 }
 
 std::optional<ClassId> TopDownStrategy::SelectNext(
     const InferenceState& state) {
+  const SignatureIndex& index = state.index();
   if (state.HasPositiveExample()) {
-    return SmallestSignature(state);  // Lines 3-5: behave like BU.
+    // Lines 3-5: behave like BU.
+    return FirstInformative(state, index.ClassesBySize());
   }
   // Lines 1-2: an informative tuple with ⊆-maximal signature. While the
-  // sample is all-negative, every unlabeled maximal-signature class is
-  // informative, so one exists whenever any informative class does.
-  const SignatureIndex& index = state.index();
-  std::optional<ClassId> fallback;
-  for (ClassId c = 0; c < index.num_classes(); ++c) {
-    if (!state.IsInformative(c)) continue;
-    if (index.cls(c).maximal) return c;
-    if (!fallback) fallback = c;
+  // sample is all-negative, an unlabeled maximal class is informative
+  // unless its signature is Ω (born certain-positive). Such a class
+  // strictly contains every other signature, so it is the only maximal
+  // one; then any informative class will do, and the lowest id is taken.
+  if (auto pick = FirstInformative(state, index.MaximalClasses())) {
+    return pick;
   }
-  return fallback;
+  if (state.NumInformativeClasses() == 0) return std::nullopt;
+  return state.InformativeClassAt(0);
 }
 
 }  // namespace core

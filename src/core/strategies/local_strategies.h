@@ -1,6 +1,9 @@
 // Local strategies (§4.3): bottom-up and top-down lattice navigation.
 // "Local" because they follow a simple order on the lattice and ignore how
-// much information a label would prune.
+// much information a label would prune. That order is fixed by the
+// instance, so the SignatureIndex keeps it (ClassesBySize,
+// MaximalClasses) and a pick walks it to the first informative class:
+// one list entry and one state byte per class it skips, no class record.
 
 #ifndef JINFER_CORE_STRATEGIES_LOCAL_STRATEGIES_H_
 #define JINFER_CORE_STRATEGIES_LOCAL_STRATEGIES_H_

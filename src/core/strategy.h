@@ -61,9 +61,11 @@ class Strategy {
   /// the sample set and requires this.
   virtual bool deterministic() const { return true; }
 
-  /// True iff SelectNext picks in one pass over the classes, with no
-  /// lookahead or search (BU, TD, RND), so a pick costs O(classes). The
-  /// server runs such picks on its event thread (DESIGN.md §11.2).
+  /// True iff SelectNext picks in at most one pass over the classes, with
+  /// no lookahead or search (BU, TD, RND). RND's pick costs O(classes); BU
+  /// and TD walk the index's visiting orders and stop at the first
+  /// informative class. The server runs such picks on its event thread
+  /// (DESIGN.md §11.2).
   virtual bool one_pass() const { return false; }
 };
 

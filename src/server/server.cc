@@ -593,11 +593,15 @@ Server::Completion Server::HandleFrame(Work work) {
     case FrameType::kMetrics:
       HandleMetrics(frame, c);
       break;
-    default:
-      c.bytes = ErrorFrame(
-          util::Status::ParseError("unhandled request frame type"),
-          /*will_close=*/true);
-      c.close_after = true;
+    case FrameType::kOpenOk:
+    case FrameType::kQuestion:
+    case FrameType::kCloseOk:
+    case FrameType::kError:
+    case FrameType::kMetricsOk:
+      JINFER_CHECK(false,
+                   "response frame type 0x%02x past HandleReadable's "
+                   "IsRequestType filter",
+                   static_cast<unsigned>(frame.type));
       break;
   }
   return c;

@@ -134,6 +134,15 @@ class SmallBitset {
     return true;
   }
 
+  /// Count() over the first `words` words.
+  size_t CountPrefix(size_t words) const {
+    size_t c = 0;
+    for (size_t w = 0; w < words; ++w) {
+      c += static_cast<size_t>(std::popcount(words_[w]));
+    }
+    return c;
+  }
+
   /// Hash() over the first `words` words. Not interchangeable with Hash():
   /// containers must use one or the other consistently.
   size_t HashPrefix(size_t words) const {

@@ -1,9 +1,14 @@
 #include "core/signature_index.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testing/paper_fixtures.h"
 #include "util/rng.h"
+#include "workload/synthetic.h"
 
 namespace jinfer {
 namespace core {
@@ -121,6 +126,37 @@ TEST(SignatureIndexTest, MaximalSignaturesOfExample21) {
     }
   }
   EXPECT_EQ(maximal_count, 7u);
+}
+
+// --- Visiting orders (BU and TD read these) ---------------------------------
+
+TEST(SignatureIndexTest, VisitingOrdersFollowSizeAndMaximality) {
+  for (bool compress : {true, false}) {
+    SCOPED_TRACE(compress ? "compressed" : "uncompressed");
+    auto inst = workload::GenerateSynthetic({3, 2, 25, 4}, 17);
+    ASSERT_TRUE(inst.ok());
+    auto index =
+        SignatureIndex::Build(inst->r, inst->p, {.compress = compress});
+    ASSERT_TRUE(index.ok());
+
+    // Every id once, sorted by (popcount, id).
+    std::vector<ClassId> want(index->num_classes());
+    for (ClassId c = 0; c < want.size(); ++c) want[c] = c;
+    std::stable_sort(want.begin(), want.end(), [&](ClassId a, ClassId b) {
+      return index->cls(a).signature.Count() < index->cls(b).signature.Count();
+    });
+    std::span<const ClassId> by_size = index->ClassesBySize();
+    EXPECT_EQ(std::vector<ClassId>(by_size.begin(), by_size.end()), want);
+
+    // Exactly the flagged ids, in id order.
+    std::vector<ClassId> flagged;
+    for (ClassId c = 0; c < index->num_classes(); ++c) {
+      if (index->cls(c).maximal) flagged.push_back(c);
+    }
+    ASSERT_FALSE(flagged.empty());
+    std::span<const ClassId> maximal = index->MaximalClasses();
+    EXPECT_EQ(std::vector<ClassId>(maximal.begin(), maximal.end()), flagged);
+  }
 }
 
 // --- Compression -------------------------------------------------------------

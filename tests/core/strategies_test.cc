@@ -1,12 +1,20 @@
 #include "core/strategy.h"
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/lattice.h"
 #include "core/oracle.h"
 #include "core/inference.h"
 #include "core/strategies/lookahead_strategy.h"
+#include "testing/local_strategies_reference.h"
 #include "testing/paper_fixtures.h"
+#include "util/rng.h"
+#include "workload/synthetic.h"
 
 namespace jinfer {
 namespace core {
@@ -128,6 +136,166 @@ TEST(TopDownTest, BeatsBottomUpOnLargeGoals) {
   EXPECT_EQ(bu_result->num_interactions, 12u);
   EXPECT_LT(td_result->num_interactions, bu_result->num_interactions);
 }
+
+// --- BU and TD walk the index's visiting orders -------------------------------
+//
+// Differential against the seed's full scans (tests/testing/): at every
+// state a session or a scoped label walk reaches, the picks read from
+// ClassesBySize/MaximalClasses must equal the scans' picks.
+
+struct PickCase {
+  const char* name;
+  workload::SyntheticConfig config;
+  uint64_t seed;
+  bool compress;
+  bool reload;       ///< Run on a FromSections reassembly of the build.
+  bool omega_class;  ///< The instance holds a class with signature Ω.
+};
+
+void PrintTo(const PickCase& pc, std::ostream* os) { *os << pc.name; }
+
+class LocalPickDifferentialTest : public ::testing::TestWithParam<PickCase> {
+ protected:
+  /// Compares both picks at `state`; counts the states compared and those
+  /// where TD took its fallback (no informative maximal class before the
+  /// first positive).
+  void ExpectPicksMatch(const InferenceState& state) {
+    ++states_;
+    EXPECT_EQ(bu_->SelectNext(state), ReferenceBottomUpPick(state));
+    EXPECT_EQ(td_->SelectNext(state), ReferenceTopDownPick(state));
+    if (!state.HasPositiveExample() && state.NumInformativeClasses() > 0) {
+      bool maximal_left = false;
+      for (ClassId c : state.index().MaximalClasses()) {
+        maximal_left |= state.IsInformative(c);
+      }
+      if (!maximal_left) ++fallbacks_;
+    }
+  }
+
+  /// Every node of the label tree below `state`, `depth` labels deep,
+  /// branching on up to four informative classes with both labels.
+  void Walk(InferenceState& state, int depth) {
+    ExpectPicksMatch(state);
+    if (depth == 0 || state.NumInformativeClasses() == 0) return;
+    std::vector<ClassId> branch = {
+        *bu_->SelectNext(state), *td_->SelectNext(state),
+        state.InformativeClassAt(0),
+        state.InformativeClassAt(state.NumInformativeClasses() / 2)};
+    std::sort(branch.begin(), branch.end());
+    branch.erase(std::unique(branch.begin(), branch.end()), branch.end());
+    for (ClassId c : branch) {
+      for (Label label : {Label::kPositive, Label::kNegative}) {
+        state.ApplyLabelScoped(c, label);
+        Walk(state, depth - 1);
+        state.UndoLabel();
+      }
+    }
+  }
+
+  /// One GoalOracle session driven by `driver`, checking every state.
+  void Session(const SignatureIndex& index, const JoinPredicate& goal,
+               Strategy& driver) {
+    InferenceState state(index);
+    GoalOracle oracle{goal};
+    while (true) {
+      ExpectPicksMatch(state);
+      std::optional<ClassId> pick = driver.SelectNext(state);
+      if (!pick) break;
+      ASSERT_TRUE(
+          state.ApplyLabel(*pick, oracle.LabelClass(index, *pick)).ok());
+    }
+  }
+
+  std::unique_ptr<Strategy> bu_ = MakeStrategy(StrategyKind::kBottomUp);
+  std::unique_ptr<Strategy> td_ = MakeStrategy(StrategyKind::kTopDown);
+  size_t states_ = 0;
+  size_t fallbacks_ = 0;
+};
+
+TEST_P(LocalPickDifferentialTest, PicksEqualTheFullScans) {
+  const PickCase& pc = GetParam();
+  auto inst = workload::GenerateSynthetic(pc.config, pc.seed);
+  ASSERT_TRUE(inst.ok());
+  auto built =
+      SignatureIndex::Build(inst->r, inst->p, {.compress = pc.compress});
+  ASSERT_TRUE(built.ok());
+  std::optional<SignatureIndex> reloaded;
+  if (pc.reload) {
+    auto sections = SignatureIndex::FromSections(
+        built->omega(), built->num_tuples(), built->compressed(),
+        built->classes(), built->r_codes(), built->p_codes(), nullptr);
+    ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+    reloaded.emplace(std::move(sections).ValueOrDie());
+  }
+  const SignatureIndex& index = pc.reload ? *reloaded : *built;
+
+  // Goals of 0-3 atoms: ∅, every singleton of Ω, and for k = 1..3 the
+  // first k atoms of random class signatures (non-nullable goals, so
+  // sessions meet positives) and k random atoms (often nullable on the
+  // sparse shapes, so TD stays in its maximal phase).
+  std::vector<JoinPredicate> goals = {JoinPredicate()};
+  const size_t omega_size = index.omega().size();
+  for (size_t bit = 0; bit < omega_size; ++bit) {
+    goals.push_back(JoinPredicate::Singleton(bit));
+  }
+  util::Rng rng(pc.seed);
+  for (size_t k = 1; k <= 3; ++k) {
+    for (int draw = 0; draw < 6; ++draw) {
+      const JoinPredicate& sig =
+          index.cls(static_cast<ClassId>(rng.NextBelow(index.num_classes())))
+              .signature;
+      JoinPredicate from_class;
+      size_t taken = 0;
+      sig.ForEachSetBit([&](size_t bit) {
+        if (taken++ < k) from_class.Set(bit);
+      });
+      goals.push_back(from_class);
+      JoinPredicate random;
+      for (size_t i = 0; i < k; ++i) random.Set(rng.NextBelow(omega_size));
+      goals.push_back(random);
+    }
+  }
+  for (const JoinPredicate& goal : goals) {
+    Session(index, goal, *bu_);
+    Session(index, goal, *td_);
+  }
+
+  InferenceState root(index);
+  Walk(root, 3);
+
+  EXPECT_GT(states_, goals.size());
+  const std::optional<ClassId> omega_class =
+      index.ClassOfSignature(index.omega().Full());
+  ASSERT_EQ(omega_class.has_value(), pc.omega_class);
+  if (omega_class) {
+    // Ω-signature classes are the only maximal ones (several when
+    // uncompressed) and are born certain-positive: every pick before the
+    // first positive is TD's fallback.
+    for (ClassId c : index.MaximalClasses()) {
+      EXPECT_EQ(index.cls(c).signature, index.omega().Full());
+    }
+    EXPECT_GT(fallbacks_, 0u);
+  } else {
+    EXPECT_EQ(fallbacks_, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LocalPickDifferentialTest,
+    ::testing::Values(
+        PickCase{"Shape33408", {3, 3, 40, 8}, 1, true, false, false},
+        PickCase{"Shape33408Seed2", {3, 3, 40, 8}, 2, true, false, false},
+        PickCase{"WideOmega98303", {9, 8, 30, 3}, 3, true, false, false},
+        PickCase{"Uncompressed23204", {2, 3, 20, 4}, 4, false, false, false},
+        PickCase{"OmegaClass22202", {2, 2, 20, 2}, 5, true, false, true},
+        PickCase{"Reloaded33408", {3, 3, 40, 8}, 6, true, true, false},
+        PickCase{"ReloadedUncompressed23204", {2, 3, 20, 4}, 7, false, true,
+                 true},
+        PickCase{"ReloadedOmegaClass22202", {2, 2, 20, 2}, 8, true, true,
+                 true}),
+    [](const ::testing::TestParamInfo<PickCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- L1S (§4.4, Algorithm 4) ---------------------------------------------------
 

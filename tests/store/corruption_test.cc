@@ -18,6 +18,7 @@
 #include "runtime/index_cache.h"
 #include "store/index_file.h"
 #include "store/index_store.h"
+#include "store/mapped_index.h"
 #include "testing/paper_fixtures.h"
 #include "util/checksum.h"
 
@@ -209,6 +210,38 @@ TEST_F(CorruptionTest, MalformedNamesSectionIsRejected) {
   const uint32_t shorter = last_len - 1;
   std::memcpy(trailing.data() + last, &shorter, sizeof(shorter));
   expect_rejected(trailing, "trailing bytes", 3);
+}
+
+TEST_F(CorruptionTest, ClassSignatureOutsideOmegaIsRejected) {
+  // A stray signature bit at |Ω| in the last class record, under a
+  // resealed checksum: every other check passes, so FromSections' Ω check
+  // must refuse it before anything formats or buckets that signature.
+  IndexFileHeader header;
+  std::memcpy(&header, good_bytes_.data(), sizeof(header));
+  ASSERT_GT(header.num_classes, 0u);
+  const uint64_t last = header.num_classes - 1;
+  const size_t record = header.sections[kSectionClasses].offset +
+                        last * sizeof(core::SignatureClass);
+  std::vector<uint8_t> bytes = good_bytes_;
+  core::SignatureClass sc;
+  std::memcpy(&sc, bytes.data() + record, sizeof(sc));
+  sc.signature.Set(size_t{header.num_r_attrs} * header.num_p_attrs);
+  std::memcpy(bytes.data() + record, &sc, sizeof(sc));
+  const uint64_t checksum = util::Checksum64Of(
+      bytes.data(), bytes.size() - sizeof(IndexFileFooter));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(IndexFileFooter),
+              &checksum, sizeof(checksum));
+  ASSERT_TRUE(ValidateIndexFile(bytes).ok());
+  WriteRaw(bytes);
+
+  auto mapped = LoadMappedIndex(store_->PathFor(fp_));
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_TRUE(mapped.status().IsParseError()) << mapped.status().ToString();
+  EXPECT_NE(mapped.status().message().find(
+                "class " + std::to_string(last) + " has a signature outside"),
+            std::string::npos)
+      << mapped.status().ToString();
+  ExpectRejectedAndQuarantined(1);
 }
 
 TEST_F(CorruptionTest, ForeignByteOrderIsRejected) {

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -71,6 +72,11 @@ void ExpectIndexesBitIdentical(const core::SignatureIndex& built,
     EXPECT_EQ(mapped.ClassOfSignature(cb.signature),
               built.ClassOfSignature(cb.signature));
   }
+  // The visiting orders BU and TD read are derived again on load.
+  EXPECT_TRUE(std::ranges::equal(built.ClassesBySize(),
+                                 mapped.ClassesBySize()));
+  EXPECT_TRUE(std::ranges::equal(built.MaximalClasses(),
+                                 mapped.MaximalClasses()));
   // Per-tuple signatures recomputed from the mapped code sections agree.
   for (size_t i = 0; i < built.num_r_rows(); ++i) {
     for (size_t j = 0; j < built.num_p_rows(); ++j) {

@@ -50,6 +50,15 @@ TEST(SmallBitsetTest, Singleton) {
   EXPECT_TRUE(b.Test(100));
 }
 
+TEST(SmallBitsetTest, CountPrefixCountsTheLeadingWords) {
+  SmallBitset b = SmallBitset::AllSet(72);  // Words 0 and 1 (8 bits).
+  b.Set(200);                               // Word 3.
+  EXPECT_EQ(b.CountPrefix(1), 64u);
+  EXPECT_EQ(b.CountPrefix(2), 72u);
+  EXPECT_EQ(b.CountPrefix(3), 72u);
+  EXPECT_EQ(b.CountPrefix(SmallBitset::kWords), b.Count());
+}
+
 TEST(SmallBitsetTest, SubsetReflexive) {
   SmallBitset b = SmallBitset::AllSet(77);
   EXPECT_TRUE(b.IsSubsetOf(b));
